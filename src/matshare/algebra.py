@@ -1,9 +1,12 @@
 """Exact square-matrix arithmetic over arbitrary-precision integers.
 
 Entries are Python ints, widened to ``fractions.Fraction`` only where
-inversion makes rationals unavoidable.  Everything here is deterministic
-and pure: samplers take an explicit ``random.Random`` (or an int seed),
-and all values are immutable once constructed, so concurrent use is safe.
+inversion makes rationals unavoidable.  Determinant, inverse and rank
+share one fraction-free (Bareiss) elimination kernel over integer rows,
+so no elimination step forms a Fraction.  Everything here is
+deterministic and pure: samplers take an explicit ``random.Random`` (or
+an int seed), and all values are immutable once constructed, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -170,84 +173,76 @@ def mat_vec_mul(a: Matrix, v) -> Vector:
     return Vector(sum(map(operator.mul, row, entries)) for row in a.rows)
 
 
-def _scaled_int_rows(a: Matrix):
-    """Return (rows, scale) with rows all-int and rows == scale * a."""
-    if a.is_integer():
-        return [list(row) for row in a.rows], 1
-    scale = 1
-    for row in a.rows:
-        for x in row:
-            if isinstance(x, Fraction):
-                scale = math.lcm(scale, x.denominator)
-    rows = [[int(x * scale) for x in row] for row in a.rows]
-    return rows, scale
+def _integer_rows(rows):
+    """Return (w, scale): fresh int rows with w == scale * rows."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
+    if scale == 1:
+        return [list(map(int, row)) for row in rows], 1
+    return [[int(x * scale) for x in row] for row in rows], scale
 
 
-def _bareiss_det(rows) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination.
+def _bareiss(w, ncols: int, reduce_above: bool = False):
+    """Fraction-free (Bareiss) elimination of integer rows w, in place.
 
-    Entries stay integer throughout; every interior division is exact.
+    Pivots are taken from the first ncols columns; a column with no
+    nonzero entry at or below the current row is skipped.  Every interior
+    division is exact, so entries stay integer.  With reduce_above each
+    pivot column is cleared above the pivot as well (Gauss-Jordan), so a
+    nonsingular square block ends as (last pivot) * I.  Returns (rank,
+    sign of the row swaps, last pivot); for a nonsingular square block the
+    determinant is sign * last pivot.
     """
-    n = len(rows)
-    w = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k][k] == 0:
-            for r in range(k + 1, n):
-                if w[r][k] != 0:
-                    w[k], w[r] = w[r], w[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = w[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = w[i], w[k]
-            f = row_i[k]
-            w[i] = [(pivot * row_i[j] - f * row_k[j]) // prev for j in range(n)]
+    m = len(w)
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        pivot_row = rank
+        while pivot_row < m and w[pivot_row][col] == 0:
+            pivot_row += 1
+        if pivot_row == m:
+            continue
+        if pivot_row != rank:
+            w[rank], w[pivot_row] = w[pivot_row], w[rank]
+            sign = -sign
+        row_k = w[rank]
+        pivot = row_k[col]
+        for i in range(0 if reduce_above else rank + 1, m):
+            if i == rank:
+                continue
+            row_i = w[i]
+            f = row_i[col]
+            w[i] = [(pivot * x - f * y) // prev for x, y in zip(row_i, row_k)]
         prev = pivot
-    return sign * w[n - 1][n - 1]
+        rank += 1
+    return rank, sign, prev
 
 
 def determinant(a: Matrix) -> Scalar:
     """Exact determinant; integer matrices never leave integer arithmetic."""
-    rows, scale = _scaled_int_rows(a)
-    d = _bareiss_det(rows)
-    if scale == 1:
-        return d
-    return _canon(Fraction(d, scale**a.dim))
+    w, scale = _integer_rows(a.rows)
+    rank, sign, last = _bareiss(w, a.dim)
+    d = sign * last if rank == a.dim else 0
+    return d if scale == 1 else _canon(Fraction(d, scale**a.dim))
 
 
 def _inverse_parts(a: Matrix):
     """Return (num_rows, den) with a^-1 == num_rows / den, or (None, 0) if singular.
 
-    Fraction-free Gauss-Jordan (Montante) on [A | I]: rows remain integer,
-    every division is exact, and the run ends with the left block equal to
-    den * I, making the right block den * A^-1.
+    Gauss-Jordan Bareiss on [s*A | s*I] (s clears A's denominators): the
+    left block ends as den * I, making the right block den * A^-1.
     """
     n = a.dim
-    rows, scale = _scaled_int_rows(a)
-    w = [rows[i] + [scale if j == i else 0 for j in range(n)] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        if w[k][k] == 0:
-            for r in range(k + 1, n):
-                if w[r][k] != 0:
-                    w[k], w[r] = w[r], w[k]
-                    break
-            else:
-                return None, 0
-        pivot = w[k][k]
-        for i in range(n):
-            if i == k:
-                continue
-            row_i, row_k = w[i], w[k]
-            f = row_i[k]
-            w[i] = [(pivot * row_i[j] - f * row_k[j]) // prev for j in range(2 * n)]
-        prev = pivot
-    den = w[n - 1][n - 1]
+    w, scale = _integer_rows(a.rows)
+    for i, row in enumerate(w):
+        row.extend(scale if j == i else 0 for j in range(n))
+    rank, _, den = _bareiss(w, n, reduce_above=True)
+    if rank < n:
+        return None, 0
     return [row[n:] for row in w], den
+
+
+def divide_rows(rows, den) -> Matrix:
+    """The exact quotient rows / den; entries may be ints or Fractions."""
+    return Matrix([[Fraction(x, den) for x in row] for row in rows])
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -255,39 +250,28 @@ def mat_inverse(a: Matrix) -> Matrix:
     num, den = _inverse_parts(a)
     if den == 0:
         raise SingularMatrix(f"{a.dim}x{a.dim} matrix is singular")
-    return Matrix([[Fraction(x, den) for x in row] for row in num])
+    return divide_rows(num, den)
 
 
 def is_invertible(a: Matrix) -> bool:
     """True iff the exact determinant is nonzero."""
-    rows, _ = _scaled_int_rows(a)
-    return _bareiss_det(rows) != 0
+    return determinant(a) != 0
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of a rectangular system over the rationals, by Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            if m[i][col] != 0:
-                f = m[i][col] / pivot
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    """Rank of a rectangular system over the rationals."""
+    if not rows:
+        return 0
+    w, _ = _integer_rows(rows)
+    return _bareiss(w, len(w[0]))[0]
+
+
+def chain_product(factors: Iterable[Matrix]) -> Matrix:
+    """Product of the factors taken in order, later factors on the left."""
+    acc = None
+    for m in factors:
+        acc = m if acc is None else mat_mul(m, acc)
+    return acc
 
 
 def freivalds_verify(a: Matrix, b: Matrix, c: Matrix, t: int, seed) -> bool:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Matrix, _inverse_parts, mat_mul
+from .algebra import Matrix, _inverse_parts, chain_product, divide_rows, mat_mul
 from .dealer import Bulletin
 from .errors import GuardrailExceeded
 from .transport import Envelope, broadcast_matrices, participant_position
@@ -73,14 +72,6 @@ def count_search_space(k: int, n: int, mode: str) -> int:
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _ordered_product(matrices: Sequence[Matrix], seq) -> Matrix:
-    # sequences are read in ring order: later indices multiply on the left
-    acc = None
-    for idx in seq:
-        acc = matrices[idx] if acc is None else mat_mul(matrices[idx], acc)
-    return acc
-
-
 def exhaustive_search(
     problem: SearchProblem,
     mode: str = ORDERED_DISTINCT,
@@ -110,7 +101,8 @@ def exhaustive_search(
     nodes = 0
     for seq in sequences:
         nodes += 1
-        if _ordered_product(problem.matrices, seq) == problem.target:
+        # sequences are read in ring order: later indices multiply on the left
+        if chain_product(problem.matrices[idx] for idx in seq) == problem.target:
             solutions.append(tuple(seq))
             if limit is not None and len(solutions) >= limit:
                 break
@@ -134,13 +126,7 @@ def ratio_analysis(eavesdropper_view: Sequence[Envelope], bulletin: Bulletin) ->
         if den == 0:
             hits.append(RatioHit(position=position, matrix=None, matrix_index=None))
             continue
-        scaled = mat_mul(nxt.payload, Matrix(num))
-        shadow = Matrix(
-            [
-                [Fraction(v, den) if isinstance(v, int) else v / den for v in row]
-                for row in scaled.rows
-            ]
-        )
+        shadow = divide_rows(mat_mul(nxt.payload, Matrix(num)).rows, den)
         index = next(
             (m for m, candidate in enumerate(bulletin.matrices) if candidate == shadow),
             None,

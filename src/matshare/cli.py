@@ -192,13 +192,64 @@ def _read(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _field(doc, key: str, path: Path):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{path}: missing key {key!r}")
+    return doc[key]
+
+
+def _require(ok: bool, path: Path, what: str) -> None:
+    if not ok:
+        raise ValueError(f"{path}: {what}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_decimals(value, length: int) -> bool:
+    """True iff value is a list of `length` strings; int() rejects non-decimal ones."""
+    return isinstance(value, list) and len(value) == length and all(isinstance(x, str) for x in value)
+
+
+def _is_square(value, r: int) -> bool:
+    return isinstance(value, list) and len(value) == r and all(_is_decimals(row, r) for row in value)
+
+
 def load_workspace(workspace: Path) -> Tuple[Bulletin, List[Share]]:
-    """Everything a protocol run needs: bulletin and shares, never the instance."""
-    bulletin = bulletin_from_json(_read(workspace / "bulletin.json"))
-    shares = [
-        share_from_json(_read(workspace / "shares" / f"P{j}.json"))
-        for j in range(1, bulletin.n + 1)
-    ]
+    """Everything a protocol run needs: bulletin and shares, never the instance.
+
+    Every file is checked against the bulletin's r, k and n first, so a
+    malformed workspace is a usage error, not a failure mid-run.
+    """
+    path = workspace / "bulletin.json"
+    doc = _read(path)
+    r, k, n = (_field(doc, key, path) for key in ("r", "k", "n"))
+    _require(all(map(_is_int, (r, k, n))), path, "r, k and n must be integers")
+    matrices, u_prime = _field(doc, "matrices", path), _field(doc, "u_prime", path)
+    _require(
+        isinstance(matrices, list) and len(matrices) == k and all(_is_square(m, r) for m in matrices),
+        path,
+        f"matrices must be {k} {r}x{r} matrices of decimal strings",
+    )
+    _require(
+        isinstance(u_prime, list) and len(u_prime) == n and all(_is_decimals(v, r) for v in u_prime),
+        path,
+        f"u_prime must be {n} vectors of {r} decimal strings",
+    )
+    bulletin = bulletin_from_json(doc)
+    shares = []
+    for j in range(1, n + 1):
+        path = workspace / "shares" / f"P{j}.json"
+        doc = _read(path)
+        participant, index, ring, u = (
+            _field(doc, key, path) for key in ("participant", "matrix_index", "ring", "u")
+        )
+        _require(_is_int(participant) and participant == j, path, f"participant must be {j}")
+        _require(_is_int(index) and 0 <= index < k, path, f"matrix_index must be in [0, {k})")
+        _require(ring == list(range(1, n + 1)), path, f"ring must be [1, ..., {n}]")
+        _require(isinstance(u, list) and len(u) == r, path, f"u must have dimension {r}")
+        shares.append(share_from_json(doc))
     return bulletin, shares
 
 
@@ -300,8 +351,10 @@ def cmd_attack(
     force: bool = False,
 ) -> int:
     bulletin, _ = load_workspace(workspace)
-    instance_doc = _read(workspace / "instance.json")
-    target = matrix_from_json(instance_doc["secret"])
+    path = workspace / "instance.json"
+    secret = _field(_read(path), "secret", path)
+    _require(_is_square(secret, bulletin.r), path, f"secret must be {bulletin.r}x{bulletin.r}")
+    target = matrix_from_json(secret)
 
     k, n = bulletin.k, bulletin.n
     space = {

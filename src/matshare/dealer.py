@@ -18,8 +18,8 @@ from .algebra import (
     BinaryVector,
     Matrix,
     Vector,
+    chain_product,
     is_invertible,
-    mat_mul,
     mat_vec_mul,
     matrix_rank,
     sample_check_vector,
@@ -115,11 +115,7 @@ def rotated_product(instance: Instance, start: int) -> Matrix:
 
     Starting at 1 this is the canonical secret.
     """
-    acc = None
-    for pos in ring_walk(start, instance.n):
-        shadow = instance.shadow(pos)
-        acc = shadow if acc is None else mat_mul(shadow, acc)
-    return acc
+    return chain_product(instance.shadow(pos) for pos in ring_walk(start, instance.n))
 
 
 def compute_check_pairs(instance: Instance, rng) -> Tuple[List[BinaryVector], List[Vector]]:
@@ -162,10 +158,7 @@ def generate_instance(params: DealerParams) -> Tuple[Instance, Bulletin, List[Sh
             f"no all-invertible selection found in {MAX_INSTANCE_RETRIES} instance retries"
         )
 
-    secret = None
-    for idx in sigma:
-        secret = matrices[idx] if secret is None else mat_mul(matrices[idx], secret)
-
+    secret = chain_product(matrices[idx] for idx in sigma)
     instance = Instance(matrices=matrices, sigma=sigma, secret=secret)
     us, u_primes = compute_check_pairs(instance, rng)
 

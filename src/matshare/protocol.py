@@ -10,14 +10,14 @@ strips the blinding with a two-sided inverse and recovers the secret.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     Matrix,
+    _as_rng,
     _inverse_parts,
+    divide_rows,
     freivalds_verify,
     mat_mul,
     mat_vec_mul,
@@ -38,10 +38,8 @@ from .transport import (
 VERIFICATION = "verification"
 RECONSTRUCTION = "reconstruction"
 
-IDLE = "idle"
-VERIFYING = "verifying"
-RECONSTRUCTING = "reconstructing"
-DONE = "done"
+#: blinding matrices are sampled with entries in [0, X_ENTRY_BOUND)
+X_ENTRY_BOUND = 256
 
 
 @dataclass
@@ -49,8 +47,6 @@ class ParticipantState:
     """Simulation-confined state of one ring member."""
 
     share: Share
-    phase: str = IDLE
-    pending: object = None
     x_blind: Optional[Matrix] = None
     recovered: Optional[Matrix] = None
     verdict: Optional[bool] = None
@@ -121,7 +117,6 @@ def run_verification(
     u = states[plan.start].share.u
     v = None
     for idx, pos in enumerate(walk):
-        states[pos].phase = VERIFYING
         shadow = _effective_shadow(bulletin, states, pos, cheater)
         operand = u if v is None else v
         if shadow.dim != operand.dim:
@@ -132,9 +127,7 @@ def run_verification(
             return verdict, net.transcript
         v = mat_vec_mul(shadow, operand)
         if idx + 1 < len(walk):
-            nxt = walk[idx + 1]
-            net.send(participant_name(pos), participant_name(nxt), PUBLIC, v)
-            states[nxt].pending = v
+            net.send(participant_name(pos), participant_name(walk[idx + 1]), PUBLIC, v)
     verdict = v == bulletin.u_prime[plan.start - 1]
     net.broadcast(participant_name(walk[-1]), verdict)
     _record_verdict(states, verdict)
@@ -144,7 +137,6 @@ def run_verification(
 def _record_verdict(states, verdict: bool) -> None:
     for state in states.values():
         state.verdict = verdict
-        state.phase = IDLE
 
 
 def run_reconstruction(
@@ -153,7 +145,6 @@ def run_reconstruction(
     bulletin: Bulletin,
     rng,
     net: Optional[Network] = None,
-    x_entry_bound: int = 256,
     x_override: Optional[Matrix] = None,
 ) -> Tuple[Matrix, Transcript]:
     """Walk the ring once with a blinded chain and recover the secret.
@@ -168,8 +159,6 @@ def run_reconstruction(
         raise ValueError("plan.kind must be reconstruction")
     if net is None:
         net = _fresh_network(plan.n)
-    if not isinstance(rng, random.Random):
-        rng = random.Random(rng)
     walk = plan.order
     start = plan.start
     starter = states[start]
@@ -178,14 +167,12 @@ def run_reconstruction(
     if x_override is not None:
         x = x_override
     else:
-        x = sample_invertible_matrix(r, x_entry_bound, rng)
+        x = sample_invertible_matrix(r, X_ENTRY_BOUND, rng)
     starter.x_blind = x
-    starter.phase = RECONSTRUCTING
 
     round_reveals: List[Reveal] = []
     v = None
     for pos in walk:
-        states[pos].phase = RECONSTRUCTING
         shadow = bulletin.shadow_of(states[pos].share)
         v = mat_mul(shadow, x if v is None else v)
         net.broadcast(participant_name(pos), v)
@@ -195,7 +182,6 @@ def run_reconstruction(
 
     # the last walker gives what they computed back to the starter
     net.send(participant_name(walk[-1]), participant_name(start), PUBLIC, v)
-    starter.pending = v
 
     b = v
     c = round_reveals[walk.index(plan.n)].matrix
@@ -203,8 +189,6 @@ def run_reconstruction(
     starter.recovered = recovered
     # the starter's private record of the outcome; never visible publicly
     net.send(participant_name(start), participant_name(start), SECURE, recovered)
-    for pos in walk:
-        states[pos].phase = DONE
     return recovered, net.transcript
 
 
@@ -226,13 +210,7 @@ def recover_secret(b: Matrix, c: Matrix, x: Matrix) -> Matrix:
         raise SingularMatrix("partial-product reveal is singular")
     # (c x^-1)(b c^-1) == (c * Nx * b * Nc) / (dx * dc) with all-integer factors
     num = mat_mul(mat_mul(mat_mul(c, Matrix(x_num)), b), Matrix(c_num))
-    den = x_den * c_den
-    result = Matrix(
-        [
-            [Fraction(v, den) if isinstance(v, int) else v / den for v in row]
-            for row in num.rows
-        ]
-    )
+    result = divide_rows(num.rows, x_den * c_den)
     if not result.is_integer():
         raise IntegrityFailure("recovered matrix has non-integer entries; reveals are inconsistent")
     return result
@@ -242,15 +220,16 @@ def freivalds_audit(transcript: Transcript, bulletin: Bulletin, t: int, seed) ->
     """Audit a reconstruction transcript with probabilistic product checks.
 
     Every consecutive pair of public reveals must be explainable as one
-    public-set matrix applied to the previous reveal; each candidate is
-    screened with t Freivalds iterations instead of a full product.  The
-    hand-back must equal the final reveal exactly.  Returns the
-    conjunction of all checks; a false return signals inconsistent
-    reveals.
+    public-set matrix applied to the previous reveal; each of the k
+    candidates is screened with t Freivalds iterations instead of a full
+    product.  A forged pair passes if any candidate passes, so it slips
+    through with probability at most k * 2^-t, not 2^-t.  The hand-back
+    must equal the final reveal exactly.  Returns the conjunction of all
+    checks; a false return signals inconsistent reveals.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    rng = random.Random(seed) if not isinstance(seed, random.Random) else seed
+    rng = _as_rng(seed)
     reveals = broadcast_matrices(transcript.envelopes)
     for prev, nxt in zip(reveals, reveals[1:]):
         if not any(
@@ -285,13 +264,10 @@ def simulate_run(
     start: int,
     rng,
     cheater: Optional[CheaterSpec] = None,
-    include_delivery: bool = True,
-    x_entry_bound: int = 256,
 ) -> RunResult:
     """Drive one complete round; reconstruction only happens on a true verdict."""
     net = _fresh_network(bulletin.n)
-    if include_delivery:
-        deliver_shares(net, shares)
+    deliver_shares(net, shares)
     states = make_states(shares)
     verdict, _ = run_verification(
         RoundPlan(VERIFICATION, start, bulletin.n), states, bulletin, cheater, net
@@ -304,7 +280,6 @@ def simulate_run(
             bulletin,
             rng,
             net,
-            x_entry_bound=x_entry_bound,
         )
     net.close()
     return RunResult(verdict, recovered, states, net.transcript, bulletin)

@@ -88,9 +88,8 @@ class Transcript:
 class Network:
     """A single run's message fabric: known recipients plus the transcript."""
 
-    def __init__(self, participants: Sequence[str], senders: Sequence[str] = (DEALER,)):
-        self.participants = list(participants)
-        self._known = set(self.participants) | set(senders) | {BROADCAST}
+    def __init__(self, participants: Sequence[str]):
+        self._known = set(participants) | {DEALER, BROADCAST}
         self.transcript = Transcript()
         self._open = True
 

@@ -13,13 +13,14 @@ from matshare.algebra import (
     mat_inverse,
     mat_mul,
     mat_vec_mul,
+    matrix_rank,
     sample_check_vector,
     sample_invertible_matrix,
     sample_matrix,
 )
 from matshare.errors import SingularMatrix
 
-from oracles import mat_rows, naive_det, naive_matvec, naive_mul, weight_ge2_vectors
+from oracles import mat_rows, minor_rank, naive_det, naive_matvec, naive_mul, weight_ge2_vectors
 
 A = Matrix([[1, 1], [0, 1]])
 B = Matrix([[1, 0], [1, 1]])
@@ -158,6 +159,57 @@ def test_determinant_matches_leibniz_oracle():
 def test_determinant_of_rational_matrix():
     m = Matrix([[Fraction(1, 2), 1], [1, 4]])
     assert determinant(m) == Fraction(1, 2) * 4 - 1
+
+
+def test_swap_matrix_has_determinant_minus_one():
+    swap = Matrix([[0, 1], [1, 0]])
+    assert determinant(swap) == -1
+    assert mat_inverse(swap) == swap
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [2, 4, 7], [3, 6, 1]],  # second pivot column is all zero
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # last pivot vanishes
+    ],
+)
+def test_pivot_vanishing_partway_means_singular(rows):
+    m = Matrix(rows)
+    assert naive_det(rows) == 0
+    assert determinant(m) == 0
+    assert not is_invertible(m)
+    with pytest.raises(SingularMatrix):
+        mat_inverse(m)
+    assert matrix_rank(rows) == 2
+
+
+def _rank_cases():
+    cases = [
+        [[0, 1], [1, 0], [1, 1]],  # zero leading pivot forces a swap
+        [[0, 0, 1], [0, 2, 3]],  # all-zero leading column
+        [[0, 0], [0, 0]],
+    ]
+    rng = Random(41)
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
+        if n_rows >= 3 and rng.random() < 0.5:
+            # rank deficiency: one row is a combination of two others
+            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+        if rng.random() < 0.3:
+            zero = rng.randrange(n_cols)
+            for row in rows:
+                row[zero] = 0
+        if rng.random() < 0.5:
+            rows = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in rows]
+        cases.append(rows)
+    return cases
+
+
+def test_matrix_rank_matches_minor_oracle():
+    for rows in _rank_cases():
+        assert matrix_rank(rows) == minor_rank(rows), rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
+import contextlib
+import hashlib
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +305,85 @@ def test_run_singular_shadow_workspace_is_integrity_failure(tmp_path, capsys):
     code = main(["run", "--workspace", str(ws), "--start", "1", "--seed", "2"])
     assert code == EXIT_INTEGRITY
     assert "integrity failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed workspaces
+# ---------------------------------------------------------------------------
+
+def _edit_json(path, edit):
+    doc = read_json(path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+MALFORMED = {
+    "matrix index out of range": ("shares/P2.json", lambda d: d.update(matrix_index=99), "run"),
+    "duplicate participant": ("shares/P2.json", lambda d: d.update(participant=1), "run"),
+    "non-integer r": ("bulletin.json", lambda d: d.update(r="x"), "run"),
+    "missing u_prime": ("bulletin.json", lambda d: d.pop("u_prime"), "run"),
+    "check vector of wrong dimension": ("shares/P2.json", lambda d: d.update(u=[1, 1, 0]), "run"),
+    "empty instance": ("instance.json", lambda d: d.clear(), "attack"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_workspace_is_usage_error(tmp_path, capsys, name):
+    target, edit, command = MALFORMED[name]
+    ws = deal(tmp_path, r=6, k=6, n=3)
+    capsys.readouterr()
+    _edit_json(ws / target, edit)
+    argv = ["run", "--workspace", str(ws)] if command == "run" else ["attack", "--workspace", str(ws), "--count-only"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: artifacts and stdout pinned across commits
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+GOLDEN_INSTANCES = [(4, 6, 3, 7), (8, 10, 4, 11), (20, 16, 8, 5)]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def replay_golden(root, r, k, n, seed):
+    """Run the CLI end to end on one instance; digest every step's output.
+
+    Each step records its exit code, the sha256 of its stdout (workspace
+    path and search timing masked) and of every file it wrote or changed.
+    """
+    ws = root / f"r{r}-k{k}-n{n}-s{seed}"
+    w = str(ws)
+    steps = [("deal", ["deal", "--r", str(r), "--k", str(k), "--n", str(n), "--seed", str(seed), "--out", w])]
+    steps.append(("run --cheat", ["run", "--workspace", w, "--cheat", f"{n}:{seed + 1}", "--seed", "3"]))
+    steps += [(f"run --start {s}", ["run", "--workspace", w, "--start", str(s), "--seed", str(s)]) for s in range(1, n + 1)]
+    steps.append(("attack --count-only", ["attack", "--workspace", w, "--count-only"]))
+    steps.append(("attack", ["attack", "--workspace", w]))
+
+    def snapshot():
+        if not ws.exists():
+            return {}
+        return {p.relative_to(ws).as_posix(): _sha(p.read_bytes()) for p in ws.rglob("*") if p.is_file()}
+
+    digests = {}
+    for name, argv in steps:
+        before = snapshot()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        stdout = re.sub(r" in [0-9.]+s,", " in Xs,", out.getvalue().replace(w, "WS"))
+        record = {"exit": code, "stdout": _sha(stdout.encode("utf-8"))}
+        record.update({path: sha for path, sha in snapshot().items() if before.get(path) != sha})
+        digests[name] = record
+    return digests
+
+
+@pytest.mark.parametrize("r,k,n,seed", GOLDEN_INSTANCES)
+def test_cli_golden_bytes(tmp_path, r, k, n, seed):
+    golden = json.loads(GOLDEN_PATH.read_text())[f"r{r}-k{k}-n{n}-s{seed}"]
+    assert replay_golden(tmp_path, r, k, n, seed) == golden
