@@ -3,19 +3,30 @@
 Entries are Python ints, widened to ``fractions.Fraction`` only where
 inversion makes rationals unavoidable.  Determinant, inverse and rank
 share one fraction-free (Bareiss) elimination kernel over integer rows,
-so no elimination step forms a Fraction.  Everything here is
-deterministic and pure: samplers take an explicit ``random.Random`` (or
-an int seed), and all values are immutable once constructed, so
-concurrent use is safe.
+so no elimination step forms a Fraction.
+
+Where the answer is an integer matrix, or a yes/no, there is a cheaper
+certified path: ``solve_integer`` finds Z with Z*a == rhs by solving
+modulo word-size primes and combining the residues by the Chinese
+remainder theorem (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 5), and returns Z only after checking Z*a == rhs in exact integer
+arithmetic; ``is_invertible`` accepts on a nonzero determinant residue
+and asks Bareiss only on a zero one.  A modular result is never returned
+without that exact certificate.
+
+Everything here is deterministic and pure: samplers take an explicit
+``random.Random`` (or an int seed), and all values are immutable once
+constructed, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import GenerationFailure, SingularMatrix
 
@@ -254,8 +265,167 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 
 def is_invertible(a: Matrix) -> bool:
-    """True iff the exact determinant is nonzero."""
-    return determinant(a) != 0
+    """True iff the exact determinant is nonzero.
+
+    A nonzero determinant residue modulo a prime proves invertibility, so
+    the exact Bareiss determinant runs only when that residue is zero.
+    """
+    w, _ = _integer_rows(a.rows)
+    p = _prime(0)
+    w = [[x % p for x in reversed(row)] for row in w]
+    return _eliminate_mod(w, a.dim, p, reduce_above=False) or determinant(a) != 0
+
+
+# ---------------------------------------------------------------------------
+# multimodular solving
+# ---------------------------------------------------------------------------
+
+#: solver primes lie just below 2^30: a residue fits one CPython digit,
+#: which makes a modular row update cheaper per bit than wider primes
+_PRIME_CEILING = 1 << 30
+
+# Primes below _PRIME_CEILING, largest first, found on first use (no work at
+# import).  Every value bound here is a prefix of the same sequence, so a
+# caller that reads a shorter tuple than another thread wrote is still right.
+_primes: Tuple[int, ...] = ()
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin: bases 2, 3, 5, 7 are exact below 3.2e9."""
+    if m % 2 == 0:
+        return m == 2
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in (2, 3, 5, 7):
+        if base == m:
+            return True
+        x = pow(base, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(i: int) -> int:
+    """The i-th largest prime below _PRIME_CEILING (i counts from 0)."""
+    global _primes
+    primes = _primes
+    while len(primes) <= i:
+        p = (primes[-1] if primes else _PRIME_CEILING) - 1
+        while not _is_prime(p):
+            p -= 1
+        primes += (p,)
+    _primes = primes
+    return primes[i]
+
+
+def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
+    """Gauss-Jordan elimination mod p of rows w, in place; False if singular mod p.
+
+    Each row keeps its ncols coefficient columns reversed at its end, so
+    the column being pivoted is always the last entry.  The pivot row is
+    scaled by the pivot's inverse and loses that entry; every eliminated
+    row then drops it too, because zip stops at the shorter pivot row, so
+    no slice is copied.  With reduce_above, rows above the pivot are
+    cleared as well, and afterwards row i holds the remaining (right-hand
+    side) columns solved for unknown i.  Entries must lie in [0, p).
+    """
+    m = len(w)
+    for col in range(ncols):
+        pivot_row = col
+        while pivot_row < m and w[pivot_row][-1] == 0:
+            pivot_row += 1
+        if pivot_row == m:
+            return False
+        w[col], w[pivot_row] = w[pivot_row], w[col]
+        row_k = w[col]
+        inv = pow(row_k.pop(), -1, p)
+        row_k = w[col] = [y * inv % p for y in row_k]
+        for i in range(0 if reduce_above else col + 1, m):
+            if i == col:
+                continue
+            row_i = w[i]
+            if row_i[-1]:
+                # adding (p - f) * y keeps every operand nonnegative, which
+                # CPython reduces faster than x - f * y
+                g = p - row_i[-1]
+                w[i] = [(x + g * y) % p for x, y in zip(row_i, row_k)]
+            else:
+                row_i.pop()
+    return True
+
+
+def _norm_sq(row) -> int:
+    return sum(x * x for x in row)
+
+
+def solve_integer(a: Matrix, rhs: Matrix) -> Optional[Matrix]:
+    """The integer matrix Z with Z*a == rhs, or None when Z is not integral.
+
+    Solves modulo primes just below 2^30 and lifts the residues by CRT to
+    symmetric residues.  After each prime the candidate is screened with
+    one O(r^2) product against a*1 and, if that passes, certified exactly
+    by Z*a == rhs, so a returned Z is always the true solution.  An
+    integral Z satisfies |Z_ij| <= max_i |rhs_i| * prod_l |a_l| (Cramer
+    with Hadamard's bound on the rows), so once the modulus exceeds twice
+    that bound an uncertified candidate proves Z is not integral.  A prime
+    dividing det(a) is skipped; a singular a raises SingularMatrix.
+
+    The cost follows the bit length of Z on success, but on failure it
+    follows the bound, which is about r times the bit length of a's rows.
+    """
+    if a.dim != rhs.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
+    if not (a.is_integer() and rhs.is_integer()):
+        raise TypeError("solve_integer needs integer matrices")
+    r = a.dim
+    bound_sq = max(map(_norm_sq, rhs.rows)) * math.prod(map(_norm_sq, a.rows))
+    # equation j of a^T Z^T == rhs^T: column j of rhs, then column j of a reversed
+    equations = [
+        list(rhs_col) + list(reversed(a_col))
+        for rhs_col, a_col in zip(zip(*rhs.rows), zip(*a.rows))
+    ]
+    probe_in = [sum(row) for row in a.rows]
+    probe_out = [sum(row) for row in rhs.rows]
+    det = None
+    residues, modulus = None, 1
+    for p in map(_prime, itertools.count()):
+        w = [[x % p for x in eq] for eq in equations]
+        if not _eliminate_mod(w, r, p, reduce_above=True):
+            if det is None:
+                det = determinant(a)
+            if det == 0:
+                raise SingularMatrix(f"{r}x{r} matrix is singular")
+            continue
+        # row l of w is column l of Z mod p
+        fresh = [y for row in zip(*w) for y in row]
+        if residues is None:
+            residues = fresh
+        else:
+            lift = pow(modulus, -1, p)
+            residues = [
+                x + modulus * ((y - x) * lift % p) for x, y in zip(residues, fresh)
+            ]
+        modulus *= p
+        half = modulus // 2
+        z = [x - modulus if x > half else x for x in residues]
+        rows = [z[i * r:(i + 1) * r] for i in range(r)]
+        if all(
+            sum(map(operator.mul, row, probe_in)) == want
+            for row, want in zip(rows, probe_out)
+        ):
+            candidate = Matrix(rows)
+            if mat_mul(candidate, a) == rhs:
+                return candidate
+        if modulus * modulus > 4 * bound_sq:
+            return None
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:

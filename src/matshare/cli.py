@@ -216,6 +216,22 @@ def _is_square(value, r: int) -> bool:
     return isinstance(value, list) and len(value) == r and all(_is_decimals(row, r) for row in value)
 
 
+def _is_bits(value, r: int) -> bool:
+    return isinstance(value, list) and len(value) == r and all(_is_int(b) and b in (0, 1) for b in value)
+
+
+# what each transcript payload kind must look like, given the bulletin's r
+_PAYLOAD_SHAPES = {
+    "matrix": _is_square,
+    "vector": _is_decimals,
+    "binary_vector": _is_bits,
+    "verdict": lambda doc, r: isinstance(doc, bool),
+    "index_pointer": lambda doc, r: isinstance(doc, dict)
+    and _is_int(doc.get("matrix_index"))
+    and isinstance(doc.get("ring"), list),
+}
+
+
 def load_workspace(workspace: Path) -> Tuple[Bulletin, List[Share]]:
     """Everything a protocol run needs: bulletin and shares, never the instance.
 
@@ -248,9 +264,28 @@ def load_workspace(workspace: Path) -> Tuple[Bulletin, List[Share]]:
         _require(_is_int(participant) and participant == j, path, f"participant must be {j}")
         _require(_is_int(index) and 0 <= index < k, path, f"matrix_index must be in [0, {k})")
         _require(ring == list(range(1, n + 1)), path, f"ring must be [1, ..., {n}]")
-        _require(isinstance(u, list) and len(u) == r, path, f"u must have dimension {r}")
+        _require(_is_bits(u, r), path, f"u must be {r} bits")
         shares.append(share_from_json(doc))
     return bulletin, shares
+
+
+def load_transcript(path: Path, r: int) -> Transcript:
+    """A run's transcript, every event checked against the bulletin's r first."""
+    doc = _read(path)
+    events = _field(doc, "events", path)
+    _require(isinstance(events, list), path, "events must be a list")
+    for i, event in enumerate(events):
+        step, sender, recipient, visibility, kind, payload = (
+            _field(event, key, path) for key in ("step", "from", "to", "visibility", "kind", "payload")
+        )
+        _require(
+            _is_int(step) and all(isinstance(x, str) for x in (sender, recipient, visibility, kind)),
+            path,
+            f"event {i}: step must be an integer and from, to, visibility and kind strings",
+        )
+        shape = _PAYLOAD_SHAPES.get(kind)
+        _require(shape is not None and shape(payload, r), path, f"event {i}: malformed {kind!r} payload")
+    return transcript_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +420,7 @@ def cmd_attack(
     ratio_hits = []
     transcript_path = workspace / "transcript.json"
     if transcript_path.exists():
-        transcript = transcript_from_json(_read(transcript_path))
+        transcript = load_transcript(transcript_path, bulletin.r)
         hits = attack_mod.ratio_analysis(transcript.eavesdropper_view, bulletin)
         ratio_hits = [
             {"position": h.position, "matrix_index": h.matrix_index} for h in hits

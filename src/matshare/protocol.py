@@ -5,7 +5,8 @@ Verification chains each shadow onto the starter's private check vector
 and compares the result against the published image, detecting forged
 shadows.  Reconstruction blinds the same chain with a random invertible
 matrix so each intermediate reveal is publishable, then the starter
-strips the blinding with a two-sided inverse and recovers the secret.
+strips the blinding by two certified integer solves and recovers the
+secret.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import (
     Matrix,
     _as_rng,
-    _inverse_parts,
-    divide_rows,
     freivalds_verify,
     mat_mul,
     mat_vec_mul,
     sample_invertible_matrix,
+    solve_integer,
 )
 from .dealer import Bulletin, Reveal, Share, deliver_shares, ring_walk
 from .errors import IntegrityFailure, SingularMatrix
@@ -193,27 +193,41 @@ def run_reconstruction(
 
 
 def recover_secret(b: Matrix, c: Matrix, x: Matrix) -> Matrix:
-    """Strip the blinding: (c x^-1) (b c^-1), exact over the rationals.
+    """Strip the blinding: S = P*Q with P*x == c and Q*c == b.
 
     With b the full blinded chain and c the partial chain through ring
-    position n, the rational intermediates cancel and the result is the
-    canonical secret; any non-integer entry means the reveals were
-    inconsistent.
+    position n, honest reveals make P = c x^-1 the partial product through
+    position n and Q = b c^-1 the rest of the ring, both integer matrices.
+    Each factor comes from ``solve_integer``: a multimodular (CRT) solve
+    that returns only after the exact integer check P*x == c (resp.
+    Q*c == b), so a modular shortcut can never yield a wrong secret.
+
+    Raises SingularMatrix when x or c is singular, and IntegrityFailure
+    when P or Q is not integral or any input has a Fraction entry; this is
+    stricter than asking only that P*Q be integral, which no honest round
+    needs.  Honest recovery costs a few primes per factor (the bits of
+    the secret); rejecting an inconsistent reveal runs primes up to the
+    Hadamard bound, about r times the reveal width (some 3300 bits for
+    r=32), so it takes longer than accepting.
     """
     if not (b.dim == c.dim == x.dim):
         raise ValueError(f"dimension mismatch: {b.dim}, {c.dim}, {x.dim}")
-    x_num, x_den = _inverse_parts(x)
-    if x_den == 0:
-        raise SingularMatrix("blinding matrix is singular")
-    c_num, c_den = _inverse_parts(c)
-    if c_den == 0:
-        raise SingularMatrix("partial-product reveal is singular")
-    # (c x^-1)(b c^-1) == (c * Nx * b * Nc) / (dx * dc) with all-integer factors
-    num = mat_mul(mat_mul(mat_mul(c, Matrix(x_num)), b), Matrix(c_num))
-    result = divide_rows(num.rows, x_den * c_den)
-    if not result.is_integer():
-        raise IntegrityFailure("recovered matrix has non-integer entries; reveals are inconsistent")
-    return result
+    if not (b.is_integer() and c.is_integer() and x.is_integer()):
+        raise IntegrityFailure("reveals and blinding must be integer matrices")
+    p = _integer_factor(x, c, "blinding matrix is singular")
+    q = _integer_factor(c, b, "partial-product reveal is singular")
+    return mat_mul(p, q)
+
+
+def _integer_factor(a: Matrix, rhs: Matrix, singular: str) -> Matrix:
+    """The certified integer Z with Z*a == rhs, or the recovery error."""
+    try:
+        z = solve_integer(a, rhs)
+    except SingularMatrix:
+        raise SingularMatrix(singular) from None
+    if z is None:
+        raise IntegrityFailure("recovered factor has non-integer entries; reveals are inconsistent")
+    return z
 
 
 def freivalds_audit(transcript: Transcript, bulletin: Bulletin, t: int, seed) -> bool:

@@ -1,12 +1,21 @@
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from matshare import algebra
 from matshare.algebra import (
     BinaryVector,
     Matrix,
     Vector,
+    _inverse_parts,
+    _prime,
     determinant,
     freivalds_verify,
     is_invertible,
@@ -17,6 +26,7 @@ from matshare.algebra import (
     sample_check_vector,
     sample_invertible_matrix,
     sample_matrix,
+    solve_integer,
 )
 from matshare.errors import SingularMatrix
 
@@ -147,6 +157,8 @@ def test_is_invertible_trivials():
     # determinant 1 by cofactor expansion
     assert naive_det(mat_rows(A)) == 1
     assert is_invertible(A)
+    # determinant residue zero modulo the first solver prime: settled by Bareiss
+    assert is_invertible(Matrix([[_prime(0), 0], [0, 1]]))
 
 
 def test_determinant_matches_leibniz_oracle():
@@ -210,6 +222,122 @@ def _rank_cases():
 def test_matrix_rank_matches_minor_oracle():
     for rows in _rank_cases():
         assert matrix_rank(rows) == minor_rank(rows), rows
+
+
+# ---------------------------------------------------------------------------
+# solve_integer
+# ---------------------------------------------------------------------------
+
+SEEDED = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def square(r, entries):
+    return st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r).map(Matrix)
+
+
+@st.composite
+def nonsingular_and_solution(draw, entries=st.integers(-9, 9), solution=st.integers(-1000, 1000)):
+    r = draw(st.integers(1, 8))
+    a = draw(square(r, entries))
+    assume(determinant(a) != 0)
+    return a, draw(square(r, solution))
+
+
+@SEEDED
+@given(nonsingular_and_solution())
+def test_solve_integer_recovers_integer_solution(case):
+    a, z = case
+    assert solve_integer(a, mat_mul(z, a)) == z
+
+
+@SEEDED
+@given(st.data())
+def test_solve_integer_matches_rational_inverse(data):
+    a, rhs = data.draw(nonsingular_and_solution(solution=st.integers(-50, 50)))
+    num, den = _inverse_parts(a)
+    scaled = mat_mul(rhs, Matrix(num))
+    integral = all(x % den == 0 for row in scaled.rows for x in row)
+    expected = Matrix([[x // den for x in row] for row in scaled.rows]) if integral else None
+    assert solve_integer(a, rhs) == expected
+
+
+@SEEDED
+@given(st.data())
+def test_solve_integer_singular_raises(data):
+    r = data.draw(st.integers(2, 8))
+    rows = [list(row) for row in data.draw(square(r, st.integers(-9, 9))).rows]
+    i, j = data.draw(st.permutations(range(r)))[:2]
+    c = data.draw(st.integers(-3, 3))
+    rows[i] = [c * x for x in rows[j]]
+    with pytest.raises(SingularMatrix):
+        solve_integer(Matrix(rows), data.draw(square(r, st.integers(-9, 9))))
+
+
+@SEEDED
+@given(nonsingular_and_solution())
+def test_solve_integer_skips_primes_dividing_the_determinant(case):
+    # det(a) is a multiple of the first two solver primes, so both residues vanish
+    m, z = case
+    a = Matrix([[_prime(0) * _prime(1) * x for x in m.rows[0]], *m.rows[1:]])
+    calls = []
+    exact = algebra.determinant
+
+    def spy(x):
+        calls.append(x)
+        return exact(x)
+
+    algebra.determinant = spy
+    try:
+        assert solve_integer(a, mat_mul(z, a)) == z
+    finally:
+        algebra.determinant = exact
+    assert calls == [a]
+
+
+@SEEDED
+@given(
+    nonsingular_and_solution(
+        solution=st.builds(lambda m, s: s * m, st.integers(2**120, 2**130), st.sampled_from((-1, 1)))
+    )
+)
+def test_solve_integer_combines_many_primes_with_signs(case):
+    a, z = case
+    assert solve_integer(a, mat_mul(z, a)) == z
+
+
+def test_solve_integer_certifies_what_the_screen_passes():
+    # a*1 = (1, 0), so the screen sees only column 0 of Z = [[1, -1/2], [0, 0]],
+    # which is integral; only the exact check Z*a == rhs rejects the candidate
+    a = Matrix([[1, 0], [2, -2]])
+    assert solve_integer(a, Matrix([[0, 1], [0, 0]])) is None
+
+
+def test_solve_integer_reaches_the_hadamard_bound():
+    # a = 1 attains the bound |Z| <= |rhs|, and |Z| > p/2 needs a second prime
+    for v in (_prime(0) - 1, 1 - _prime(0)):
+        assert solve_integer(Matrix([[1]]), Matrix([[v]])) == Matrix([[v]])
+
+
+def test_solver_primes_are_the_largest_below_2_to_30():
+    def by_trial(m):
+        return all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    found = [m for m in range(2**30 - 1, _prime(3) - 1, -1) if by_trial(m)]
+    assert found == [_prime(i) for i in range(4)]
+
+
+def test_import_searches_no_primes():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import matshare.algebra as a; assert a._primes == ()"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_solve_integer_validates_args():
+    with pytest.raises(ValueError):
+        solve_integer(Matrix.identity(2), Matrix.identity(3))
+    with pytest.raises(TypeError):
+        solve_integer(Matrix([[Fraction(1, 2)]]), Matrix([[1]]))
 
 
 # ---------------------------------------------------------------------------

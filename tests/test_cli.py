@@ -1,15 +1,19 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matshare.cli import (
     EXIT_FORGERY,
     EXIT_GUARDRAIL,
+    EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -323,6 +327,7 @@ MALFORMED = {
     "non-integer r": ("bulletin.json", lambda d: d.update(r="x"), "run"),
     "missing u_prime": ("bulletin.json", lambda d: d.pop("u_prime"), "run"),
     "check vector of wrong dimension": ("shares/P2.json", lambda d: d.update(u=[1, 1, 0]), "run"),
+    "check vector with a float bit": ("shares/P2.json", lambda d: d.update(u=[1.0, 1, 0, 1, 0, 1]), "run"),
     "empty instance": ("instance.json", lambda d: d.clear(), "attack"),
 }
 
@@ -337,6 +342,84 @@ def test_malformed_workspace_is_usage_error(tmp_path, capsys, name):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def _first_event_without_sender(doc):
+    first = {key: value for key, value in doc["events"][0].items() if key != "from"}
+    return {"events": [first] + doc["events"][1:]}
+
+
+MALFORMED_TRANSCRIPTS = {
+    "no events": lambda d: {},
+    "event without sender": _first_event_without_sender,
+    "top level is a list": lambda d: [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TRANSCRIPTS))
+def test_malformed_transcript_is_usage_error(tmp_path, capsys, name):
+    ws = deal(tmp_path, r=6, k=6, n=3)
+    assert main(["run", "--workspace", str(ws)]) == EXIT_OK
+    capsys.readouterr()
+    path = ws / "transcript.json"
+    doc = read_json(path)
+    path.write_text(json.dumps(MALFORMED_TRANSCRIPTS[name](doc)))
+    assert main(["attack", "--workspace", str(ws), "--count-only"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def _json_paths(doc, prefix=()):
+    """Every place in a JSON document, the root included, as a key path."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4)
+    | st.integers(-(10**40), 10**40).map(str),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_FORGERY, EXIT_INTEGRITY, EXIT_GUARDRAIL, EXIT_USAGE}
+
+
+def test_mutated_workspace_exits_with_a_documented_code(tmp_path):
+    pristine = deal(tmp_path, r=5, k=6, n=3, sub="pristine")
+    assert main(["run", "--workspace", str(pristine), "--seed", "1"]) == EXIT_OK
+    files = ["bulletin.json", "shares/P1.json", "shares/P2.json", "shares/P3.json", "transcript.json"]
+    docs = {name: read_json(pristine / name) for name in files}
+    examples = itertools.count()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(files))
+        doc = json.loads(json.dumps(docs[name]))
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        ws = tmp_path / f"mutant{next(examples)}"
+        shutil.copytree(pristine, ws)
+        (ws / name).write_text(json.dumps(_replace(doc, path, data.draw(JSON_VALUES))))
+        # attack first: run rewrites the transcript
+        for argv in (["attack", "--count-only"], ["run", "--seed", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([argv[0], "--workspace", str(ws)] + argv[1:])
+            assert code in DOCUMENTED_EXITS, (name, path, argv)
+        shutil.rmtree(ws)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,29 @@ def test_recover_non_integer_result_is_integrity_failure():
         recover_secret(b, c, Matrix.identity(2))
 
 
+def test_recover_rejects_tampered_wide_reveal():
+    instance, bulletin, shares = dealt(seed=8, r=32, k=8, n=8)
+    x = sample_matrix(32, 256, Random(3))
+    shadows = [instance.shadow(pos) for pos in ring_walk(3, 8)]
+    reveals = [mat_mul(shadows[0], x)]
+    for shadow in shadows[1:]:
+        reveals.append(mat_mul(shadow, reveals[-1]))
+    b, c = reveals[-1], reveals[ring_walk(3, 8).index(8)]
+    assert recover_secret(b, c, x) == instance.secret
+    rows = [list(row) for row in c.rows]
+    rows[5][17] += 1
+    with pytest.raises(IntegrityFailure):
+        recover_secret(b, Matrix(rows), x)
+
+
+def test_recover_requires_both_factors_integral():
+    # P = c = diag(2, 1) is integral, Q = c^-1 is not, yet P*Q = I is
+    with pytest.raises(IntegrityFailure):
+        recover_secret(Matrix.identity(2), Matrix([[2, 0], [0, 1]]), Matrix.identity(2))
+    with pytest.raises(IntegrityFailure):
+        recover_secret(Matrix.identity(2), Matrix.identity(2), Matrix([[Fraction(1, 2), 0], [0, 1]]))
+
+
 # ---------------------------------------------------------------------------
 # freivalds_audit
 # ---------------------------------------------------------------------------
