@@ -14,7 +14,6 @@ from .algebra import (
     determinant,
     freivalds_verify,
     is_invertible,
-    mat_inverse,
     mat_mul,
     mat_vec_mul,
     sample_check_vector,
@@ -101,7 +100,6 @@ __all__ = [
     "freivalds_verify",
     "generate_instance",
     "is_invertible",
-    "mat_inverse",
     "mat_mul",
     "mat_vec_mul",
     "make_states",

@@ -1,18 +1,18 @@
 """Exact square-matrix arithmetic over arbitrary-precision integers.
 
-Entries are Python ints, widened to ``fractions.Fraction`` only where
-inversion makes rationals unavoidable.  Determinant, inverse and rank
-share one fraction-free (Bareiss) elimination kernel over integer rows,
-so no elimination step forms a Fraction.
+Every matrix and vector entry is a Python int; any other entry type is
+refused with TypeError.  Determinant, rank and the scaled inverse
+``_inverse_parts`` share one fraction-free (Bareiss) elimination kernel,
+so no step ever leaves the integers.
 
-Where the answer is an integer matrix, or a yes/no, there is a cheaper
-certified path: ``solve_integer`` finds Z with Z*a == rhs by solving
-modulo word-size primes and combining the residues by the Chinese
-remainder theorem (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 5), and returns Z only after checking Z*a == rhs in exact integer
-arithmetic; ``is_invertible`` accepts on a nonzero determinant residue
-and asks Bareiss only on a zero one.  A modular result is never returned
-without that exact certificate.
+Quotients of matrices come from ``solve_integer``: it finds the integer
+Z with Z*a == rhs by solving modulo word-size primes and combining the
+residues by the Chinese remainder theorem (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 5), and returns Z only after checking
+Z*a == rhs in exact integer arithmetic, or None when Z is not integral.
+``is_invertible`` accepts on a nonzero determinant residue and asks
+Bareiss only on a zero one.  A modular result is never returned without
+that exact certificate.
 
 Everything here is deterministic and pure: samplers take an explicit
 ``random.Random`` (or an int seed), and all values are immutable once
@@ -25,24 +25,24 @@ import itertools
 import math
 import operator
 import random
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import GenerationFailure, SingularMatrix
-
-Scalar = Union[int, Fraction]
 
 #: retry budget for rejection sampling of invertible matrices
 MAX_SAMPLE_ATTEMPTS = 1000
 
 
-def _canon(x) -> Scalar:
-    """Reduce a scalar to canonical form: plain int whenever the denominator is 1."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+def _require_ints(rows) -> None:
+    """Raise TypeError unless every entry of the rows is an int.
+
+    The scan is ``map(isinstance, ...)``, which runs in C: valid input
+    costs no Python-level call per entry.
+    """
+    entries = itertools.chain.from_iterable
+    if not all(map(isinstance, entries(rows), itertools.repeat(int))):
+        bad = next(x for x in entries(rows) if not isinstance(x, int))
+        raise TypeError(f"entries must be int, got {type(bad).__name__}")
 
 
 def _as_rng(seed_or_rng) -> random.Random:
@@ -52,16 +52,17 @@ def _as_rng(seed_or_rng) -> random.Random:
 
 
 class Matrix:
-    """An immutable square matrix with exact (int / Fraction) entries."""
+    """An immutable square matrix with int entries."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        rows = tuple(tuple(_canon(x) for x in row) for row in rows)
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        rows = tuple(map(tuple, rows))
         if not rows:
             raise ValueError("matrix must have at least one row")
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
+        _require_ints(rows)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
@@ -74,10 +75,6 @@ class Matrix:
     @classmethod
     def identity(cls, r: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(r)] for i in range(r)])
-
-    def is_integer(self) -> bool:
-        """True iff every entry has denominator 1."""
-        return all(isinstance(x, int) for row in self.rows for x in row)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -97,14 +94,15 @@ class Matrix:
 
 
 class Vector:
-    """An immutable column vector with exact entries."""
+    """An immutable column vector with int entries."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Iterable[Scalar]):
-        entries = tuple(_canon(x) for x in entries)
+    def __init__(self, entries: Iterable[int]):
+        entries = tuple(entries)
         if not entries:
             raise ValueError("vector must have at least one entry")
+        _require_ints((entries,))
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
@@ -168,7 +166,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _vec_entries(v) -> Sequence[Scalar]:
+def _vec_entries(v) -> Sequence[int]:
     if isinstance(v, Vector):
         return v.entries
     if isinstance(v, BinaryVector):
@@ -184,16 +182,8 @@ def mat_vec_mul(a: Matrix, v) -> Vector:
     return Vector(sum(map(operator.mul, row, entries)) for row in a.rows)
 
 
-def _integer_rows(rows):
-    """Return (w, scale): fresh int rows with w == scale * rows."""
-    scale = math.lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
-    if scale == 1:
-        return [list(map(int, row)) for row in rows], 1
-    return [[int(x * scale) for x in row] for row in rows], scale
-
-
 def _bareiss(w, ncols: int, reduce_above: bool = False):
-    """Fraction-free (Bareiss) elimination of integer rows w, in place.
+    """In-place fraction-free (Bareiss) elimination of integer rows w.
 
     Pivots are taken from the first ncols columns; a column with no
     nonzero entry at or below the current row is skipped.  Every interior
@@ -227,41 +217,26 @@ def _bareiss(w, ncols: int, reduce_above: bool = False):
     return rank, sign, prev
 
 
-def determinant(a: Matrix) -> Scalar:
-    """Exact determinant; integer matrices never leave integer arithmetic."""
-    w, scale = _integer_rows(a.rows)
-    rank, sign, last = _bareiss(w, a.dim)
-    d = sign * last if rank == a.dim else 0
-    return d if scale == 1 else _canon(Fraction(d, scale**a.dim))
+def determinant(a: Matrix) -> int:
+    """Exact determinant by fraction-free elimination."""
+    rank, sign, last = _bareiss([list(row) for row in a.rows], a.dim)
+    return sign * last if rank == a.dim else 0
 
 
 def _inverse_parts(a: Matrix):
     """Return (num_rows, den) with a^-1 == num_rows / den, or (None, 0) if singular.
 
-    Gauss-Jordan Bareiss on [s*A | s*I] (s clears A's denominators): the
-    left block ends as den * I, making the right block den * A^-1.
+    Gauss-Jordan Bareiss on [A | I]: the left block ends as den * I,
+    making the right block den * A^-1.  No runtime path calls it; it is
+    the exact reference the solver is tested against, and
+    perfbench/tracing.py traces it by name.
     """
     n = a.dim
-    w, scale = _integer_rows(a.rows)
-    for i, row in enumerate(w):
-        row.extend(scale if j == i else 0 for j in range(n))
+    w = [[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(a.rows)]
     rank, _, den = _bareiss(w, n, reduce_above=True)
     if rank < n:
         return None, 0
     return [row[n:] for row in w], den
-
-
-def divide_rows(rows, den) -> Matrix:
-    """The exact quotient rows / den; entries may be ints or Fractions."""
-    return Matrix([[Fraction(x, den) for x in row] for row in rows])
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact rational inverse; raises SingularMatrix when det(a) == 0."""
-    num, den = _inverse_parts(a)
-    if den == 0:
-        raise SingularMatrix(f"{a.dim}x{a.dim} matrix is singular")
-    return divide_rows(num, den)
 
 
 def is_invertible(a: Matrix) -> bool:
@@ -270,9 +245,8 @@ def is_invertible(a: Matrix) -> bool:
     A nonzero determinant residue modulo a prime proves invertibility, so
     the exact Bareiss determinant runs only when that residue is zero.
     """
-    w, _ = _integer_rows(a.rows)
     p = _prime(0)
-    w = [[x % p for x in reversed(row)] for row in w]
+    w = [[x % p for x in reversed(row)] for row in a.rows]
     return _eliminate_mod(w, a.dim, p, reduce_above=False) or determinant(a) != 0
 
 
@@ -383,8 +357,6 @@ def solve_integer(a: Matrix, rhs: Matrix) -> Optional[Matrix]:
     """
     if a.dim != rhs.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
-    if not (a.is_integer() and rhs.is_integer()):
-        raise TypeError("solve_integer needs integer matrices")
     r = a.dim
     bound_sq = max(map(_norm_sq, rhs.rows)) * math.prod(map(_norm_sq, a.rows))
     # equation j of a^T Z^T == rhs^T: column j of rhs, then column j of a reversed
@@ -428,12 +400,12 @@ def solve_integer(a: Matrix, rhs: Matrix) -> Optional[Matrix]:
             return None
 
 
-def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of a rectangular system over the rationals."""
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of a rectangular system of int rows."""
     if not rows:
         return 0
-    w, _ = _integer_rows(rows)
-    return _bareiss(w, len(w[0]))[0]
+    _require_ints(rows)
+    return _bareiss([list(row) for row in rows], len(rows[0]))[0]
 
 
 def chain_product(factors: Iterable[Matrix]) -> Matrix:

@@ -4,7 +4,8 @@ The exhaustive search solves the bounded matrix-representability search
 problem at desk scale: find n matrices in the public set whose ordered
 product equals a target.  The ratio analysis shows what a passive
 observer of the public reconstruction reveals can extract: each
-consecutive pair of reveals quotients to a raw shadow.
+consecutive pair of reveals quotients to a raw shadow, found by the
+same certified integer solver that strips the blinding in recovery.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Matrix, _inverse_parts, chain_product, divide_rows, mat_mul
+from .algebra import Matrix, chain_product, solve_integer
 from .dealer import Bulletin
-from .errors import GuardrailExceeded
+from .errors import GuardrailExceeded, SingularMatrix
 from .transport import Envelope, broadcast_matrices, participant_position
 
 ORDERED_DISTINCT = "ordered-distinct"
@@ -52,7 +53,12 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class RatioHit:
-    """One shadow recovered (or gap reported) from a consecutive reveal pair."""
+    """One shadow recovered from a consecutive reveal pair, or a gap.
+
+    A gap (matrix and matrix_index None) means the earlier reveal is
+    singular or the quotient is not an integer matrix, so the pair names
+    no public-set matrix.
+    """
 
     position: int
     matrix: Optional[Matrix]
@@ -81,11 +87,13 @@ def exhaustive_search(
     """Enumerate every ordered sequence in the mode; no pruning, no heuristics.
 
     Returns each sequence whose ordered product equals the target, up to
-    `limit`.  Spaces beyond the desk-scale guardrail are refused unless
-    explicitly overridden.
+    `limit` (at least 1).  Spaces beyond the desk-scale guardrail are
+    refused unless explicitly overridden.
     """
     if mode not in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
         raise ValueError(f"mode must be enumerable, got {mode!r}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     k = len(problem.matrices)
     space = count_search_space(k, problem.n, mode)
     if space > GUARDRAIL_LIMIT and not allow_large:
@@ -115,18 +123,18 @@ def ratio_analysis(eavesdropper_view: Sequence[Envelope], bulletin: Bulletin) ->
 
     For reveals V_j, V_{j+1} the quotient V_{j+1} V_j^-1 is exactly the
     shadow of whoever broadcast V_{j+1}; matching it against the public
-    set identifies that participant's secret index.  A singular reveal
-    yields a gap entry instead of a recovered matrix.
+    set identifies that participant's secret index.  The quotient comes
+    from ``solve_integer``, certified exactly; a singular reveal or a
+    quotient that is not integral yields a gap entry instead.
     """
     reveals = broadcast_matrices(eavesdropper_view)
     hits: List[RatioHit] = []
     for prev, nxt in zip(reveals, reveals[1:]):
         position = participant_position(nxt.sender)
-        num, den = _inverse_parts(prev.payload)
-        if den == 0:
-            hits.append(RatioHit(position=position, matrix=None, matrix_index=None))
-            continue
-        shadow = divide_rows(mat_mul(nxt.payload, Matrix(num)).rows, den)
+        try:
+            shadow = solve_integer(prev.payload, nxt.payload)
+        except SingularMatrix:
+            shadow = None
         index = next(
             (m for m, candidate in enumerate(bulletin.matrices) if candidate == shadow),
             None,

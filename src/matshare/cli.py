@@ -42,17 +42,11 @@ SEED_ENV_VAR = "MATSHARE_SEED"
 
 
 # ---------------------------------------------------------------------------
-# scalar / matrix / vector codecs
+# matrix / vector codecs
 # ---------------------------------------------------------------------------
 
-def scalar_to_dec(x) -> str:
-    if not isinstance(x, int):
-        raise ValueError(f"only integer entries are serializable, got {x!r}")
-    return str(x)
-
-
 def matrix_to_json(m: Matrix) -> list:
-    return [[scalar_to_dec(x) for x in row] for row in m.rows]
+    return [list(map(str, row)) for row in m.rows]
 
 
 def matrix_from_json(rows: list) -> Matrix:
@@ -60,7 +54,7 @@ def matrix_from_json(rows: list) -> Matrix:
 
 
 def vector_to_json(v: Vector) -> list:
-    return [scalar_to_dec(x) for x in v.entries]
+    return list(map(str, v.entries))
 
 
 def vector_from_json(entries: list) -> Vector:
@@ -536,7 +530,7 @@ def main(argv=None) -> int:
     except GenerationFailure as err:
         print(f"generation failure: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -203,17 +203,15 @@ def recover_secret(b: Matrix, c: Matrix, x: Matrix) -> Matrix:
     Q*c == b), so a modular shortcut can never yield a wrong secret.
 
     Raises SingularMatrix when x or c is singular, and IntegrityFailure
-    when P or Q is not integral or any input has a Fraction entry; this is
-    stricter than asking only that P*Q be integral, which no honest round
-    needs.  Honest recovery costs a few primes per factor (the bits of
-    the secret); rejecting an inconsistent reveal runs primes up to the
-    Hadamard bound, about r times the reveal width (some 3300 bits for
-    r=32), so it takes longer than accepting.
+    when P or Q is not integral; this is stricter than asking only that
+    P*Q be integral, which no honest round needs.  Honest recovery costs
+    a few primes per factor (the bits of the secret); rejecting an
+    inconsistent reveal runs primes up to the Hadamard bound, about r
+    times the reveal width (some 3300 bits for r=32), so it takes longer
+    than accepting.
     """
     if not (b.dim == c.dim == x.dim):
         raise ValueError(f"dimension mismatch: {b.dim}, {c.dim}, {x.dim}")
-    if not (b.is_integer() and c.is_integer() and x.is_integer()):
-        raise IntegrityFailure("reveals and blinding must be integer matrices")
     p = _integer_factor(x, c, "blinding matrix is singular")
     q = _integer_factor(c, b, "partial-product reveal is singular")
     return mat_mul(p, q)

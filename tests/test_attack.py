@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -17,6 +18,7 @@ from matshare.algebra import Matrix
 from matshare.dealer import DealerParams, generate_instance
 from matshare.errors import GuardrailExceeded
 from matshare.protocol import simulate_run
+from matshare.transport import broadcast_matrices
 
 from oracles import mat_rows, ordered_seq_product
 
@@ -110,6 +112,15 @@ def test_search_respects_limit():
     problem = SearchProblem(matrices=(eye,) * 5, n=2, target=eye)
     result = exhaustive_search(problem, ORDERED_DISTINCT, limit=3)
     assert len(result.solutions) == 3
+    assert len(exhaustive_search(problem, ORDERED_DISTINCT, limit=1).solutions) == 1
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_search_rejects_limit_below_one(limit):
+    eye = Matrix.identity(2)
+    problem = SearchProblem(matrices=(eye,) * 5, n=2, target=eye)
+    with pytest.raises(ValueError, match="limit"):
+        exhaustive_search(problem, ORDERED_DISTINCT, limit=limit)
 
 
 def test_search_guardrail():
@@ -177,18 +188,32 @@ def test_ratio_identity_shadows():
     assert hits[0].matrix == eye
 
 
-def test_ratio_reports_gap_for_singular_reveal():
-    _, bulletin, shares = dealt(13)
+def ratio_hits_with_first_reveal(instance, bulletin, shares, change):
+    """ratio_analysis of an honest r=4 n=3 round whose first reveal is change(reveal)."""
     result = simulate_run(bulletin, shares, 1, Random(4))
     envelopes = list(result.transcript.envelopes)
-    from dataclasses import replace
-
-    from matshare.transport import broadcast_matrices
-
     target = broadcast_matrices(envelopes)[0]
-    zero = Matrix([[0] * 4 for _ in range(4)])
-    envelopes[envelopes.index(target)] = replace(target, payload=zero)
+    envelopes[envelopes.index(target)] = replace(target, payload=change(target.payload))
     view = [e for e in envelopes if e.visibility == "public"]
-    hits = ratio_analysis(view, bulletin)
+    return ratio_analysis(view, bulletin)
+
+
+def test_ratio_reports_gap_for_singular_reveal():
+    zero = Matrix([[0] * 4 for _ in range(4)])
+    hits = ratio_hits_with_first_reveal(*dealt(13), lambda reveal: zero)
     assert hits[0].matrix is None
     assert hits[0].matrix_index is None
+
+
+def test_ratio_reports_gap_for_non_integral_quotient():
+    # doubling the first reveal halves the next quotient: the pair stays
+    # invertible, but shadow / 2 is not an integer matrix
+    instance, bulletin, shares = dealt(13)
+    hits = ratio_hits_with_first_reveal(
+        instance, bulletin, shares, lambda reveal: Matrix([[2 * x for x in row] for row in reveal.rows])
+    )
+    assert [h.position for h in hits] == [2, 3]
+    assert hits[0].matrix is None
+    assert hits[0].matrix_index is None
+    assert hits[1].matrix == instance.shadow(3)
+    assert hits[1].matrix_index == instance.sigma[2]

@@ -205,6 +205,27 @@ def test_attack_limit(tmp_path):
     assert len(report["solutions"]) == 1
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_attack_limit_below_one_is_usage_error(tmp_path, capsys, limit):
+    ws = deal(tmp_path)
+    capsys.readouterr()
+    assert main(["attack", "--workspace", str(ws), "--limit", limit]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "limit" in err and err.count("\n") == 1
+    assert not (ws / "attack_report.json").exists()
+
+
+def test_deal_out_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    for out in (taken, taken / "sub"):
+        code = main(["deal", "--r", "4", "--k", "6", "--n", "3", "--seed", "7", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert taken.read_text() == "not a directory"
+
+
 # ---------------------------------------------------------------------------
 # seeding
 # ---------------------------------------------------------------------------

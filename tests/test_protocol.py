@@ -1,5 +1,4 @@
 from dataclasses import replace
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -19,7 +18,7 @@ from matshare.protocol import (
     run_verification,
     simulate_run,
 )
-from matshare.transport import BROADCAST, broadcast_matrices
+from matshare.transport import BROADCAST, Network, broadcast_matrices
 
 from oracles import chain_matrix, chain_vector, mat_rows
 
@@ -239,7 +238,7 @@ def test_reconstruction_integer_closure():
         recovered, _ = run_reconstruction(
             RoundPlan(RECONSTRUCTION, 3, 3), states, bulletin, Random(seed)
         )
-        assert recovered.is_integer()
+        assert all(type(x) is int for row in recovered.rows for x in row)
         assert recovered == instance.secret
 
 
@@ -310,8 +309,6 @@ def test_recover_requires_both_factors_integral():
     # P = c = diag(2, 1) is integral, Q = c^-1 is not, yet P*Q = I is
     with pytest.raises(IntegrityFailure):
         recover_secret(Matrix.identity(2), Matrix([[2, 0], [0, 1]]), Matrix.identity(2))
-    with pytest.raises(IntegrityFailure):
-        recover_secret(Matrix.identity(2), Matrix.identity(2), Matrix([[Fraction(1, 2), 0], [0, 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +354,28 @@ def test_audit_perturbation_monte_carlo():
         forged = type(result.transcript)(envelopes=envelopes)
         rejected += not freivalds_audit(forged, bulletin, 10, seed=trial)
     assert rejected == 50
+
+
+def test_audit_accept_rate_reaches_k_times_2_to_minus_t():
+    # reveals I then N; candidate M_i = N + e_0 e_i^T explains the pair on a
+    # trial vector u iff u_i = 0, so each of the k = 4 candidates passes t = 3
+    # trials with probability 1/8 and the forged pair is accepted with
+    # probability 1 - (7/8)^4 ~ 0.414: above 2^-t = 0.125, below k 2^-t = 0.5
+    r, k, t, runs = 4, 4, 3, 2000
+    n_rows = [[(3 * i + 5 * j) % 7 for j in range(r)] for i in range(r)]
+    candidates = []
+    for i in range(k):
+        rows = [list(row) for row in n_rows]
+        rows[0][i] += 1
+        candidates.append(Matrix(rows))
+    bulletin = Bulletin(r=r, k=k, n=2, matrices=tuple(candidates), u_prime=(Vector([0] * r),) * 2)
+    net = Network(["P1", "P2"])
+    net.broadcast("P1", Matrix.identity(r))
+    net.broadcast("P2", Matrix(n_rows))
+    accepted = sum(freivalds_audit(net.transcript, bulletin, t, seed=s) for s in range(runs))
+    p = 1 - (7 / 8) ** k
+    assert abs(accepted / runs - p) <= 4 * (p * (1 - p) / runs) ** 0.5
+    assert 2**-t < accepted / runs < k * 2**-t
 
 
 def test_audit_rejects_forged_handback():
