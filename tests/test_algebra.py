@@ -161,6 +161,16 @@ def test_inverse_two_sided_over_seeded_matrices():
         checked += 1
 
 
+def test_inverse_of_rational_matrix():
+    # a rational matrix is refused; its inverse comes from its integer scaling
+    rational = [[Fraction(1, 2), 0], [0, 3]]
+    with pytest.raises(TypeError, match="Fraction"):
+        Matrix(rational)
+    num, den = checked_inverse_parts(Matrix([[1, 0], [0, 6]]))
+    assert [[Fraction(2 * x, den) for x in row] for row in num] == [[2, 0], [0, Fraction(1, 3)]]
+    assert fraction_inverse(rational) == [[2, 0], [0, Fraction(1, 3)]]
+
+
 def test_is_invertible_trivials():
     assert is_invertible(Matrix.identity(2))
     assert not is_invertible(Matrix([[1, 1], [1, 1]]))
@@ -176,6 +186,15 @@ def test_determinant_matches_leibniz_oracle():
     for _ in range(80):
         m = rand_matrix(rng.randrange(1, 6), rng)
         assert determinant(m) == naive_det(mat_rows(m))
+
+
+def test_determinant_of_rational_matrix():
+    # a rational matrix is refused; det(2R) == 2^2 det(R) for its integer scaling
+    rational = [[Fraction(1, 2), 1], [1, 4]]
+    with pytest.raises(TypeError, match="Fraction"):
+        Matrix(rational)
+    assert naive_det(rational) == Fraction(1, 2) * 4 - 1
+    assert determinant(Matrix([[1, 2], [2, 8]])) == 2 ** 2 * naive_det(rational)
 
 
 def test_swap_matrix_has_determinant_minus_one():
@@ -488,6 +507,15 @@ def test_sampler_determinism_all():
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
+
+def test_matrix_canonicalizes_whole_fractions():
+    # a whole Fraction is refused, not canonicalised; int entries stay ints
+    with pytest.raises(TypeError, match="Fraction"):
+        Matrix([[Fraction(4, 2), 0], [0, 1]])
+    m = Matrix([[2, 0], [0, 1]])
+    assert m.rows[0][0] == 2
+    assert all(type(x) is int for row in m.rows for x in row)
+
 
 def test_values_refuse_non_int_entries():
     # a Fraction is refused like a float, even a whole one such as 4/2
