@@ -52,11 +52,8 @@ from .errors import (
 )
 from .protocol import (
     CheaterSpec,
-    ParticipantState,
-    RoundPlan,
     RunResult,
     freivalds_audit,
-    make_states,
     recover_secret,
     run_reconstruction,
     run_verification,
@@ -81,9 +78,7 @@ __all__ = [
     "Network",
     "ORDERED_DISTINCT",
     "ORDERED_WITH_REPETITION",
-    "ParticipantState",
     "RatioHit",
-    "RoundPlan",
     "RunResult",
     "SearchProblem",
     "SearchResult",
@@ -102,7 +97,6 @@ __all__ = [
     "is_invertible",
     "mat_mul",
     "mat_vec_mul",
-    "make_states",
     "ratio_analysis",
     "recover_secret",
     "ring_walk",

@@ -68,6 +68,10 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: __setattr__ refuses their default path
+        return type(self), (self.rows,)
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -108,6 +112,9 @@ class Vector:
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.entries,)
+
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -137,6 +144,9 @@ class BinaryVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryVector is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.bits,)
 
     @property
     def dim(self) -> int:

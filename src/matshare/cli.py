@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import List, Optional, Tuple
@@ -286,15 +285,6 @@ def load_transcript(path: Path, r: int) -> Transcript:
 # commands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
-    workspace: Path
-    start: int
-    cheat: Optional[str] = None
-    t: int = 10
-    seed: int = 0
-
-
 def cmd_deal(params: DealerParams, out: Path) -> int:
     instance, bulletin, shares = generate_instance(params)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,28 +334,28 @@ def _parse_cheat(spec: str, r: int, entry_bound: int) -> CheaterSpec:
     return CheaterSpec(position=position, forged=forged)
 
 
-def cmd_run(config: RunConfig) -> int:
-    bulletin, shares = load_workspace(config.workspace)
-    if not 1 <= config.start <= bulletin.n:
+def cmd_run(workspace: Path, start: int, cheat: Optional[str], t: int, seed: int) -> int:
+    bulletin, shares = load_workspace(workspace)
+    if not 1 <= start <= bulletin.n:
         raise ValueError(f"start must be in [1, {bulletin.n}]")
-    if config.t < 1:
+    if t < 1:
         raise ValueError("t must be >= 1")
     cheater = None
-    if config.cheat is not None:
-        cheater = _parse_cheat(config.cheat, bulletin.r, 256)
+    if cheat is not None:
+        cheater = _parse_cheat(cheat, bulletin.r, 256)
         if not 1 <= cheater.position <= bulletin.n:
             raise ValueError(f"cheater position must be in [1, {bulletin.n}]")
 
-    result = simulate_run(bulletin, shares, config.start, Random(config.seed), cheater)
-    _write(config.workspace / "transcript.json", transcript_to_json(result.transcript))
+    result = simulate_run(bulletin, shares, start, Random(seed), cheater)
+    _write(workspace / "transcript.json", transcript_to_json(result.transcript))
 
     if not result.verdict:
         print("FORGERY DETECTED at verification")
         return EXIT_FORGERY
 
-    audit_ok = freivalds_audit(result.transcript, bulletin, config.t, config.seed)
-    print(f"verification passed (start={config.start})")
-    print(f"freivalds audit: {'ok' if audit_ok else 'FAILED'} (t={config.t})")
+    audit_ok = freivalds_audit(result.transcript, bulletin, t, seed)
+    print(f"verification passed (start={start})")
+    print(f"freivalds audit: {'ok' if audit_ok else 'FAILED'} (t={t})")
     if not audit_ok:
         return EXIT_INTEGRITY
     print(f"recovered secret sha256 {matrix_digest(result.recovered)}")
@@ -379,6 +369,8 @@ def cmd_attack(
     count_only: bool = False,
     force: bool = False,
 ) -> int:
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     bulletin, _ = load_workspace(workspace)
     path = workspace / "instance.json"
     secret = _field(_read(path), "secret", path)
@@ -504,14 +496,7 @@ def main(argv=None) -> int:
             return cmd_deal(params, args.out)
         if args.command == "run":
             seed = args.seed if args.seed is not None else _default_seed()
-            config = RunConfig(
-                workspace=args.workspace,
-                start=args.start,
-                cheat=args.cheat,
-                t=args.t,
-                seed=seed,
-            )
-            return cmd_run(config)
+            return cmd_run(args.workspace, args.start, args.cheat, args.t, seed)
         if args.command == "attack":
             return cmd_attack(
                 args.workspace,

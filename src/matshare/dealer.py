@@ -11,7 +11,7 @@ ring verify itself without exposing the secret.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .algebra import (
@@ -81,23 +81,17 @@ class Share:
 
 
 @dataclass(frozen=True)
-class Reveal:
-    """A public protocol message kept on the bulletin."""
-
-    position: int
-    matrix: Matrix
-
-
-@dataclass
 class Bulletin:
-    """All public data: the matrix set, parameters, check images, reveals."""
+    """All public data: the matrix set, the parameters and the check images."""
 
     r: int
     k: int
     n: int
     matrices: Tuple[Matrix, ...]
     u_prime: Tuple[Vector, ...]
-    reveals: List[Reveal] = field(default_factory=list)
+    # never read or written by this package; kept only so that callers
+    # passing ``dataclasses.replace(bulletin, reveals=...)`` keep working
+    reveals: tuple = ()
 
     def shadow_of(self, share: Share) -> Matrix:
         return self.matrices[share.matrix_index]

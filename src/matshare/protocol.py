@@ -7,12 +7,16 @@ shadows.  Reconstruction blinds the same chain with a random invertible
 matrix so each intermediate reveal is publishable, then the starter
 strips the blinding by two certified integer solves and recovers the
 secret.
+
+Each round is a function of the bulletin, the shares and the start
+position alone: it keeps no participant state and writes nothing to the
+bulletin, and every message it sends lands on the network's transcript.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .algebra import (
     Matrix,
@@ -23,7 +27,7 @@ from .algebra import (
     sample_invertible_matrix,
     solve_integer,
 )
-from .dealer import Bulletin, Reveal, Share, deliver_shares, ring_walk
+from .dealer import Bulletin, Share, deliver_shares, ring_walk
 from .errors import IntegrityFailure, SingularMatrix
 from .transport import (
     BROADCAST,
@@ -35,40 +39,8 @@ from .transport import (
     participant_name,
 )
 
-VERIFICATION = "verification"
-RECONSTRUCTION = "reconstruction"
-
 #: blinding matrices are sampled with entries in [0, X_ENTRY_BOUND)
 X_ENTRY_BOUND = 256
-
-
-@dataclass
-class ParticipantState:
-    """Simulation-confined state of one ring member."""
-
-    share: Share
-    x_blind: Optional[Matrix] = None
-    recovered: Optional[Matrix] = None
-    verdict: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    """One circular shift of the ring: the walk order for a single round."""
-
-    kind: str
-    start: int
-    n: int
-
-    def __post_init__(self):
-        if self.kind not in (VERIFICATION, RECONSTRUCTION):
-            raise ValueError(f"unknown round kind: {self.kind!r}")
-        if not 1 <= self.start <= self.n:
-            raise ValueError(f"start must be in [1, {self.n}]")
-
-    @property
-    def order(self) -> List[int]:
-        return ring_walk(self.start, self.n)
 
 
 @dataclass(frozen=True)
@@ -79,17 +51,13 @@ class CheaterSpec:
     forged: Matrix
 
 
-def make_states(shares: List[Share]) -> Dict[int, ParticipantState]:
-    return {share.participant: ParticipantState(share=share) for share in shares}
-
-
 def _fresh_network(n: int) -> Network:
     return Network([participant_name(j) for j in range(1, n + 1)])
 
 
-def _effective_shadow(bulletin: Bulletin, states, pos: int, cheater) -> Matrix:
-    true_shadow = bulletin.shadow_of(states[pos].share)
-    if cheater is not None and cheater.position == pos:
+def _effective_shadow(bulletin: Bulletin, share: Share, cheater) -> Matrix:
+    true_shadow = bulletin.shadow_of(share)
+    if cheater is not None and cheater.position == share.participant:
         if cheater.forged == true_shadow:
             raise ValueError("forged shadow must differ from the true shadow")
         return cheater.forged
@@ -97,57 +65,48 @@ def _effective_shadow(bulletin: Bulletin, states, pos: int, cheater) -> Matrix:
 
 
 def run_verification(
-    plan: RoundPlan,
-    states: Dict[int, ParticipantState],
     bulletin: Bulletin,
+    shares: List[Share],
+    start: int,
     cheater: Optional[CheaterSpec] = None,
     net: Optional[Network] = None,
 ) -> Tuple[bool, Transcript]:
-    """Walk the ring once, chaining shadows onto the starter's check vector.
+    """Walk the ring once from `start`, chaining shadows onto the starter's check vector.
 
     The final participant compares the chained vector against the published
     image for this start position and broadcasts the boolean verdict.  A
     dimension mismatch anywhere aborts the round with a false verdict.
     """
-    if plan.kind != VERIFICATION:
-        raise ValueError("plan.kind must be verification")
+    walk = ring_walk(start, bulletin.n)
+    held = {share.participant: share for share in shares}
     if net is None:
-        net = _fresh_network(plan.n)
-    walk = plan.order
-    u = states[plan.start].share.u
+        net = _fresh_network(bulletin.n)
+    u = held[start].u
     v = None
     for idx, pos in enumerate(walk):
-        shadow = _effective_shadow(bulletin, states, pos, cheater)
+        shadow = _effective_shadow(bulletin, held[pos], cheater)
         operand = u if v is None else v
         if shadow.dim != operand.dim:
             # malformed message: abort the round with a public false verdict
-            verdict = False
-            net.broadcast(participant_name(pos), verdict)
-            _record_verdict(states, verdict)
-            return verdict, net.transcript
+            net.broadcast(participant_name(pos), False)
+            return False, net.transcript
         v = mat_vec_mul(shadow, operand)
         if idx + 1 < len(walk):
             net.send(participant_name(pos), participant_name(walk[idx + 1]), PUBLIC, v)
-    verdict = v == bulletin.u_prime[plan.start - 1]
+    verdict = v == bulletin.u_prime[start - 1]
     net.broadcast(participant_name(walk[-1]), verdict)
-    _record_verdict(states, verdict)
     return verdict, net.transcript
 
 
-def _record_verdict(states, verdict: bool) -> None:
-    for state in states.values():
-        state.verdict = verdict
-
-
 def run_reconstruction(
-    plan: RoundPlan,
-    states: Dict[int, ParticipantState],
     bulletin: Bulletin,
+    shares: List[Share],
+    start: int,
     rng,
     net: Optional[Network] = None,
     x_override: Optional[Matrix] = None,
 ) -> Tuple[Matrix, Transcript]:
-    """Walk the ring once with a blinded chain and recover the secret.
+    """Walk the ring once from `start` with a blinded chain and recover the secret.
 
     The starter broadcasts shadow*X for a fresh random invertible X, every
     successor broadcasts shadow*received, the last participant hands the
@@ -155,38 +114,26 @@ def run_reconstruction(
     the reveal made at ring position n to strip both X and the wrapped
     partial product.
     """
-    if plan.kind != RECONSTRUCTION:
-        raise ValueError("plan.kind must be reconstruction")
+    walk = ring_walk(start, bulletin.n)
+    held = {share.participant: share for share in shares}
     if net is None:
-        net = _fresh_network(plan.n)
-    walk = plan.order
-    start = plan.start
-    starter = states[start]
-    r = bulletin.r
-
+        net = _fresh_network(bulletin.n)
     if x_override is not None:
         x = x_override
     else:
-        x = sample_invertible_matrix(r, X_ENTRY_BOUND, rng)
-    starter.x_blind = x
+        x = sample_invertible_matrix(bulletin.r, X_ENTRY_BOUND, rng)
 
-    round_reveals: List[Reveal] = []
-    v = None
+    v = c = None
     for pos in walk:
-        shadow = bulletin.shadow_of(states[pos].share)
-        v = mat_mul(shadow, x if v is None else v)
+        v = mat_mul(bulletin.shadow_of(held[pos]), x if v is None else v)
         net.broadcast(participant_name(pos), v)
-        reveal = Reveal(position=pos, matrix=v)
-        round_reveals.append(reveal)
-        bulletin.reveals.append(reveal)
+        if pos == bulletin.n:
+            c = v
 
     # the last walker gives what they computed back to the starter
     net.send(participant_name(walk[-1]), participant_name(start), PUBLIC, v)
 
-    b = v
-    c = round_reveals[walk.index(plan.n)].matrix
-    recovered = recover_secret(b, c, x)
-    starter.recovered = recovered
+    recovered = recover_secret(v, c, x)
     # the starter's private record of the outcome; never visible publicly
     net.send(participant_name(start), participant_name(start), SECURE, recovered)
     return recovered, net.transcript
@@ -265,9 +212,7 @@ class RunResult:
 
     verdict: bool
     recovered: Optional[Matrix]
-    states: Dict[int, ParticipantState]
     transcript: Transcript
-    bulletin: Optional[Bulletin] = field(repr=False, default=None)
 
 
 def simulate_run(
@@ -280,18 +225,9 @@ def simulate_run(
     """Drive one complete round; reconstruction only happens on a true verdict."""
     net = _fresh_network(bulletin.n)
     deliver_shares(net, shares)
-    states = make_states(shares)
-    verdict, _ = run_verification(
-        RoundPlan(VERIFICATION, start, bulletin.n), states, bulletin, cheater, net
-    )
+    verdict, _ = run_verification(bulletin, shares, start, cheater, net)
     recovered = None
     if verdict:
-        recovered, _ = run_reconstruction(
-            RoundPlan(RECONSTRUCTION, start, bulletin.n),
-            states,
-            bulletin,
-            rng,
-            net,
-        )
+        recovered, _ = run_reconstruction(bulletin, shares, start, rng, net)
     net.close()
-    return RunResult(verdict, recovered, states, net.transcript, bulletin)
+    return RunResult(verdict, recovered, net.transcript)

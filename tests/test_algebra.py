@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -533,6 +535,14 @@ def test_values_refuse_non_int_entries():
 def test_matrix_must_be_square():
     with pytest.raises(ValueError):
         Matrix([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize(
+    "value", [Matrix([[1, -2], [3, 4]]), Vector([5, -6]), BinaryVector([0, 1])], ids=repr
+)
+def test_values_survive_copy_and_pickle(value):
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and clone == value
 
 
 def test_binary_vector_rejects_non_bits():

@@ -173,16 +173,13 @@ def test_ratio_two_party_single_hit():
 
 def test_ratio_identity_shadows():
     from matshare.algebra import BinaryVector
-    from matshare.protocol import RECONSTRUCTION, RoundPlan, make_states, run_reconstruction
+    from matshare.protocol import run_reconstruction
     from test_protocol import manual_setup
 
     eye = Matrix.identity(3)
     us = [BinaryVector([1, 1, 0]), BinaryVector([0, 1, 1])]
     bulletin, shares, _ = manual_setup([eye, eye], [0, 1], us)
-    states = make_states(shares)
-    _, transcript = run_reconstruction(
-        RoundPlan(RECONSTRUCTION, 1, 2), states, bulletin, Random(3)
-    )
+    _, transcript = run_reconstruction(bulletin, shares, 1, Random(3))
     hits = ratio_analysis(transcript.eavesdropper_view, bulletin)
     assert len(hits) == 1
     assert hits[0].matrix == eye

@@ -205,11 +205,13 @@ def test_attack_limit(tmp_path):
     assert len(report["solutions"]) == 1
 
 
-@pytest.mark.parametrize("limit", ["0", "-3"])
-def test_attack_limit_below_one_is_usage_error(tmp_path, capsys, limit):
+@pytest.mark.parametrize(
+    "limit, extra", [("0", []), ("-3", []), ("0", ["--count-only"])], ids=["0", "-3", "0-count-only"]
+)
+def test_attack_limit_below_one_is_usage_error(tmp_path, capsys, limit, extra):
     ws = deal(tmp_path)
     capsys.readouterr()
-    assert main(["attack", "--workspace", str(ws), "--limit", limit]) == EXIT_USAGE
+    assert main(["attack", "--workspace", str(ws), "--limit", limit, *extra]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "limit" in err and err.count("\n") == 1
     assert not (ws / "attack_report.json").exists()

@@ -1,24 +1,29 @@
+import copy
 from dataclasses import replace
 from random import Random
 
 import pytest
 
-from matshare.algebra import BinaryVector, Matrix, Vector, mat_mul, sample_matrix
+from matshare.algebra import (
+    BinaryVector,
+    Matrix,
+    Vector,
+    mat_mul,
+    sample_invertible_matrix,
+    sample_matrix,
+)
 from matshare.dealer import Bulletin, DealerParams, Share, generate_instance, ring_walk
 from matshare.errors import IntegrityFailure, SingularMatrix
 from matshare.protocol import (
-    RECONSTRUCTION,
-    VERIFICATION,
+    X_ENTRY_BOUND,
     CheaterSpec,
-    RoundPlan,
     freivalds_audit,
-    make_states,
     recover_secret,
     run_reconstruction,
     run_verification,
     simulate_run,
 )
-from matshare.transport import BROADCAST, Network, broadcast_matrices
+from matshare.transport import BROADCAST, SECURE, Network, broadcast_matrices, participant_name
 
 from oracles import chain_matrix, chain_vector, mat_rows
 
@@ -31,7 +36,7 @@ def dealt(seed=42, r=4, k=6, n=3):
 
 
 def manual_setup(matrices, sigma, us):
-    """Build bulletin + shares + states for explicitly chosen shadows."""
+    """Build bulletin + shares for explicitly chosen shadows."""
     n = len(sigma)
     r = matrices[0].dim
     secret = None
@@ -57,10 +62,7 @@ def manual_setup(matrices, sigma, us):
 def test_verification_honest_all_starts():
     instance, bulletin, shares = dealt()
     for start in (1, 2, 3):
-        states = make_states(shares)
-        verdict, transcript = run_verification(
-            RoundPlan(VERIFICATION, start, 3), states, bulletin
-        )
+        verdict, transcript = run_verification(bulletin, shares, start)
         assert verdict
         # the chain the walk computes equals the published image
         shadows = [mat_rows(instance.shadow(pos)) for pos in ring_walk(start, 3)]
@@ -76,8 +78,7 @@ def test_verification_identity_shadows():
     us = [BinaryVector([1, 1, 0]), BinaryVector([1, 1, 0])]
     bulletin, shares, _ = manual_setup([eye, eye], [0, 1], us)
     assert bulletin.u_prime[0] == Vector([1, 1, 0])
-    states = make_states(shares)
-    verdict, _ = run_verification(RoundPlan(VERIFICATION, 1, 2), states, bulletin)
+    verdict, _ = run_verification(bulletin, shares, 1)
     assert verdict
 
 
@@ -86,43 +87,42 @@ def test_verification_detects_random_forgery():
     rng = Random(123)
     for position in (1, 2, 3):
         forged = sample_matrix(4, 256, rng)
-        states = make_states(shares)
         verdict, _ = run_verification(
-            RoundPlan(VERIFICATION, 2, 3),
-            states,
             bulletin,
+            shares,
+            2,
             cheater=CheaterSpec(position=position, forged=forged),
         )
         assert not verdict
 
 
 def test_verification_records_verdict_on_all_states():
+    # the verdict reaches every participant as the round's last envelope, a broadcast
     _, bulletin, shares = dealt(8)
-    states = make_states(shares)
-    verdict, _ = run_verification(RoundPlan(VERIFICATION, 1, 3), states, bulletin)
-    assert all(s.verdict is verdict for s in states.values())
+    verdict, transcript = run_verification(bulletin, shares, 1)
+    last = transcript.envelopes[-1]
+    assert last.recipient == BROADCAST
+    assert last.payload is verdict
 
 
 def test_forged_shadow_must_differ():
     instance, bulletin, shares = dealt(9)
     true_shadow = bulletin.matrices[shares[0].matrix_index]
-    states = make_states(shares)
     with pytest.raises(ValueError):
         run_verification(
-            RoundPlan(VERIFICATION, 1, 3),
-            states,
             bulletin,
+            shares,
+            1,
             cheater=CheaterSpec(position=1, forged=true_shadow),
         )
 
 
 def test_dimension_mismatch_aborts_with_false_verdict():
     _, bulletin, shares = dealt(10)
-    states = make_states(shares)
     verdict, transcript = run_verification(
-        RoundPlan(VERIFICATION, 1, 3),
-        states,
         bulletin,
+        shares,
+        1,
         cheater=CheaterSpec(position=2, forged=Matrix.identity(5)),
     )
     assert not verdict
@@ -130,13 +130,11 @@ def test_dimension_mismatch_aborts_with_false_verdict():
 
 
 def test_round_plan_validation():
-    with pytest.raises(ValueError):
-        RoundPlan("gossip", 1, 3)
-    with pytest.raises(ValueError):
-        RoundPlan(VERIFICATION, 0, 3)
-    with pytest.raises(ValueError):
-        RoundPlan(VERIFICATION, 4, 3)
-    assert RoundPlan(VERIFICATION, 2, 4).order == [2, 3, 4, 1]
+    _, bulletin, shares = dealt(11)
+    for start in (0, 4):
+        with pytest.raises(ValueError, match="start"):
+            run_verification(bulletin, shares, start)
+    assert ring_walk(2, 4) == [2, 3, 4, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +146,10 @@ def test_reconstruction_worked_two_party_example():
     # B = A1*A2 and C is the starter's own reveal A2
     us = [BinaryVector([1, 1]), BinaryVector([1, 1])]
     bulletin, shares, secret = manual_setup([A1, A2], [0, 1], us)
-    states = make_states(shares)
     recovered, transcript = run_reconstruction(
-        RoundPlan(RECONSTRUCTION, 2, 2),
-        states,
         bulletin,
+        shares,
+        2,
         Random(0),
         x_override=Matrix.identity(2),
     )
@@ -165,10 +162,7 @@ def test_reconstruction_worked_two_party_example():
 
 def test_reconstruction_start_one_handback_equals_position_n_reveal():
     _, bulletin, shares = dealt(12)
-    states = make_states(shares)
-    _, transcript = run_reconstruction(
-        RoundPlan(RECONSTRUCTION, 1, 3), states, bulletin, Random(3)
-    )
+    _, transcript = run_reconstruction(bulletin, shares, 1, Random(3))
     reveals = broadcast_matrices(transcript.envelopes)
     handback = [
         e
@@ -182,36 +176,34 @@ def test_reconstruction_identity_shadows():
     eye = Matrix.identity(3)
     us = [BinaryVector([1, 1, 0]), BinaryVector([0, 1, 1])]
     bulletin, shares, _ = manual_setup([eye, eye], [0, 1], us)
-    states = make_states(shares)
-    recovered, _ = run_reconstruction(
-        RoundPlan(RECONSTRUCTION, 1, 2), states, bulletin, Random(5)
-    )
+    recovered, _ = run_reconstruction(bulletin, shares, 1, Random(5))
     assert recovered == eye
 
 
 def test_reconstruction_recovers_secret_every_start():
     instance, bulletin, shares = dealt(13, r=5, k=7, n=4)
     for start in range(1, 5):
-        states = make_states(shares)
-        recovered, _ = run_reconstruction(
-            RoundPlan(RECONSTRUCTION, start, 4), states, bulletin, Random(start)
-        )
+        recovered, transcript = run_reconstruction(bulletin, shares, start, Random(start))
         assert recovered == instance.secret
-        assert states[start].recovered == instance.secret
-        assert states[start].x_blind is not None
-        # only the round starter ever holds a blinding matrix
-        assert all(s.x_blind is None for pos, s in states.items() if pos != start)
+        # the starter's record of the secret goes over the secure channel to itself
+        record = transcript.envelopes[-1]
+        starter = participant_name(start)
+        assert (record.sender, record.recipient, record.visibility) == (starter, starter, SECURE)
+        assert record.payload == instance.secret
+        # the starter's blinding X is the round's first draw
+        x = sample_invertible_matrix(5, X_ENTRY_BOUND, Random(start))
+        first = broadcast_matrices(transcript.envelopes)[0]
+        assert first.sender == starter
+        assert first.payload == mat_mul(instance.shadow(start), x)
 
 
 def test_reconstruction_chain_consistency():
     # every reveal equals (that walker's shadow) * (previous reveal)
     instance, bulletin, shares = dealt(14)
-    states = make_states(shares)
-    _, transcript = run_reconstruction(
-        RoundPlan(RECONSTRUCTION, 2, 3), states, bulletin, Random(9)
-    )
+    _, transcript = run_reconstruction(bulletin, shares, 2, Random(9))
     reveals = broadcast_matrices(transcript.envelopes)
-    x = states[2].x_blind
+    # verification draws nothing, so X is the round's first draw
+    x = sample_invertible_matrix(4, X_ENTRY_BOUND, Random(9))
     walk = ring_walk(2, 3)
     expected = mat_rows(x)
     for pos, envelope in zip(walk, reveals):
@@ -220,34 +212,27 @@ def test_reconstruction_chain_consistency():
 
 
 def test_reconstruction_blinding_locality():
-    _, bulletin, shares = dealt(15)
-    states = make_states(shares)
-    _, transcript = run_reconstruction(
-        RoundPlan(RECONSTRUCTION, 1, 3), states, bulletin, Random(2)
-    )
-    x = states[1].x_blind
+    instance, bulletin, shares = dealt(15)
+    _, transcript = run_reconstruction(bulletin, shares, 1, Random(2))
+    x = sample_invertible_matrix(4, X_ENTRY_BOUND, Random(2))
+    assert broadcast_matrices(transcript.envelopes)[0].payload == mat_mul(instance.shadow(1), x)
     for envelope in transcript.envelopes:
         assert envelope.payload != x
-    assert all(reveal.matrix != x for reveal in bulletin.reveals)
 
 
 def test_reconstruction_integer_closure():
     for seed in range(5):
         instance, bulletin, shares = dealt(seed)
-        states = make_states(shares)
-        recovered, _ = run_reconstruction(
-            RoundPlan(RECONSTRUCTION, 3, 3), states, bulletin, Random(seed)
-        )
+        recovered, _ = run_reconstruction(bulletin, shares, 3, Random(seed))
         assert all(type(x) is int for row in recovered.rows for x in row)
         assert recovered == instance.secret
 
 
 def test_reconstruction_rejects_wrong_plan_kind():
     _, bulletin, shares = dealt(16)
-    with pytest.raises(ValueError):
-        run_reconstruction(
-            RoundPlan(VERIFICATION, 1, 3), make_states(shares), bulletin, Random(0)
-        )
+    for start in (0, 4):
+        with pytest.raises(ValueError, match="start"):
+            run_reconstruction(bulletin, shares, start, Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +383,7 @@ def test_audit_identity_transcript_true_for_every_t():
     eye = Matrix.identity(3)
     us = [BinaryVector([1, 1, 0]), BinaryVector([0, 1, 1])]
     bulletin, shares, _ = manual_setup([eye, eye], [0, 1], us)
-    states = make_states(shares)
-    _, transcript = run_reconstruction(
-        RoundPlan(RECONSTRUCTION, 1, 2), states, bulletin, Random(6)
-    )
+    _, transcript = run_reconstruction(bulletin, shares, 1, Random(6))
     for t in range(1, 9):
         assert freivalds_audit(transcript, bulletin, t, seed=t)
 
@@ -430,3 +412,11 @@ def test_simulate_start_and_blinding_invariance():
             assert result.verdict
             outcomes.add(result.recovered)
     assert outcomes == {instance.secret}
+
+
+def test_round_leaves_bulletin_unchanged():
+    _, bulletin, shares = dealt(36)
+    before = copy.deepcopy(bulletin)
+    for start in (1, 2):
+        assert simulate_run(bulletin, shares, start, Random(start)).verdict
+    assert bulletin == before

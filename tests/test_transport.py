@@ -2,9 +2,9 @@ from random import Random
 
 import pytest
 
-from matshare.algebra import BinaryVector, Matrix, Vector
+from matshare.algebra import BinaryVector, Matrix, Vector, mat_mul, sample_invertible_matrix
 from matshare.dealer import DealerParams, generate_instance
-from matshare.protocol import simulate_run
+from matshare.protocol import X_ENTRY_BOUND, simulate_run
 from matshare.transport import (
     BROADCAST,
     DEALER,
@@ -127,9 +127,12 @@ def test_fifo_step_numbering_is_contiguous():
 def test_visibility_soundness_over_honest_runs():
     # nothing private (check vectors, blinding matrix, index pointers) leaks
     for seed in range(5):
-        _, _, shares, result = make_run(seed=seed, start=1)
+        instance, bulletin, shares, result = make_run(seed=seed, start=1)
         assert result.verdict
-        x = next(s.x_blind for s in result.states.values() if s.x_blind is not None)
+        # verification draws nothing, so X is the round's first draw
+        x = sample_invertible_matrix(bulletin.r, X_ENTRY_BOUND, Random(seed))
+        first = broadcast_matrices(result.transcript.envelopes)[0]
+        assert first.payload == mat_mul(instance.shadow(1), x)
         private_payloads = {share.u for share in shares} | {x}
         for envelope in result.transcript.eavesdropper_view:
             assert not isinstance(envelope.payload, IndexPointer)
