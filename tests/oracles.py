@@ -113,3 +113,37 @@ def fraction_inverse(a):
 def mat_rows(m):
     """Plain list-of-lists copy of a package Matrix."""
     return [list(row) for row in m.rows]
+
+
+def eliminate_mod(w, ncols, p, reduce_above):
+    """Per-entry Gauss-Jordan mod p with the contract of algebra._eliminate_mod.
+
+    The coefficient columns sit reversed at the end of each row, so the
+    column being pivoted is the last entry; it is popped from the scaled
+    pivot row and from every eliminated row.  With reduce_above, row i
+    ends as the right-hand side solved for unknown i.  False if singular
+    mod p.
+    """
+    m = len(w)
+    for col in range(ncols):
+        pivot_row = next((i for i in range(col, m) if w[i][-1] % p), None)
+        if pivot_row is None:
+            return False
+        w[col], w[pivot_row] = w[pivot_row], w[col]
+        inv = pow(w[col].pop(), -1, p)
+        w[col] = [y * inv % p for y in w[col]]
+        for i in range(0 if reduce_above else col + 1, m):
+            if i != col:
+                f = w[i].pop()
+                w[i] = [(x - f * y) % p for x, y in zip(w[i], w[col])]
+    return True
+
+
+def freivalds_trials(a, b, c, t, rng):
+    """t Freivalds trials of a*b == c, one rng.randrange(2) vector after another."""
+    r = len(a)
+    for _ in range(t):
+        u = [rng.randrange(2) for _ in range(r)]
+        if naive_matvec(a, naive_matvec(b, u)) != naive_matvec(c, u):
+            return False
+    return True

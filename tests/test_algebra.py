@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,8 +18,10 @@ from matshare.algebra import (
     BinaryVector,
     Matrix,
     Vector,
+    _eliminate_mod,
     _inverse_parts,
     _prime,
+    _uniform,
     determinant,
     freivalds_verify,
     is_invertible,
@@ -32,7 +36,9 @@ from matshare.algebra import (
 from matshare.errors import SingularMatrix
 
 from oracles import (
+    eliminate_mod,
     fraction_inverse,
+    freivalds_trials,
     mat_rows,
     minor_rank,
     naive_det,
@@ -362,6 +368,95 @@ def test_solve_integer_validates_args():
 
 
 # ---------------------------------------------------------------------------
+# packed kernels against the per-entry loops
+# ---------------------------------------------------------------------------
+
+PACKED = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def wide_matrix(draw, r):
+    """An r x r matrix of zeros, small, 100-bit or 130-bit entries, signed or not."""
+    bits = draw(st.sampled_from((0, 1, 8, 100, 130)))
+    lo = -(1 << bits) + 1 if draw(st.booleans()) else 0
+    rng = Random(draw(st.integers(0, 2**32)))
+    return Matrix([[rng.randint(lo, (1 << bits) - 1) for _ in range(r)] for _ in range(r)])
+
+
+def _kernel_paths(crossover):
+    """Run as is, then with the crossover constant forcing the packed path,
+    then forcing the per-entry path."""
+    return (
+        contextlib.nullcontext(),
+        mock.patch.object(algebra, crossover, 1),
+        mock.patch.object(algebra, crossover, 10**9),
+    )
+
+
+@PACKED
+@given(st.data())
+def test_packed_mat_mul_matches_schoolbook(data):
+    r = data.draw(st.integers(1, 40))
+    a, b = data.draw(wide_matrix(r)), data.draw(wide_matrix(r))
+    expected = naive_mul(mat_rows(a), mat_rows(b))
+    for path in _kernel_paths("_PACKED_MUL_MIN_DIM"):
+        with path:
+            assert mat_rows(mat_mul(a, b)) == expected
+
+
+@st.composite
+def mod_p_system(draw):
+    """Rows for _eliminate_mod: r equations, ncols = r coefficients reversed at
+    the end, 0 or r right-hand columns first, often singular mod p."""
+    r = draw(st.integers(1, 40))
+    p = draw(st.sampled_from((2, 3, 257, _prime(0), _prime(4))))
+    rhs = draw(st.sampled_from((0, r)))
+    rng = Random(draw(st.integers(0, 2**32)))
+    w = [[rng.randrange(p) for _ in range(rhs + r)] for _ in range(r)]
+    shape = draw(st.sampled_from(("random", "repeated row", "zero column")))
+    if shape == "repeated row" and r > 1:
+        i, j = rng.sample(range(r), 2)
+        scale = rng.randrange(p)
+        w[j] = [scale * x % p for x in w[i]]
+    if shape == "zero column":
+        col = rhs + rng.randrange(r)
+        for row in w:
+            row[col] = 0
+    return w, r, p
+
+
+@PACKED
+@given(mod_p_system(), st.booleans())
+def test_packed_elimination_matches_schoolbook(system, reduce_above):
+    w, ncols, p = system
+    expected = [list(row) for row in w]
+    solvable = eliminate_mod(expected, ncols, p, reduce_above)
+    for path in _kernel_paths("_PACKED_ELIM_MIN_ENTRIES"):
+        with path:
+            got = [list(row) for row in w]
+            assert _eliminate_mod(got, ncols, p, reduce_above) is solvable
+            if solvable and reduce_above:
+                assert got == expected
+
+
+@PACKED
+@given(st.data())
+def test_packed_freivalds_matches_per_trial_loop(data):
+    # the same seed draws the same trial vectors, so the decisions agree
+    # exactly, on signed and wide entries and on wrong products alike
+    r = data.draw(st.integers(1, 40))
+    a, b = data.draw(wide_matrix(r)), data.draw(wide_matrix(r))
+    rows = naive_mul(mat_rows(a), mat_rows(b))
+    if data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, r - 1))][data.draw(st.integers(0, r - 1))] += data.draw(
+            st.sampled_from((1, -1, 2**130))
+        )
+    t, seed = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 2**32))
+    expected = freivalds_trials(mat_rows(a), mat_rows(b), rows, t, Random(seed))
+    assert freivalds_verify(a, b, Matrix(rows), t, seed) is expected
+
+
+# ---------------------------------------------------------------------------
 # freivalds_verify
 # ---------------------------------------------------------------------------
 
@@ -440,26 +535,35 @@ def test_sample_invertible_postcondition():
         assert determinant(m) != 0
 
 
-class _CountingRandom(Random):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def randrange(self, *args, **kwargs):
-        self.draws += 1
-        return super().randrange(*args, **kwargs)
-
-
-def test_sample_invertible_rejections_are_rare():
+def test_sample_invertible_rejections_are_rare(monkeypatch):
     # 100 seeded 5x5 draws at bound 256: expect at most 5 rejections total
-    rejections = 0
+    attempts = []
+    sample = algebra.sample_matrix
+    monkeypatch.setattr(algebra, "sample_matrix", lambda *args: attempts.append(args) or sample(*args))
     for seed in range(100):
-        rng = _CountingRandom(seed)
-        m = sample_invertible_matrix(5, 256, rng)
+        m = sample_invertible_matrix(5, 256, Random(seed))
         assert is_invertible(m)
-        attempts = rng.draws // 25
-        rejections += attempts - 1
-    assert rejections <= 5
+    assert 100 <= len(attempts) <= 105
+
+
+@pytest.mark.parametrize("bound", [2, 3, 256, 257])
+def test_uniform_draws_are_the_randrange_stream(bound):
+    # the samplers' inline rejection loop must draw exactly what randrange
+    # draws; a CPython change to randrange's algorithm fails here
+    for seed in range(8):
+        ours, theirs = Random(seed), Random(seed)
+        assert _uniform(ours, bound, 300) == [theirs.randrange(bound) for _ in range(300)]
+        assert ours.getrandbits(64) == theirs.getrandbits(64)
+        m = sample_matrix(7, bound, Random(seed))
+        ref = Random(seed)
+        assert m.rows == tuple(tuple(ref.randrange(bound) for _ in range(7)) for _ in range(7))
+    for seed in range(20):
+        ref = Random(seed)
+        while True:
+            bits = [ref.randrange(2) for _ in range(6)]
+            if sum(bits) >= 2:
+                break
+        assert sample_check_vector(6, Random(seed)).bits == tuple(bits)
 
 
 def test_sample_check_vector_small_space():
@@ -530,6 +634,17 @@ def test_values_refuse_non_int_entries():
             matrix_rank([[1, 0, bad]])
     assert Matrix([[1, 0], [0, 2]]).rows == ((1, 0), (0, 2))
     assert Vector([1, 2]).entries == (1, 2)
+
+
+def test_values_refuse_bool_entries():
+    # isinstance(True, int) holds, but a bool entry would serialize as "True"
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            Matrix([[1, 0], [0, bad]])
+        with pytest.raises(TypeError, match="bool"):
+            Vector([bad, 1])
+        with pytest.raises(TypeError, match="bool"):
+            matrix_rank([[1, bad]])
 
 
 def test_matrix_must_be_square():

@@ -363,6 +363,69 @@ def test_audit_accept_rate_reaches_k_times_2_to_minus_t():
     assert 2**-t < accepted / runs < k * 2**-t
 
 
+def _wide_transcript():
+    # one honest r=32 n=8 k=32 round, the ring-wide benchmark's shape
+    _, bulletin, shares = dealt(seed=8, r=32, k=32, n=8)
+    return bulletin, simulate_run(bulletin, shares, 3, Random(5)).transcript
+
+
+def _with_reveal(transcript, index, rows):
+    envelopes = list(transcript.envelopes)
+    target = broadcast_matrices(envelopes)[index]
+    envelopes[envelopes.index(target)] = replace(target, payload=Matrix(rows))
+    return type(transcript)(envelopes=envelopes)
+
+
+def test_audit_rejects_unit_perturbations_at_every_wide_reveal():
+    # +1 and -1 at four seeded entries of each of the 8 reveals; with t=16 a
+    # forged transcript slips through with probability at most k * 2^-16
+    bulletin, transcript = _wide_transcript()
+    reveals = broadcast_matrices(transcript.envelopes)
+    assert len(reveals) == 8 and freivalds_audit(transcript, bulletin, 16, seed=0)
+    rng = Random(12)
+    for index, reveal in enumerate(reveals):
+        for delta in (1, -1) * 4:
+            rows = mat_rows(reveal.payload)
+            rows[rng.randrange(32)][rng.randrange(32)] += delta
+            assert not freivalds_audit(_with_reveal(transcript, index, rows), bulletin, 16, seed=index)
+
+
+def test_audit_rejects_negative_reveals():
+    # the packed trial products are signed: a negated reveal, or one negated
+    # entry, must compare unequal to every nonnegative candidate chain
+    bulletin, transcript = _wide_transcript()
+    for index, reveal in enumerate(broadcast_matrices(transcript.envelopes)):
+        negated = [[-x for x in row] for row in reveal.payload.rows]
+        one_entry = mat_rows(reveal.payload)
+        one_entry[3][4] = -one_entry[3][4]
+        for rows in (negated, one_entry):
+            assert not freivalds_audit(_with_reveal(transcript, index, rows), bulletin, 16, seed=index)
+
+
+def test_audit_accepts_an_honest_signed_chain():
+    # signed 40-bit shadows and blinding make every reveal signed and wide:
+    # the audit must accept the true chain and reject a single sign flip
+    rng = Random(21)
+    r, n = 12, 4
+
+    def signed():
+        return Matrix([[rng.randint(-2**40, 2**40) for _ in range(r)] for _ in range(r)])
+
+    shadows = [signed() for _ in range(n)]
+    bulletin = Bulletin(r=r, k=n, n=n, matrices=tuple(shadows), u_prime=(Vector([0] * r),) * n)
+    net = Network([participant_name(j) for j in range(1, n + 1)])
+    v = signed()
+    for j, shadow in enumerate(shadows, start=1):
+        v = mat_mul(shadow, v)
+        net.broadcast(participant_name(j), v)
+    assert any(x < 0 for row in v.rows for x in row)
+    for seed in range(5):
+        assert freivalds_audit(net.transcript, bulletin, 10, seed=seed)
+    rows = mat_rows(broadcast_matrices(net.transcript.envelopes)[1].payload)
+    rows[0][0] = -rows[0][0]
+    assert not freivalds_audit(_with_reveal(net.transcript, 1, rows), bulletin, 16, seed=0)
+
+
 def test_audit_rejects_forged_handback():
     _, bulletin, shares = dealt(32)
     result = simulate_run(bulletin, shares, 1, Random(4))
