@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import chain, count, islice, repeat
-from operator import add, eq, is_, mul, rshift, sub
+from operator import add, eq, mul, rshift, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import GenerationFailure, SingularMatrix
@@ -58,10 +58,10 @@ def _require_ints(rows) -> None:
     """Raise TypeError unless every entry of the rows is exactly an int.
 
     A bool is refused like any other subclass: it would serialize as
-    ``True``.  The scan is ``map(type, ...)`` compared by identity, which
-    runs in C: valid input costs no Python-level call per entry.
+    ``True``.  The scan looks each entry's type up in ``{int}``, in C:
+    valid input costs no Python-level call per entry.
     """
-    if not all(map(is_, map(type, chain.from_iterable(rows)), repeat(int))):
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
         bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
         raise TypeError(f"entries must be int, got {type(bad).__name__}")
 
@@ -179,6 +179,7 @@ class BinaryVector:
         bits = tuple(bits)
         if not bits:
             raise ValueError("binary vector must have at least one bit")
+        _require_ints((bits,))
         if any(b not in (0, 1) for b in bits):
             raise ValueError("binary vector entries must be 0 or 1")
         object.__setattr__(self, "bits", bits)

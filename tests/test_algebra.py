@@ -637,12 +637,15 @@ def test_values_refuse_non_int_entries():
 
 
 def test_values_refuse_bool_entries():
-    # isinstance(True, int) holds, but a bool entry would serialize as "True"
+    # isinstance(True, int) holds, but a bool entry would serialize as
+    # "True" (or as JSON true for a bit), which the workspace loader refuses
     for bad in (True, False):
         with pytest.raises(TypeError, match="bool"):
             Matrix([[1, 0], [0, bad]])
         with pytest.raises(TypeError, match="bool"):
             Vector([bad, 1])
+        with pytest.raises(TypeError, match="bool"):
+            BinaryVector([1, bad])
         with pytest.raises(TypeError, match="bool"):
             matrix_rank([[1, bad]])
 
