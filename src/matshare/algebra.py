@@ -548,18 +548,45 @@ def freivalds_verify(a: Matrix, b: Matrix, c: Matrix, t: int, seed) -> bool:
     products are always accepted; a wrong c is accepted with probability
     at most 2^-t.
     """
-    if not (a.dim == b.dim == c.dim):
-        raise ValueError(f"dimension mismatch: {a.dim}, {b.dim}, {c.dim}")
+    return freivalds_screen([(b, c)], [a], t, seed)
+
+
+def freivalds_screen(
+    pairs: Iterable[Tuple[Matrix, Matrix]], candidates: Sequence[Matrix], t: int, seed
+) -> bool:
+    """Whether every pair (prev, nxt) has a candidate c with c*prev == nxt, by t trials.
+
+    The t trial vectors U are drawn once and shared by every pair and
+    candidate: prev*U and nxt*U are formed once per pair (packed, one int
+    per row), and a candidate is screened row by row against them,
+    stopping at its first mismatching row.  True products always pass.
+    Each candidate still sees t independent uniform trials, so a pair that
+    no candidate explains passes a given candidate with probability at most
+    2^-t, and passes the screen with probability at most k * 2^-t for k
+    candidates (union bound), not 2^-t.  No pairs draw nothing and pass.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
-    r = a.dim
-    # entries of a*(b*u) and of c*u stay below these bit lengths
+    pairs = list(pairs)
+    if not pairs:
+        return True
+    r = pairs[0][0].dim
+    if any(m.dim != r for m in chain(candidates, *pairs)):
+        raise ValueError(f"dimension mismatch: a pair or candidate is not {r}x{r}")
+    # entries of candidate*(prev*u) and of nxt*u stay below this bit length
     bits = max(
-        _max_bits(a.rows) + _max_bits(b.rows) + 2 * r.bit_length(),
-        _max_bits(c.rows) + r.bit_length(),
+        max((_max_bits(m.rows) for m in candidates), default=0)
+        + max(_max_bits(prev.rows) for prev, _ in pairs)
+        + 2 * r.bit_length(),
+        max(_max_bits(nxt.rows) for _, nxt in pairs) + r.bit_length(),
     )
     u = _trial_vectors(r, t, _as_rng(seed), bits)
-    return all(map(eq, _dots(a.rows, list(_dots(b.rows, u))), _dots(c.rows, u)))
+    for prev, nxt in pairs:
+        prev_u = list(_dots(prev.rows, u))
+        nxt_u = list(_dots(nxt.rows, u))
+        if not any(all(map(eq, _dots(m.rows, prev_u), nxt_u)) for m in candidates):
+            return False
+    return True
 
 
 def _uniform(rng: random.Random, bound: int, count: int) -> list:

@@ -2,10 +2,14 @@
 
 All big integers are serialized as decimal strings so no consumer can
 lose precision; all files are UTF-8 JSON written canonically, making
-identical inputs produce byte-identical outputs.
+identical inputs produce byte-identical outputs.  Each file format has
+one encoder and one decoder, and the decoder checks what it decodes:
+any wrong shape or entry type raises ValueError, so a malformed
+workspace file is a usage error naming the file.
 
-Exit codes: 0 success, 2 forgery detected, 3 integrity failure,
-4 guardrail refusal, 64 usage error.
+Exit codes: 0 success, 1 generation failure (the dealer found no
+admissible instance within its retry budget), 2 forgery detected,
+3 integrity failure, 4 guardrail refusal, 64 usage error.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from .errors import (
     SingularMatrix,
 )
 from .protocol import CheaterSpec, freivalds_audit, simulate_run
-from .transport import Envelope, IndexPointer, Transcript, payload_kind
+from .transport import Envelope, IndexPointer, Transcript
 
 EXIT_OK = 0
+EXIT_GENERATION = 1
 EXIT_FORGERY = 2
 EXIT_INTEGRITY = 3
 EXIT_GUARDRAIL = 4
@@ -39,25 +44,59 @@ EXIT_USAGE = 64
 
 SEED_ENV_VAR = "MATSHARE_SEED"
 
+#: a --cheat forgery's entries are uniform in [0, FORGED_ENTRY_BOUND)
+FORGED_ENTRY_BOUND = 256
+
 
 # ---------------------------------------------------------------------------
-# matrix / vector codecs
+# codecs: each decoder checks what it decodes and raises only ValueError
 # ---------------------------------------------------------------------------
+
+def _fields(doc, *keys) -> list:
+    """The values of the keys of a JSON object, in order."""
+    if type(doc) is not dict or not doc.keys() >= set(keys):
+        raise ValueError(f"expected an object with keys {', '.join(keys)}")
+    return [doc[key] for key in keys]
+
+
+def _entries(doc, length: Optional[int], kind: type, what: str) -> list:
+    """doc, if it is a list of `length` values (any number when None) whose type is exactly kind.
+
+    Types are looked up in ``{kind}`` in C, as ``algebra`` does for its
+    entries, so a bool is never taken for an int.
+    """
+    if type(doc) is not list or length not in (None, len(doc)) or not {kind}.issuperset(map(type, doc)):
+        count = "" if length is None else f"{length} "
+        raise ValueError(f"{what} must be a list of {count}{kind.__name__} values")
+    return doc
+
 
 def matrix_to_json(m: Matrix) -> list:
     return [list(map(str, row)) for row in m.rows]
 
 
-def matrix_from_json(rows: list) -> Matrix:
-    return Matrix([[int(x) for x in row] for row in rows])
+def matrix_from_json(rows, r: int) -> Matrix:
+    """An r x r matrix from r rows of r decimal strings."""
+    rows = _entries(rows, r, list, "a matrix")
+    return Matrix([map(int, _entries(row, r, str, "a matrix row")) for row in rows])
 
 
 def vector_to_json(v: Vector) -> list:
     return list(map(str, v.entries))
 
 
-def vector_from_json(entries: list) -> Vector:
-    return Vector([int(x) for x in entries])
+def vector_from_json(entries, r: int) -> Vector:
+    """An r-vector from r decimal strings."""
+    return Vector(map(int, _entries(entries, r, str, "a vector")))
+
+
+def bits_to_json(v: BinaryVector) -> list:
+    return list(v.bits)
+
+
+def bits_from_json(bits, r: int) -> BinaryVector:
+    """A binary r-vector from r JSON integers, each 0 or 1."""
+    return BinaryVector(_entries(bits, r, int, "a bit vector"))
 
 
 def canonical_json(obj) -> str:
@@ -83,13 +122,17 @@ def bulletin_to_json(b: Bulletin) -> dict:
     }
 
 
-def bulletin_from_json(doc: dict) -> Bulletin:
+def bulletin_from_json(doc) -> Bulletin:
+    """k r x r matrices and n r-vectors, all of decimal strings."""
+    r, k, n, matrices, u_prime = _fields(doc, "r", "k", "n", "matrices", "u_prime")
+    if not {int}.issuperset(map(type, (r, k, n))):
+        raise ValueError("r, k and n must be integers")
     return Bulletin(
-        r=doc["r"],
-        k=doc["k"],
-        n=doc["n"],
-        matrices=tuple(matrix_from_json(m) for m in doc["matrices"]),
-        u_prime=tuple(vector_from_json(v) for v in doc["u_prime"]),
+        r=r,
+        k=k,
+        n=n,
+        matrices=tuple(matrix_from_json(m, r) for m in _entries(matrices, k, list, "matrices")),
+        u_prime=tuple(vector_from_json(v, r) for v in _entries(u_prime, n, list, "u_prime")),
     )
 
 
@@ -98,17 +141,20 @@ def share_to_json(s: Share) -> dict:
         "participant": s.participant,
         "matrix_index": s.matrix_index,
         "ring": list(s.ring),
-        "u": list(s.u.bits),
+        "u": bits_to_json(s.u),
     }
 
 
-def share_from_json(doc: dict) -> Share:
-    return Share(
-        participant=doc["participant"],
-        matrix_index=doc["matrix_index"],
-        ring=tuple(doc["ring"]),
-        u=BinaryVector(doc["u"]),
-    )
+def share_from_json(doc, j: int, bulletin: Bulletin) -> Share:
+    """Participant j's share, its index and ring checked against the bulletin."""
+    participant, index, ring, u = _fields(doc, "participant", "matrix_index", "ring", "u")
+    if participant != j or type(participant) is not int:
+        raise ValueError(f"participant must be {j}")
+    if type(index) is not int or not 0 <= index < bulletin.k:
+        raise ValueError(f"matrix_index must be in [0, {bulletin.k})")
+    if ring != list(range(1, bulletin.n + 1)) or not {int}.issuperset(map(type, ring)):
+        raise ValueError(f"ring must be [1, ..., {bulletin.n}]")
+    return Share(participant=j, matrix_index=index, ring=tuple(ring), u=bits_from_json(u, bulletin.r))
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -118,31 +164,36 @@ def instance_to_json(inst: Instance) -> dict:
     }
 
 
-def _payload_to_json(payload):
-    kind = payload_kind(payload)
-    if kind == "matrix":
-        return matrix_to_json(payload)
-    if kind == "vector":
-        return vector_to_json(payload)
-    if kind == "binary_vector":
-        return list(payload.bits)
-    if kind == "verdict":
-        return payload
-    return {"matrix_index": payload.matrix_index, "ring": list(payload.ring)}
+def _secret_from_json(doc, r: int) -> Matrix:
+    """The r x r secret of an instance file; the rest of the file is not read."""
+    return matrix_from_json(_fields(doc, "secret")[0], r)
 
 
-def _payload_from_json(kind: str, doc):
-    if kind == "matrix":
-        return matrix_from_json(doc)
-    if kind == "vector":
-        return vector_from_json(doc)
-    if kind == "binary_vector":
-        return BinaryVector(doc)
-    if kind == "verdict":
-        return bool(doc)
-    if kind == "index_pointer":
-        return IndexPointer(doc["matrix_index"], tuple(doc["ring"]))
-    raise ValueError(f"unknown payload kind: {kind!r}")
+def _pointer_to_json(p: IndexPointer) -> dict:
+    return {"matrix_index": p.matrix_index, "ring": list(p.ring)}
+
+
+def _pointer_from_json(doc, r: int) -> IndexPointer:
+    index, ring = _fields(doc, "matrix_index", "ring")
+    if type(index) is not int:
+        raise ValueError("matrix_index must be an integer")
+    return IndexPointer(index, _entries(ring, None, int, "ring"))
+
+
+def _verdict_from_json(doc, r: int) -> bool:
+    if type(doc) is not bool:
+        raise ValueError("a verdict must be true or false")
+    return doc
+
+
+# transcript payload kind -> (encoder, decoder given the bulletin's r)
+_PAYLOADS = {
+    "matrix": (matrix_to_json, matrix_from_json),
+    "vector": (vector_to_json, vector_from_json),
+    "binary_vector": (bits_to_json, bits_from_json),
+    "verdict": (bool, _verdict_from_json),
+    "index_pointer": (_pointer_to_json, _pointer_from_json),
+}
 
 
 def transcript_to_json(t: Transcript) -> dict:
@@ -154,24 +205,30 @@ def transcript_to_json(t: Transcript) -> dict:
                 "to": e.recipient,
                 "visibility": e.visibility,
                 "kind": e.kind,
-                "payload": _payload_to_json(e.payload),
+                "payload": _PAYLOADS[e.kind][0](e.payload),
             }
             for e in t.envelopes
         ]
     }
 
 
-def transcript_from_json(doc: dict) -> Transcript:
-    envelopes = [
-        Envelope(
-            step=ev["step"],
-            sender=ev["from"],
-            recipient=ev["to"],
-            visibility=ev["visibility"],
-            payload=_payload_from_json(ev["kind"], ev["payload"]),
-        )
-        for ev in doc["events"]
-    ]
+def transcript_from_json(doc, r: int) -> Transcript:
+    """A run's transcript, every payload shaped for the bulletin's r."""
+    envelopes = []
+    for i, event in enumerate(_entries(_fields(doc, "events")[0], None, dict, "events")):
+        try:
+            step, sender, recipient, visibility, kind, payload = _fields(
+                event, "step", "from", "to", "visibility", "kind", "payload"
+            )
+            strings = (sender, recipient, visibility, kind)
+            if type(step) is not int or not {str}.issuperset(map(type, strings)):
+                raise ValueError("step must be an integer and from, to, visibility and kind strings")
+            if kind not in _PAYLOADS:
+                raise ValueError(f"unknown payload kind {kind!r}")
+            payload = _PAYLOADS[kind][1](payload, r)
+            envelopes.append(Envelope(step, sender, recipient, visibility, payload))
+        except ValueError as err:
+            raise ValueError(f"event {i}: {err}") from None
     return Transcript(envelopes=envelopes)
 
 
@@ -179,106 +236,30 @@ def _write(path: Path, doc) -> None:
     path.write_text(canonical_json(doc), encoding="utf-8")
 
 
-def _read(path: Path):
-    if not path.exists():
-        raise ValueError(f"missing file: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+def _load(path: Path, decode, *args):
+    """Read one workspace file and decode it; a malformed file is a ValueError naming it.
 
-
-def _field(doc, key: str, path: Path):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValueError(f"{path}: missing key {key!r}")
-    return doc[key]
-
-
-def _require(ok: bool, path: Path, what: str) -> None:
-    if not ok:
-        raise ValueError(f"{path}: {what}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_decimals(value, length: int) -> bool:
-    """True iff value is a list of `length` strings; int() rejects non-decimal ones."""
-    return isinstance(value, list) and len(value) == length and all(isinstance(x, str) for x in value)
-
-
-def _is_square(value, r: int) -> bool:
-    return isinstance(value, list) and len(value) == r and all(_is_decimals(row, r) for row in value)
-
-
-def _is_bits(value, r: int) -> bool:
-    return isinstance(value, list) and len(value) == r and all(_is_int(b) and b in (0, 1) for b in value)
-
-
-# what each transcript payload kind must look like, given the bulletin's r
-_PAYLOAD_SHAPES = {
-    "matrix": _is_square,
-    "vector": _is_decimals,
-    "binary_vector": _is_bits,
-    "verdict": lambda doc, r: isinstance(doc, bool),
-    "index_pointer": lambda doc, r: isinstance(doc, dict)
-    and _is_int(doc.get("matrix_index"))
-    and isinstance(doc.get("ring"), list),
-}
+    Nesting too deep for the JSON parser counts as malformed too.  A file
+    that cannot be read at all raises its OSError.
+    """
+    try:
+        return decode(json.loads(path.read_text(encoding="utf-8")), *args)
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def load_workspace(workspace: Path) -> Tuple[Bulletin, List[Share]]:
     """Everything a protocol run needs: bulletin and shares, never the instance.
 
-    Every file is checked against the bulletin's r, k and n first, so a
+    Every share is decoded against the bulletin's r, k and n, so a
     malformed workspace is a usage error, not a failure mid-run.
     """
-    path = workspace / "bulletin.json"
-    doc = _read(path)
-    r, k, n = (_field(doc, key, path) for key in ("r", "k", "n"))
-    _require(all(map(_is_int, (r, k, n))), path, "r, k and n must be integers")
-    matrices, u_prime = _field(doc, "matrices", path), _field(doc, "u_prime", path)
-    _require(
-        isinstance(matrices, list) and len(matrices) == k and all(_is_square(m, r) for m in matrices),
-        path,
-        f"matrices must be {k} {r}x{r} matrices of decimal strings",
-    )
-    _require(
-        isinstance(u_prime, list) and len(u_prime) == n and all(_is_decimals(v, r) for v in u_prime),
-        path,
-        f"u_prime must be {n} vectors of {r} decimal strings",
-    )
-    bulletin = bulletin_from_json(doc)
-    shares = []
-    for j in range(1, n + 1):
-        path = workspace / "shares" / f"P{j}.json"
-        doc = _read(path)
-        participant, index, ring, u = (
-            _field(doc, key, path) for key in ("participant", "matrix_index", "ring", "u")
-        )
-        _require(_is_int(participant) and participant == j, path, f"participant must be {j}")
-        _require(_is_int(index) and 0 <= index < k, path, f"matrix_index must be in [0, {k})")
-        _require(ring == list(range(1, n + 1)), path, f"ring must be [1, ..., {n}]")
-        _require(_is_bits(u, r), path, f"u must be {r} bits")
-        shares.append(share_from_json(doc))
+    bulletin = _load(workspace / "bulletin.json", bulletin_from_json)
+    shares = [
+        _load(workspace / "shares" / f"P{j}.json", share_from_json, j, bulletin)
+        for j in range(1, bulletin.n + 1)
+    ]
     return bulletin, shares
-
-
-def load_transcript(path: Path, r: int) -> Transcript:
-    """A run's transcript, every event checked against the bulletin's r first."""
-    doc = _read(path)
-    events = _field(doc, "events", path)
-    _require(isinstance(events, list), path, "events must be a list")
-    for i, event in enumerate(events):
-        step, sender, recipient, visibility, kind, payload = (
-            _field(event, key, path) for key in ("step", "from", "to", "visibility", "kind", "payload")
-        )
-        _require(
-            _is_int(step) and all(isinstance(x, str) for x in (sender, recipient, visibility, kind)),
-            path,
-            f"event {i}: step must be an integer and from, to, visibility and kind strings",
-        )
-        shape = _PAYLOAD_SHAPES.get(kind)
-        _require(shape is not None and shape(payload, r), path, f"event {i}: malformed {kind!r} payload")
-    return transcript_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +305,13 @@ def sample_kn(r: int, k_range: Tuple[int, int], n_range: Tuple[int, int], seed: 
     return k, rng.randint(n_lo, n_hi)
 
 
-def _parse_cheat(spec: str, r: int, entry_bound: int) -> CheaterSpec:
+def _parse_cheat(spec: str, r: int) -> CheaterSpec:
     try:
         pos_text, seed_text = spec.split(":", 1)
         position, forge_seed = int(pos_text), int(seed_text)
     except ValueError:
         raise ValueError(f"cheat spec must be 'position:forge-seed', got {spec!r}")
-    forged = sample_matrix(r, entry_bound, Random(forge_seed))
+    forged = sample_matrix(r, FORGED_ENTRY_BOUND, Random(forge_seed))
     return CheaterSpec(position=position, forged=forged)
 
 
@@ -342,7 +323,7 @@ def cmd_run(workspace: Path, start: int, cheat: Optional[str], t: int, seed: int
         raise ValueError("t must be >= 1")
     cheater = None
     if cheat is not None:
-        cheater = _parse_cheat(cheat, bulletin.r, 256)
+        cheater = _parse_cheat(cheat, bulletin.r)
         if not 1 <= cheater.position <= bulletin.n:
             raise ValueError(f"cheater position must be in [1, {bulletin.n}]")
 
@@ -372,10 +353,7 @@ def cmd_attack(
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     bulletin, _ = load_workspace(workspace)
-    path = workspace / "instance.json"
-    secret = _field(_read(path), "secret", path)
-    _require(_is_square(secret, bulletin.r), path, f"secret must be {bulletin.r}x{bulletin.r}")
-    target = matrix_from_json(secret)
+    target = _load(workspace / "instance.json", _secret_from_json, bulletin.r)
 
     k, n = bulletin.k, bulletin.n
     space = {
@@ -406,7 +384,7 @@ def cmd_attack(
     ratio_hits = []
     transcript_path = workspace / "transcript.json"
     if transcript_path.exists():
-        transcript = load_transcript(transcript_path, bulletin.r)
+        transcript = _load(transcript_path, transcript_from_json, bulletin.r)
         hits = attack_mod.ratio_analysis(transcript.eavesdropper_view, bulletin)
         ratio_hits = [
             {"position": h.position, "matrix_index": h.matrix_index} for h in hits
@@ -497,15 +475,13 @@ def main(argv=None) -> int:
         if args.command == "run":
             seed = args.seed if args.seed is not None else _default_seed()
             return cmd_run(args.workspace, args.start, args.cheat, args.t, seed)
-        if args.command == "attack":
-            return cmd_attack(
-                args.workspace,
-                mode=args.mode,
-                limit=args.limit,
-                count_only=args.count_only,
-                force=args.force,
-            )
-        raise ValueError(f"unknown command: {args.command!r}")
+        return cmd_attack(
+            args.workspace,
+            mode=args.mode,
+            limit=args.limit,
+            count_only=args.count_only,
+            force=args.force,
+        )
     except (IntegrityFailure, SingularMatrix) as err:
         print(f"integrity failure: {err}", file=sys.stderr)
         return EXIT_INTEGRITY
@@ -514,7 +490,7 @@ def main(argv=None) -> int:
         return EXIT_GUARDRAIL
     except GenerationFailure as err:
         print(f"generation failure: {err}", file=sys.stderr)
-        return 1
+        return EXIT_GENERATION
     except (ValueError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,15 +16,11 @@ bulletin, and every message it sends lands on the network's transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
 from typing import List, Optional, Tuple
 
 from .algebra import (
     Matrix,
-    _as_rng,
-    _dots,
-    _max_bits,
-    _trial_vectors,
+    freivalds_screen,
     mat_mul,
     mat_vec_mul,
     sample_invertible_matrix,
@@ -183,40 +179,17 @@ def freivalds_audit(transcript: Transcript, bulletin: Bulletin, t: int, seed) ->
     """Audit a reconstruction transcript with probabilistic product checks.
 
     Every consecutive pair of public reveals must be explainable as one
-    public-set matrix applied to the previous reveal; each of the k
-    candidates is screened with t Freivalds trials instead of a full
-    product.  The t trial vectors U are drawn once per audit and shared by
-    every pair and candidate: prev*U and nxt*U are formed once per pair
-    (packed, one int per row), and a candidate is screened row by row
-    against them, stopping at its first mismatching row.  Each candidate
-    still sees t independent uniform trials, so a forged pair passes a
-    given candidate with probability at most 2^-t and slips through with
-    probability at most k * 2^-t (union bound), not 2^-t.  The hand-back
-    must equal the final reveal exactly.  Returns the conjunction of all
-    checks; a false return signals inconsistent reveals.
+    public-set matrix applied to the previous reveal; ``freivalds_screen``
+    checks each of the k candidates with t Freivalds trials instead of a
+    full product, the trial vectors shared by every pair and candidate.
+    A forged pair slips through with probability at most k * 2^-t (union
+    bound over the candidates), not 2^-t.  The hand-back must equal the
+    final reveal exactly.  Returns the conjunction of all checks; a false
+    return signals inconsistent reveals.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
     reveals = [e.payload for e in broadcast_matrices(transcript.envelopes)]
-    if len(reveals) > 1:
-        r = bulletin.r
-        if any(m.dim != r for m in reveals + list(bulletin.matrices)):
-            raise ValueError(f"dimension mismatch: a reveal or candidate is not {r}x{r}")
-        # entries of candidate*(prev*u) and of nxt*u stay below this bit length
-        bits = (
-            max(_max_bits(m.rows) for m in bulletin.matrices)
-            + max(_max_bits(m.rows) for m in reveals)
-            + 2 * r.bit_length()
-        )
-        u = _trial_vectors(r, t, _as_rng(seed), bits)
-        for prev, nxt in zip(reveals, reveals[1:]):
-            prev_u = list(_dots(prev.rows, u))
-            nxt_u = list(_dots(nxt.rows, u))
-            if not any(
-                all(map(eq, _dots(candidate.rows, prev_u), nxt_u))
-                for candidate in bulletin.matrices
-            ):
-                return False
+    if not freivalds_screen(zip(reveals, reveals[1:]), bulletin.matrices, t, seed):
+        return False
     handbacks = [
         e
         for e in transcript.envelopes

@@ -98,8 +98,8 @@ def test_run_honest_recovers_secret(tmp_path, capsys):
     secure_matrices = [
         ev for ev in transcript["events"] if ev["kind"] == "matrix" and ev["visibility"] == "secure"
     ]
-    recovered = matrix_from_json(secure_matrices[-1]["payload"])
-    secret = matrix_from_json(read_json(ws / "instance.json")["secret"])
+    recovered = matrix_from_json(secure_matrices[-1]["payload"], 4)
+    secret = matrix_from_json(read_json(ws / "instance.json")["secret"], 4)
     assert recovered == secret
 
 
@@ -155,7 +155,7 @@ def test_transcript_round_trip_is_byte_identical(tmp_path):
     ws = deal(tmp_path)
     assert main(["run", "--workspace", str(ws), "--start", "3", "--seed", "2"]) == EXIT_OK
     raw = (ws / "transcript.json").read_text()
-    reparsed = canonical_json(transcript_to_json(transcript_from_json(json.loads(raw))))
+    reparsed = canonical_json(transcript_to_json(transcript_from_json(json.loads(raw), 4)))
     assert reparsed == raw
 
 
@@ -352,6 +352,11 @@ MALFORMED = {
     "check vector of wrong dimension": ("shares/P2.json", lambda d: d.update(u=[1, 1, 0]), "run"),
     "check vector with a float bit": ("shares/P2.json", lambda d: d.update(u=[1.0, 1, 0, 1, 0, 1]), "run"),
     "empty instance": ("instance.json", lambda d: d.clear(), "attack"),
+    "secret of wrong dimension": ("instance.json", lambda d: d.update(secret=d["secret"][:5]), "attack"),
+    "matrix entry as a JSON number": ("bulletin.json", lambda d: d["matrices"][0][0].__setitem__(0, 7), "run"),
+    "float in u_prime": ("bulletin.json", lambda d: d["u_prime"][1].__setitem__(2, 1.5), "run"),
+    "boolean r": ("bulletin.json", lambda d: d.update(r=True), "run"),
+    "share nested 200000 deep": ("shares/P2.json", None, "run"),
 }
 
 
@@ -360,7 +365,11 @@ def test_malformed_workspace_is_usage_error(tmp_path, capsys, name):
     target, edit, command = MALFORMED[name]
     ws = deal(tmp_path, r=6, k=6, n=3)
     capsys.readouterr()
-    _edit_json(ws / target, edit)
+    if edit is None:
+        # nesting deeper than the JSON parser's recursion limit
+        (ws / target).write_text("[" * 200_000)
+    else:
+        _edit_json(ws / target, edit)
     argv = ["run", "--workspace", str(ws)] if command == "run" else ["attack", "--workspace", str(ws), "--count-only"]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -372,10 +381,18 @@ def _first_event_without_sender(doc):
     return {"events": [first] + doc["events"][1:]}
 
 
+def _first_matrix_cut_to_5x5(doc):
+    event = next(event for event in doc["events"] if event["kind"] == "matrix")
+    event["payload"] = [row[:5] for row in event["payload"][:5]]
+    return doc
+
+
 MALFORMED_TRANSCRIPTS = {
     "no events": lambda d: {},
     "event without sender": _first_event_without_sender,
     "top level is a list": lambda d: [],
+    "unknown payload kind": lambda d: {"events": [{**d["events"][0], "kind": "scalar"}] + d["events"][1:]},
+    "matrix payload of wrong dimension": _first_matrix_cut_to_5x5,
 }
 
 
