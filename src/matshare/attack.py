@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Matrix, chain_product, solve_integer
+from .algebra import Matrix, mat_mul, solve_integer
 from .dealer import Bulletin
 from .errors import GuardrailExceeded, SingularMatrix
 from .transport import Envelope, broadcast_matrices, participant_position
@@ -78,6 +78,49 @@ def count_search_space(k: int, n: int, mode: str) -> int:
     raise ValueError(f"unknown mode: {mode!r}")
 
 
+def _prefix_products(matrices: Sequence[Matrix], depth: int, distinct: bool):
+    """Yield (prefix, product) for every index prefix of the given depth.
+
+    Prefixes come in the lexicographic order of ``permutations`` (distinct)
+    or ``product`` (with repetition), and are read in ring order: later
+    indices multiply on the left.  Each product is one ``mat_mul`` onto
+    its parent prefix's product, formed when the prefix is reached, so a
+    prefix shared by many sequences is multiplied out once.  The empty
+    prefix has product None.
+    """
+    if depth == 0:
+        yield (), None
+        return
+    for prefix, acc in _prefix_products(matrices, depth - 1, distinct):
+        for idx, m in enumerate(matrices):
+            if not (distinct and idx in prefix):
+                yield prefix + (idx,), m if acc is None else mat_mul(m, acc)
+
+
+def _tested_sequences(problem: SearchProblem, distinct: bool):
+    """Yield (sequence, is_solution) for every sequence, in enumeration order.
+
+    Entry (0, 0) of m * acc is row 0 of m times column 0 of acc; when it
+    differs from the target's, m * acc is not the target, exactly.  Only
+    a sequence whose corner matches has its full product formed, and only
+    the exact comparison of that product with the target makes it a
+    solution.
+    """
+    target = problem.target
+    corner = target.rows[0][0]
+    # column 0 of the empty prefix's product, the identity
+    unit = [1] + [0] * (target.dim - 1)
+    for prefix, acc in _prefix_products(problem.matrices, problem.n - 1, distinct):
+        col = unit if acc is None else [row[0] for row in acc.rows]
+        for idx, m in enumerate(problem.matrices):
+            if distinct and idx in prefix:
+                continue
+            yield prefix + (idx,), (
+                sum(map(mul, m.rows[0], col)) == corner
+                and (m if acc is None else mat_mul(m, acc)) == target
+            )
+
+
 def exhaustive_search(
     problem: SearchProblem,
     mode: str = ORDERED_DISTINCT,
@@ -87,8 +130,14 @@ def exhaustive_search(
     """Enumerate every ordered sequence in the mode; no pruning, no heuristics.
 
     Returns each sequence whose ordered product equals the target, up to
-    `limit` (at least 1).  Spaces beyond the desk-scale guardrail are
-    refused unless explicitly overridden.
+    `limit` (at least 1), in the lexicographic order of ``permutations``
+    (ordered-distinct) or ``product`` (ordered-rep).  Every sequence is
+    tested exactly and counted in ``nodes_explored``.  The cost is one
+    ``mat_mul`` per prefix of length 2 to n-1, plus one length-r dot
+    product per sequence for its (0, 0) entry; the full product is formed
+    only when that entry matches the target's, and a solution is reported
+    only after that product compares equal to the target.  Spaces beyond
+    the desk-scale guardrail are refused unless explicitly overridden.
     """
     if mode not in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
         raise ValueError(f"mode must be enumerable, got {mode!r}")
@@ -99,19 +148,13 @@ def exhaustive_search(
     if space > GUARDRAIL_LIMIT and not allow_large:
         raise GuardrailExceeded(space, GUARDRAIL_LIMIT)
 
-    if mode == ORDERED_DISTINCT:
-        sequences = permutations(range(k), problem.n)
-    else:
-        sequences = product(range(k), repeat=problem.n)
-
     started = time.perf_counter()
     solutions: List[Tuple[int, ...]] = []
     nodes = 0
-    for seq in sequences:
+    for seq, is_solution in _tested_sequences(problem, mode == ORDERED_DISTINCT):
         nodes += 1
-        # sequences are read in ring order: later indices multiply on the left
-        if chain_product(problem.matrices[idx] for idx in seq) == problem.target:
-            solutions.append(tuple(seq))
+        if is_solution:
+            solutions.append(seq)
             if limit is not None and len(solutions) >= limit:
                 break
     elapsed = time.perf_counter() - started

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -111,8 +112,77 @@ def test_search_respects_limit():
     eye = Matrix.identity(2)
     problem = SearchProblem(matrices=(eye,) * 5, n=2, target=eye)
     result = exhaustive_search(problem, ORDERED_DISTINCT, limit=3)
-    assert len(result.solutions) == 3
-    assert len(exhaustive_search(problem, ORDERED_DISTINCT, limit=1).solutions) == 1
+    assert result.solutions == ((0, 1), (0, 2), (0, 3))
+    assert result.nodes_explored == 3
+    first = exhaustive_search(problem, ORDERED_DISTINCT, limit=1)
+    assert first.solutions == ((0, 1),)
+    assert first.nodes_explored == 1
+
+
+def reference_search(problem, mode, limit):
+    """(solutions, nodes_explored) by plain enumeration, each product formed from scratch."""
+    raw = [mat_rows(m) for m in problem.matrices]
+    target = mat_rows(problem.target)
+    indices = range(len(raw))
+    if mode == ORDERED_DISTINCT:
+        sequences = permutations(indices, problem.n)
+    else:
+        sequences = product(indices, repeat=problem.n)
+    solutions, nodes = [], 0
+    for seq in sequences:
+        nodes += 1
+        if ordered_seq_product(raw, seq) == target:
+            solutions.append(seq)
+            if limit is not None and len(solutions) >= limit:
+                break
+    return tuple(solutions), nodes
+
+
+SWAP = Matrix([[0, 1], [1, 0]])
+SHEAR = Matrix([[1, 1], [0, 1]])
+# repeated matrices, so sequences tie on their products and on prefixes
+REPEATED_SET = (SWAP, Matrix.identity(2), SHEAR, SWAP, Matrix.identity(2), Matrix([[1, 0], [1, 1]]))
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", [ORDERED_DISTINCT, ORDERED_WITH_REPETITION])
+def test_search_matches_reference_enumeration(mode, n, limit):
+    # SWAP to an odd power is SWAP, to an even one the identity
+    target = SWAP if n % 2 else Matrix.identity(2)
+    problem = SearchProblem(matrices=REPEATED_SET, n=n, target=target)
+    result = exhaustive_search(problem, mode, limit=limit)
+    assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, limit)
+    assert result.solutions
+
+
+@pytest.mark.parametrize("mode", [ORDERED_DISTINCT, ORDERED_WITH_REPETITION])
+def test_search_matches_reference_on_dealt_instance(mode):
+    instance, bulletin, _ = dealt(23, r=4, k=5, n=3)
+    problem = SearchProblem(matrices=bulletin.matrices, n=3, target=instance.secret)
+    for limit in (None, 1):
+        result = exhaustive_search(problem, mode, limit=limit)
+        assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, limit)
+    assert instance.sigma in result.solutions
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_search_rejects_corner_match_that_is_not_a_solution(n):
+    # DECOY equals SHEAR in row 0 only, so a sequence ending in DECOY has
+    # the solution's (0, 0) product entry but another product
+    decoy = Matrix([[1, 1], [5, 2]])
+    matrices = (SWAP, Matrix([[2, 1], [1, 1]]), SHEAR, decoy)
+    solution = (1, 0, 2)[-n:]
+    near_miss = solution[:-1] + (3,)
+    raw = [mat_rows(m) for m in matrices]
+    target = ordered_seq_product(raw, solution)
+    near_miss_product = ordered_seq_product(raw, near_miss)
+    assert near_miss_product[0][0] == target[0][0] and near_miss_product != target
+    problem = SearchProblem(matrices=matrices, n=n, target=Matrix(target))
+    for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+        result = exhaustive_search(problem, mode)
+        assert solution in result.solutions and near_miss not in result.solutions
+        assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, None)
 
 
 @pytest.mark.parametrize("limit", [0, -3])
