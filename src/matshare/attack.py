@@ -2,7 +2,12 @@
 
 The exhaustive search solves the bounded matrix-representability search
 problem at desk scale: find n matrices in the public set whose ordered
-product equals a target.  The ratio analysis shows what a passive
+product equals a target.  It tests every sequence exactly, sharing the
+work sequences have in common: one ``mat_mul`` per prefix of two or
+more factors, then one length-r dot product per sequence for the (0, 0)
+entry of its product.  A sequence whose entry differs from the target's
+is provably not a solution; the full product is formed, and compared
+exactly, only on a match.  The ratio analysis shows what a passive
 observer of the public reconstruction reveals can extract: each
 consecutive pair of reveals quotients to a raw shadow, found by the
 same certified integer solver that strips the blinding in recovery.
