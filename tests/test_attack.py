@@ -75,6 +75,25 @@ def test_counts_validate_args():
 # exhaustive_search
 # ---------------------------------------------------------------------------
 
+def reference_search(problem, mode, limit):
+    """(solutions, nodes_explored) by plain enumeration, each product formed from scratch."""
+    raw = [mat_rows(m) for m in problem.matrices]
+    target = mat_rows(problem.target)
+    indices = range(len(raw))
+    if mode == ORDERED_DISTINCT:
+        sequences = permutations(indices, problem.n)
+    else:
+        sequences = product(indices, repeat=problem.n)
+    solutions, nodes = [], 0
+    for seq in sequences:
+        nodes += 1
+        if ordered_seq_product(raw, seq) == target:
+            solutions.append(seq)
+            if limit is not None and len(solutions) >= limit:
+                break
+    return tuple(solutions), nodes
+
+
 def test_search_finds_dealer_sigma():
     instance, bulletin, _ = dealt()
     problem = SearchProblem(matrices=bulletin.matrices, n=3, target=instance.secret)
@@ -91,6 +110,7 @@ def test_search_solutions_reverify_against_oracle():
     for seq in result.solutions:
         assert ordered_seq_product(raw, seq) == mat_rows(instance.secret)
     assert instance.sigma in result.solutions
+    assert (result.solutions, result.nodes_explored) == reference_search(problem, ORDERED_WITH_REPETITION, None)
 
 
 def test_search_all_identities():
@@ -119,25 +139,6 @@ def test_search_respects_limit():
     assert first.nodes_explored == 1
 
 
-def reference_search(problem, mode, limit):
-    """(solutions, nodes_explored) by plain enumeration, each product formed from scratch."""
-    raw = [mat_rows(m) for m in problem.matrices]
-    target = mat_rows(problem.target)
-    indices = range(len(raw))
-    if mode == ORDERED_DISTINCT:
-        sequences = permutations(indices, problem.n)
-    else:
-        sequences = product(indices, repeat=problem.n)
-    solutions, nodes = [], 0
-    for seq in sequences:
-        nodes += 1
-        if ordered_seq_product(raw, seq) == target:
-            solutions.append(seq)
-            if limit is not None and len(solutions) >= limit:
-                break
-    return tuple(solutions), nodes
-
-
 SWAP = Matrix([[0, 1], [1, 0]])
 SHEAR = Matrix([[1, 1], [0, 1]])
 # repeated matrices, so sequences tie on their products and on prefixes
@@ -156,19 +157,9 @@ def test_search_matches_reference_enumeration(mode, n, limit):
     assert result.solutions
 
 
-@pytest.mark.parametrize("mode", [ORDERED_DISTINCT, ORDERED_WITH_REPETITION])
-def test_search_matches_reference_on_dealt_instance(mode):
-    instance, bulletin, _ = dealt(23, r=4, k=5, n=3)
-    problem = SearchProblem(matrices=bulletin.matrices, n=3, target=instance.secret)
-    for limit in (None, 1):
-        result = exhaustive_search(problem, mode, limit=limit)
-        assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, limit)
-    assert instance.sigma in result.solutions
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_search_rejects_corner_match_that_is_not_a_solution(n):
-    # DECOY equals SHEAR in row 0 only, so a sequence ending in DECOY has
+    # decoy equals SHEAR in row 0 only, so a sequence ending in decoy has
     # the solution's (0, 0) product entry but another product
     decoy = Matrix([[1, 1], [5, 2]])
     matrices = (SWAP, Matrix([[2, 1], [1, 1]]), SHEAR, decoy)
