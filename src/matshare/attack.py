@@ -19,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Matrix, mat_mul, solve_integer
 from .dealer import Bulletin
@@ -83,7 +83,9 @@ def count_search_space(k: int, n: int, mode: str) -> int:
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _prefix_products(matrices: Sequence[Matrix], depth: int, distinct: bool):
+def _prefix_products(
+    matrices: Sequence[Matrix], depth: int, distinct: bool
+) -> Iterator[Tuple[Tuple[int, ...], Optional[Matrix]]]:
     """Yield (prefix, product) for every index prefix of the given depth.
 
     Prefixes come in the lexicographic order of ``permutations`` (distinct)
@@ -102,7 +104,7 @@ def _prefix_products(matrices: Sequence[Matrix], depth: int, distinct: bool):
                 yield prefix + (idx,), m if acc is None else mat_mul(m, acc)
 
 
-def _tested_sequences(problem: SearchProblem, distinct: bool):
+def _tested_sequences(problem: SearchProblem, distinct: bool) -> Iterator[Tuple[Tuple[int, ...], bool]]:
     """Yield (sequence, is_solution) for every sequence, in enumeration order.
 
     Entry (0, 0) of m * acc is row 0 of m times column 0 of acc; when it
