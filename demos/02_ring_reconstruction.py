@@ -19,7 +19,7 @@ for start in range(1, params.n + 1):
     print(f"-- round started by P{start} --")
     for envelope in result.transcript.envelopes:
         tag = "secure" if envelope.visibility == "secure" else "public"
-        print(f"  step {envelope.step:2d} [{tag:6s}] {envelope.sender} -> {envelope.recipient}: {envelope.kind}")
+        print(f"  step {envelope.step:2d} [{tag:6s}] {envelope.sender} -> {envelope.recipient}: {type(envelope.payload).__name__}")
     assert result.verdict, "honest ring must verify"
     assert result.recovered == instance.secret, "every start recovers the same secret"
     print(f"  verdict: {result.verdict}, recovered == dealer secret: True\n")

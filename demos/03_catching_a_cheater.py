@@ -8,7 +8,7 @@ participant broadcasts a false verdict before reconstruction can begin.
 
 from random import Random
 
-from matshare import CheaterSpec, DealerParams, generate_instance, sample_matrix, simulate_run
+from matshare import CheaterSpec, DealerParams, Matrix, generate_instance, sample_matrix, simulate_run
 
 params = DealerParams(r=5, k=8, n=4, entry_bound=32, seed=11)
 instance, bulletin, shares = generate_instance(params)
@@ -21,7 +21,7 @@ for position in range(1, params.n + 1):
         bulletin, shares, start=1, rng=Random(position),
         cheater=CheaterSpec(position=position, forged=forged),
     )
-    matrix_events = [e for e in result.transcript.envelopes if e.kind == "matrix"]
+    matrix_events = [e for e in result.transcript.envelopes if isinstance(e.payload, Matrix)]
     print(
         f"cheater at P{position}: verdict={result.verdict}, "
         f"reconstruction reveals={len(matrix_events)}, recovered={result.recovered}"

@@ -127,13 +127,6 @@ class Matrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return mat_mul(self, other)
-        if isinstance(other, (Vector, BinaryVector)):
-            return mat_vec_mul(self, other)
-        return NotImplemented
-
     def __repr__(self):
         return f"Matrix({[list(row) for row in self.rows]})"
 
@@ -151,7 +144,7 @@ class Vector:
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), (self.entries,)
@@ -161,51 +154,33 @@ class Vector:
         return len(self.entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.entries == other.entries
+        # exact types: a check vector never equals a plain vector
+        return type(other) is type(self) and self.entries == other.entries
 
     def __hash__(self):
         return hash(self.entries)
 
     def __repr__(self):
-        return f"Vector({list(self.entries)})"
+        return f"{type(self).__name__}({list(self.entries)})"
 
 
-class BinaryVector:
+class BinaryVector(Vector):
     """An immutable 0/1 vector; the check vectors of the scheme."""
 
-    __slots__ = ("bits",)
+    __slots__ = ()
 
     def __init__(self, bits: Iterable[int]):
-        bits = tuple(bits)
-        if not bits:
-            raise ValueError("binary vector must have at least one bit")
-        _require_ints((bits,))
-        if any(b not in (0, 1) for b in bits):
+        Vector.__init__(self, bits)
+        if any(b not in (0, 1) for b in self.entries):
             raise ValueError("binary vector entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryVector is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.bits,)
 
     @property
-    def dim(self) -> int:
-        return len(self.bits)
+    def bits(self) -> Tuple[int, ...]:
+        return self.entries
 
     @property
     def weight(self) -> int:
-        return sum(self.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinaryVector) and self.bits == other.bits
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __repr__(self):
-        return f"BinaryVector({list(self.bits)})"
+        return sum(self.entries)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -234,20 +209,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(entries[i:i + r] for i in range(0, r * r, r))
 
 
-def _vec_entries(v) -> Sequence[int]:
-    if isinstance(v, Vector):
-        return v.entries
-    if isinstance(v, BinaryVector):
-        return v.bits
-    raise TypeError("expected Vector or BinaryVector")
-
-
-def mat_vec_mul(a: Matrix, v) -> Vector:
+def mat_vec_mul(a: Matrix, v: Vector) -> Vector:
     """Exact product a*v under the column-vector convention."""
-    entries = _vec_entries(v)
-    if a.dim != len(entries):
-        raise ValueError(f"dimension mismatch: {a.dim} vs {len(entries)}")
-    return Vector(sum(map(mul, row, entries)) for row in a.rows)
+    if not isinstance(v, Vector):
+        raise TypeError("expected a Vector")
+    if a.dim != v.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {v.dim}")
+    return Vector(sum(map(mul, row, v.entries)) for row in a.rows)
 
 
 def _bareiss(w, ncols: int, reduce_above: bool = False):

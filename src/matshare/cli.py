@@ -186,14 +186,17 @@ def _verdict_from_json(doc, r: int) -> bool:
     return doc
 
 
-# transcript payload kind -> (encoder, decoder given the bulletin's r)
+# the one payload table: exact payload type -> (transcript kind, encoder,
+# decoder given the bulletin's r).  Looked up by type(payload), never by
+# isinstance, since a BinaryVector is also a Vector.
 _PAYLOADS = {
-    "matrix": (matrix_to_json, matrix_from_json),
-    "vector": (vector_to_json, vector_from_json),
-    "binary_vector": (bits_to_json, bits_from_json),
-    "verdict": (bool, _verdict_from_json),
-    "index_pointer": (_pointer_to_json, _pointer_from_json),
+    Matrix: ("matrix", matrix_to_json, matrix_from_json),
+    Vector: ("vector", vector_to_json, vector_from_json),
+    BinaryVector: ("binary_vector", bits_to_json, bits_from_json),
+    bool: ("verdict", bool, _verdict_from_json),
+    IndexPointer: ("index_pointer", _pointer_to_json, _pointer_from_json),
 }
+_DECODERS = {kind: decode for kind, _, decode in _PAYLOADS.values()}
 
 
 def transcript_to_json(t: Transcript) -> dict:
@@ -204,8 +207,8 @@ def transcript_to_json(t: Transcript) -> dict:
                 "from": e.sender,
                 "to": e.recipient,
                 "visibility": e.visibility,
-                "kind": e.kind,
-                "payload": _PAYLOADS[e.kind][0](e.payload),
+                "kind": _PAYLOADS[type(e.payload)][0],
+                "payload": _PAYLOADS[type(e.payload)][1](e.payload),
             }
             for e in t.envelopes
         ]
@@ -223,9 +226,9 @@ def transcript_from_json(doc, r: int) -> Transcript:
             strings = (sender, recipient, visibility, kind)
             if type(step) is not int or not {str}.issuperset(map(type, strings)):
                 raise ValueError("step must be an integer and from, to, visibility and kind strings")
-            if kind not in _PAYLOADS:
+            if kind not in _DECODERS:
                 raise ValueError(f"unknown payload kind {kind!r}")
-            payload = _PAYLOADS[kind][1](payload, r)
+            payload = _DECODERS[kind](payload, r)
             envelopes.append(Envelope(step, sender, recipient, visibility, payload))
         except ValueError as err:
             raise ValueError(f"event {i}: {err}") from None

@@ -103,7 +103,6 @@ def run_reconstruction(
     start: int,
     rng,
     net: Optional[Network] = None,
-    x_override: Optional[Matrix] = None,
 ) -> Tuple[Matrix, Transcript]:
     """Walk the ring once from `start` with a blinded chain and recover the secret.
 
@@ -117,10 +116,7 @@ def run_reconstruction(
     held = {share.participant: share for share in shares}
     if net is None:
         net = _fresh_network(bulletin.n)
-    if x_override is not None:
-        x = x_override
-    else:
-        x = sample_invertible_matrix(bulletin.r, X_ENTRY_BOUND, rng)
+    x = sample_invertible_matrix(bulletin.r, X_ENTRY_BOUND, rng)
 
     v = c = None
     for pos in walk:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from .algebra import BinaryVector, Matrix, Vector
+from .algebra import Matrix, Vector
 
 PUBLIC = "public"
 SECURE = "secure"
@@ -42,22 +42,7 @@ class IndexPointer:
         object.__setattr__(self, "ring", tuple(self.ring))
 
 
-Payload = Union[Matrix, Vector, BinaryVector, bool, IndexPointer]
-
-_KIND_BY_TYPE = (
-    (Matrix, "matrix"),
-    (Vector, "vector"),
-    (BinaryVector, "binary_vector"),
-    (bool, "verdict"),
-    (IndexPointer, "index_pointer"),
-)
-
-
-def payload_kind(payload: Payload) -> str:
-    for cls, kind in _KIND_BY_TYPE:
-        if isinstance(payload, cls):
-            return kind
-    raise TypeError(f"unsupported payload type: {type(payload).__name__}")
+Payload = Union[Matrix, Vector, bool, IndexPointer]
 
 
 @dataclass(frozen=True)
@@ -67,10 +52,6 @@ class Envelope:
     recipient: str
     visibility: str
     payload: Payload
-
-    @property
-    def kind(self) -> str:
-        return payload_kind(self.payload)
 
 
 @dataclass

@@ -118,7 +118,12 @@ def test_mat_vec_zero_vector():
 
 
 def test_mat_vec_accepts_binary_vectors():
+    # a check vector is a Vector, yet never equal to a plain one
+    assert isinstance(BinaryVector([0, 1]), Vector)
+    assert Vector([1, 1]) != BinaryVector([1, 1])
     assert mat_vec_mul(A, BinaryVector([1, 1])) == Vector([2, 1])
+    with pytest.raises(TypeError):
+        mat_vec_mul(A, [1, 1])
 
 
 def test_mat_vec_dimension_mismatch():
@@ -673,3 +678,5 @@ def test_values_are_immutable():
         A.rows = ()
     with pytest.raises(AttributeError):
         Vector([1]).entries = ()
+    with pytest.raises(AttributeError, match="BinaryVector is immutable"):
+        BinaryVector([1]).entries = ()

@@ -142,20 +142,16 @@ def test_round_plan_validation():
 # ---------------------------------------------------------------------------
 
 def test_reconstruction_worked_two_party_example():
-    # start at 2 with X = I: reveals are A2 then A1*A2, the hand-back is
-    # B = A1*A2 and C is the starter's own reveal A2
+    # start at 2: reveals are A2*X then A1*A2*X, the hand-back is
+    # B = A1*A2*X and C is the starter's own reveal A2*X; X is the
+    # round's first draw from its rng
     us = [BinaryVector([1, 1]), BinaryVector([1, 1])]
     bulletin, shares, secret = manual_setup([A1, A2], [0, 1], us)
-    recovered, transcript = run_reconstruction(
-        bulletin,
-        shares,
-        2,
-        Random(0),
-        x_override=Matrix.identity(2),
-    )
+    X = sample_invertible_matrix(2, X_ENTRY_BOUND, Random(0))
+    recovered, transcript = run_reconstruction(bulletin, shares, 2, Random(0))
     reveals = broadcast_matrices(transcript.envelopes)
-    assert reveals[0].payload == A2
-    assert reveals[1].payload == Matrix([[2, 1], [1, 1]])
+    assert reveals[0].payload == mat_mul(A2, X)
+    assert reveals[1].payload == mat_mul(Matrix([[2, 1], [1, 1]]), X)
     assert recovered == Matrix([[1, 1], [1, 2]])
     assert recovered == secret
 
