@@ -3,11 +3,12 @@
 The exhaustive search solves the bounded matrix-representability search
 problem at desk scale: find n matrices in the public set whose ordered
 product equals a target.  It tests every sequence exactly, sharing the
-work sequences have in common: one ``mat_mul`` per prefix of two or
-more factors, then one length-r dot product per sequence for the (0, 0)
-entry of its product.  A sequence whose entry differs from the target's
-is provably not a solution; the full product is formed, and compared
-exactly, only on a match.  The ratio analysis shows what a passive
+work sequences have in common: it carries only column 0 of each prefix
+product, one length-r mat-vec per prefix, then takes one length-r dot
+product per sequence for the (0, 0) entry of its product.  A sequence
+whose entry differs from the target's is provably not a solution; the
+full product is formed (n-1 ``mat_mul``), and compared exactly, only on
+a match.  The ratio analysis shows what a passive
 observer of the public reconstruction reveals can extract: each
 consecutive pair of reveals quotients to a raw shadow, found by the
 same certified integer solver that strips the blinding in recovery.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import Matrix, mat_mul, solve_integer
+from .algebra import Matrix, chain_product, solve_integer
 from .dealer import Bulletin
 from .errors import GuardrailExceeded, SingularMatrix
 from .transport import Envelope, broadcast_matrices, participant_position
@@ -83,25 +84,24 @@ def count_search_space(k: int, n: int, mode: str) -> int:
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _prefix_products(
+def _prefix_columns(
     matrices: Sequence[Matrix], depth: int, distinct: bool
-) -> Iterator[Tuple[Tuple[int, ...], Optional[Matrix]]]:
-    """Yield (prefix, product) for every index prefix of the given depth.
+) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    """Yield (prefix, column 0 of its product) for every index prefix of the given depth.
 
     Prefixes come in the lexicographic order of ``permutations`` (distinct)
     or ``product`` (with repetition), and are read in ring order: later
-    indices multiply on the left.  Each product is one ``mat_mul`` onto
-    its parent prefix's product, formed when the prefix is reached, so a
-    prefix shared by many sequences is multiplied out once.  The empty
-    prefix has product None.
+    indices multiply on the left.  Column 0 of m * acc is m times column 0
+    of acc, so each prefix costs one length-r mat-vec onto its parent's
+    column and no product is formed.  The empty prefix's column is e_0.
     """
     if depth == 0:
-        yield (), None
+        yield (), [1] + [0] * (matrices[0].dim - 1)
         return
-    for prefix, acc in _prefix_products(matrices, depth - 1, distinct):
+    for prefix, col in _prefix_columns(matrices, depth - 1, distinct):
         for idx, m in enumerate(matrices):
             if not (distinct and idx in prefix):
-                yield prefix + (idx,), m if acc is None else mat_mul(m, acc)
+                yield prefix + (idx,), [sum(map(mul, row, col)) for row in m.rows]
 
 
 def _tested_sequences(problem: SearchProblem, distinct: bool) -> Iterator[Tuple[Tuple[int, ...], bool]]:
@@ -113,19 +113,16 @@ def _tested_sequences(problem: SearchProblem, distinct: bool) -> Iterator[Tuple[
     the exact comparison of that product with the target makes it a
     solution.
     """
-    target = problem.target
+    matrices, target = problem.matrices, problem.target
     corner = target.rows[0][0]
-    # column 0 of the empty prefix's product, the identity
-    unit = [1] + [0] * (target.dim - 1)
-    for prefix, acc in _prefix_products(problem.matrices, problem.n - 1, distinct):
-        col = unit if acc is None else [row[0] for row in acc.rows]
-        for idx, m in enumerate(problem.matrices):
-            if distinct and idx in prefix:
-                continue
-            yield prefix + (idx,), (
-                sum(map(mul, m.rows[0], col)) == corner
-                and (m if acc is None else mat_mul(m, acc)) == target
-            )
+    for prefix, col in _prefix_columns(matrices, problem.n - 1, distinct):
+        for idx, m in enumerate(matrices):
+            if not (distinct and idx in prefix):
+                seq = prefix + (idx,)
+                yield seq, (
+                    sum(map(mul, m.rows[0], col)) == corner
+                    and chain_product(matrices[i] for i in seq) == target
+                )
 
 
 def exhaustive_search(
@@ -140,11 +137,14 @@ def exhaustive_search(
     `limit` (at least 1), in the lexicographic order of ``permutations``
     (ordered-distinct) or ``product`` (ordered-rep).  Every sequence is
     tested exactly and counted in ``nodes_explored``.  The cost is one
-    ``mat_mul`` per prefix of length 2 to n-1, plus one length-r dot
-    product per sequence for its (0, 0) entry; the full product is formed
-    only when that entry matches the target's, and a solution is reported
-    only after that product compares equal to the target.  Spaces beyond
-    the desk-scale guardrail are refused unless explicitly overridden.
+    length-r mat-vec per prefix of length 1 to n-1 (column 0 of its
+    product), plus one length-r dot product per sequence for its (0, 0)
+    entry; the full product, n-1 ``mat_mul``, is formed only when that
+    entry matches the target's, and a solution is reported only after that
+    product compares equal to the target.  At worst every corner matches,
+    as over a set of identities, and each sequence costs n-1 ``mat_mul``.
+    Spaces beyond the desk-scale guardrail are refused unless explicitly
+    overridden.
     """
     if mode not in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
         raise ValueError(f"mode must be enumerable, got {mode!r}")

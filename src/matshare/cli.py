@@ -15,6 +15,7 @@ admissible instance within its retry budget), 2 forgery detected,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -418,6 +419,7 @@ def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="matshare", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

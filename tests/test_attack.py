@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from matshare import algebra, attack
 from matshare.attack import (
     GUARDRAIL_LIMIT,
     MULTISET,
@@ -21,7 +22,7 @@ from matshare.errors import GuardrailExceeded
 from matshare.protocol import simulate_run
 from matshare.transport import broadcast_matrices
 
-from oracles import mat_rows, ordered_seq_product
+from oracles import mat_rows, naive_matvec, ordered_seq_product
 
 
 def dealt(seed=42, r=4, k=6, n=3):
@@ -146,7 +147,7 @@ REPEATED_SET = (SWAP, Matrix.identity(2), SHEAR, SWAP, Matrix.identity(2), Matri
 
 
 @pytest.mark.parametrize("limit", [None, 1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("mode", [ORDERED_DISTINCT, ORDERED_WITH_REPETITION])
 def test_search_matches_reference_enumeration(mode, n, limit):
     # SWAP to an odd power is SWAP, to an even one the identity
@@ -174,6 +175,57 @@ def test_search_rejects_corner_match_that_is_not_a_solution(n):
         result = exhaustive_search(problem, mode)
         assert solution in result.solutions and near_miss not in result.solutions
         assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, None)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_tells_apart_matrices_sharing_row_and_column_zero(n):
+    # a and b differ only off row 0 and column 0: with a first, a sequence
+    # and its copy with b have the same column 0 at every prefix; with a
+    # last, the same row 0 times the same prefix column.  Either way their
+    # (0, 0) entries coincide and only the exact comparison separates them.
+    a, b = Matrix([[2, 1], [1, 1]]), Matrix([[2, 1], [1, 3]])
+    matrices = (SWAP, a, SHEAR, b)
+    raw = [mat_rows(m) for m in matrices]
+    for solution in ((1, 2, 0)[:n], (0, 2, 1)[-n:]):
+        decoy = tuple(3 if i == 1 else i for i in solution)
+        target = ordered_seq_product(raw, solution)
+        decoy_product = ordered_seq_product(raw, decoy)
+        assert decoy_product[0][0] == target[0][0] and decoy_product != target
+        problem = SearchProblem(matrices=matrices, n=n, target=Matrix(target))
+        for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+            result = exhaustive_search(problem, mode)
+            assert solution in result.solutions and decoy not in result.solutions
+            assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, None)
+
+
+def test_search_forms_full_products_only_on_corner_matches(monkeypatch):
+    # the search reads column 0 of each prefix product, so the only
+    # mat_mul it makes are the n-1 of each full product, formed for a
+    # sequence whose (0, 0) entry matches the target's
+    instance, bulletin, _ = dealt(8, r=8, k=12, n=4)
+    raw = [mat_rows(m) for m in bulletin.matrices]
+    corner = instance.secret.rows[0][0]
+    matches = 0
+    for prefix in permutations(range(12), 3):
+        col = [row[0] for row in raw[prefix[0]]]
+        for i in prefix[1:]:
+            col = naive_matvec(raw[i], col)
+        for last in set(range(12)) - set(prefix):
+            matches += sum(x * y for x, y in zip(raw[last][0], col)) == corner
+    calls = []
+    original = algebra.mat_mul
+
+    def counting_mat_mul(x, y):
+        calls.append(1)
+        return original(x, y)
+
+    for module in (algebra, attack):
+        if hasattr(module, "mat_mul"):
+            monkeypatch.setattr(module, "mat_mul", counting_mat_mul)
+    problem = SearchProblem(matrices=bulletin.matrices, n=4, target=instance.secret)
+    result = exhaustive_search(problem, ORDERED_DISTINCT)
+    assert instance.sigma in result.solutions and result.nodes_explored == 11880
+    assert len(calls) <= 3 * matches, f"{len(calls)} mat_mul calls, {matches} corner-matching sequences"
 
 
 @pytest.mark.parametrize("limit", [0, -3])

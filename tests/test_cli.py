@@ -17,6 +17,7 @@ from matshare.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
+    matrix_digest,
     matrix_from_json,
     transcript_from_json,
     transcript_to_json,
@@ -101,6 +102,18 @@ def test_run_honest_recovers_secret(tmp_path, capsys):
     recovered = matrix_from_json(secure_matrices[-1]["payload"], 4)
     secret = matrix_from_json(read_json(ws / "instance.json")["secret"], 4)
     assert recovered == secret
+
+
+def test_main_carries_no_option_between_calls(tmp_path, capsys):
+    # one process, one parser: a forged run and a refused attack must
+    # leave nothing behind for the honest run that follows
+    ws = deal(tmp_path)
+    assert main(["run", "--workspace", str(ws), "--cheat", "2:5", "--seed", "1"]) == EXIT_FORGERY
+    assert main(["attack", "--workspace", str(ws), "--limit", "0"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["run", "--workspace", str(ws)]) == EXIT_OK
+    secret = matrix_from_json(read_json(ws / "instance.json")["secret"], 4)
+    assert f"recovered secret sha256 {matrix_digest(secret)}" in capsys.readouterr().out
 
 
 def test_run_does_not_need_instance_file(tmp_path):
