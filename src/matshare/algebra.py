@@ -8,14 +8,16 @@ so no step ever leaves the integers.
 The hot loops run on packed rows (Kronecker substitution; von zur Gathen
 & Gerhard, *Modern Computer Algebra*, sec. 8.4): a row of entries is one
 Python int of fixed-width slots, so a row update is one big-int
-multiply-add in C instead of one interpreter step per entry.  ``mat_mul``
-packs the rows of its right factor, the mod-p elimination under the
-solver packs its rows, and the Freivalds checks pack their t trial
-vectors so that every row product checks all t trials at once.  Each
-slot is sized from a bound on the entries it will hold, so packing is
-exact at any dimension; below a measured crossover size
-(``_PACKED_MUL_MIN_DIM``, ``_PACKED_ELIM_MIN_ENTRIES``) the per-entry
-loops are faster and run instead.
+multiply-add in C instead of one interpreter step per entry.  The mod-p
+elimination under the solver and ``is_invertible`` is one kernel,
+``_eliminate_mod``, whose residues sit in 64-bit word slots.  The
+packed-byte kernels, ``_pack`` and ``_slots``, serve only ``mat_mul``,
+which packs the rows of its right factor, and the Freivalds checks,
+which pack their t trial vectors so that every row product checks all t
+trials at once.  Their slots are sized from a bound on the entries they
+will hold, so packing is exact at any dimension; below
+``_PACKED_MUL_MIN_DIM`` the schoolbook product is faster and runs
+instead.
 
 Quotients of matrices come from ``solve_integer``: it finds the integer
 Z with Z*a == rhs by solving modulo word-size primes and combining the
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from itertools import chain, count, islice, repeat
 from operator import add, eq, mul, rshift, sub
 from typing import Iterable, Optional, Sequence, Tuple
@@ -48,10 +51,8 @@ MAX_SAMPLE_ATTEMPTS = 1000
 #: dimension from which mat_mul packs rows; below it the schoolbook loop
 #: is faster (measured with 8-bit by 8- to 100-bit entries)
 _PACKED_MUL_MIN_DIM = 10
-#: entries (rows x columns) from which _eliminate_mod packs rows: the
-#: measured crossover is near 12 x 24 for a solve and 16 x 16 for the
-#: square elimination of is_invertible, which is the same entry count
-_PACKED_ELIM_MIN_ENTRIES = 256
+#: the low 64-bit slot of a packed mod-p row (_eliminate_mod)
+_WORD = (1 << 64) - 1
 
 
 def _require_ints(rows) -> None:
@@ -336,65 +337,52 @@ def _prime(i: int) -> int:
     return primes[i]
 
 
+def _to_words(values, n: int) -> int:
+    """One int of n 64-bit slots holding the values, the first in the lowest slot."""
+    return int.from_bytes(struct.pack(f"<{n}Q", *values), "little")
+
+
+def _from_words(packed: int, n: int) -> tuple:
+    """The n 64-bit slots of packed, lowest first."""
+    return struct.unpack(f"<{n}Q", packed.to_bytes(8 * n, "little"))
+
+
 def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
     """Gauss-Jordan elimination mod p of rows w, in place; False if singular mod p.
 
     Each row keeps its ncols coefficient columns reversed at its end, so
-    the column being pivoted is always the last entry.  The pivot row is
-    scaled by the pivot's inverse and loses that entry; every eliminated
-    row then drops it too, because zip stops at the shorter pivot row, so
-    no slice is copied.  With reduce_above, rows above the pivot are
-    cleared as well, and afterwards row i holds the remaining (right-hand
-    side) columns solved for unknown i; without it, w ends unspecified.
-    Entries must lie in [0, p).  From _PACKED_ELIM_MIN_ENTRIES entries on,
-    the packed kernel runs instead of this loop.
+    the column being pivoted is always the last entry.  With reduce_above,
+    rows above the pivot are cleared as well, and afterwards row i holds
+    the remaining (right-hand side) columns solved for unknown i; without
+    it, w ends unspecified.  Entries must lie in [0, p).
+
+    A row is packed into one int of 64-bit slots, its last entry in the
+    lowest slot, so the pivot column is the low slot of every row.  Only
+    the pivot row is unpacked, reduced and scaled by the pivot's inverse;
+    it is repacked without its pivot entry, and every other row with
+    pivot-column residue f becomes (row >> 64) + (p - f) * pivot, dropping
+    that column too: one big-int multiply-add in C per row update.  A slot
+    starts below p and an update adds less than p^2, so it takes
+    (2^64 - p) // p^2 updates without overflowing into its neighbour (15
+    for the solver's primes); after that many columns the rows still to
+    be updated are reduced mod p.  A prime of 2^32 or more leaves no room
+    for one update and raises ValueError.  The slots are packed and
+    unpacked by ``struct`` in explicit little-endian order, so the layout
+    does not depend on the machine's byte order.
     """
+    budget = ((1 << 64) - p) // (p * p)
+    if budget < 1:
+        raise ValueError(f"prime {p} is too large for 64-bit slots")
     m = len(w)
-    if m * len(w[0]) >= _PACKED_ELIM_MIN_ENTRIES:
-        return _eliminate_packed(w, ncols, p, reduce_above)
-    for col in range(ncols):
-        pivot_row = col
-        while pivot_row < m and w[pivot_row][-1] == 0:
-            pivot_row += 1
-        if pivot_row == m:
-            return False
-        w[col], w[pivot_row] = w[pivot_row], w[col]
-        row_k = w[col]
-        inv = pow(row_k.pop(), -1, p)
-        row_k = w[col] = [y * inv % p for y in row_k]
-        for i in range(0 if reduce_above else col + 1, m):
-            if i == col:
-                continue
-            row_i = w[i]
-            if row_i[-1]:
-                # adding (p - f) * y keeps every operand nonnegative, which
-                # CPython reduces faster than x - f * y
-                g = p - row_i[-1]
-                w[i] = [(x + g * y) % p for x, y in zip(row_i, row_k)]
-            else:
-                row_i.pop()
-    return True
-
-
-def _eliminate_packed(w, ncols: int, p: int, reduce_above: bool) -> bool:
-    """_eliminate_mod on rows packed into ints, one multiply-add per row update.
-
-    A row is one int with its last entry in the lowest slot, so the pivot
-    column is the low slot of every row.  Only the pivot row is unpacked,
-    reduced and scaled by the pivot's inverse; it is repacked without its
-    pivot entry, and every other row with pivot-column residue f becomes
-    (row >> slot) + (p - f) * pivot, dropping that column too.  Entries
-    start below p and an update adds less than p^2, so no slot ever
-    reaches (ncols + 1) * p^2: rows need no reduction between updates.
-    """
-    m = len(w)
-    size = ((ncols + 1) * p * p).bit_length() // 8 + 1
-    bits = 8 * size
-    low = (1 << bits) - 1
     live = len(w[0])
-    rows = [_pack(row, size) for row in w]
+    rows = [_to_words(reversed(row), live) for row in w]
     for col in range(ncols):
-        fs = list(map(p.__rmod__, map(low.__and__, rows)))
+        if col and not col % budget:
+            first = 0 if reduce_above else col
+            rows[first:] = [
+                _to_words(map(p.__rmod__, _from_words(row, live)), live) for row in rows[first:]
+            ]
+        fs = list(map(p.__rmod__, map(_WORD.__and__, rows)))
         pivot_row = col
         while pivot_row < m and not fs[pivot_row]:
             pivot_row += 1
@@ -404,14 +392,14 @@ def _eliminate_packed(w, ncols: int, p: int, reduce_above: bool) -> bool:
         fs[col], fs[pivot_row] = fs[pivot_row], fs[col]
         live -= 1
         inv = pow(fs[col], -1, p)
-        rest = _slots((rows[col] >> bits).to_bytes(live * size, "big"), size)
-        pivot = _pack(map(p.__rmod__, map(inv.__mul__, rest)), size)
+        rest = _from_words(rows[col] >> 64, live)
+        pivot = _to_words(map(p.__rmod__, map(inv.__mul__, rest)), live)
         first = 0 if reduce_above else col + 1
-        shifted = map(rshift, rows[first:], repeat(bits))
+        shifted = map(rshift, rows[first:], repeat(64))
         rows[first:] = map(add, shifted, map(mul, map(p.__sub__, fs[first:]), repeat(pivot)))
         rows[col] = pivot
     if reduce_above:
-        w[:] = [list(map(p.__rmod__, _slots(row.to_bytes(live * size, "big"), size))) for row in rows]
+        w[:] = [list(map(p.__rmod__, reversed(_from_words(row, live)))) for row in rows]
     return True
 
 

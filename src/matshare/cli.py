@@ -2,7 +2,10 @@
 
 All big integers are serialized as decimal strings so no consumer can
 lose precision; all files are UTF-8 JSON written canonically, making
-identical inputs produce byte-identical outputs.  Each file format has
+identical inputs produce byte-identical outputs.  ``canonical_json``
+writes the same bytes as ``json.dumps(obj, indent=2)`` plus a newline,
+but through its own emitter, not the standard library's pure-Python
+indenting encoder.  Each file format has
 one encoder and one decoder, and the decoder checks what it decodes:
 any wrong shape or entry type raises ValueError, so a malformed
 workspace file is a usage error naming the file.
@@ -20,6 +23,8 @@ import hashlib
 import json
 import os
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from random import Random
 from typing import List, Optional, Tuple
@@ -101,7 +106,44 @@ def bits_from_json(bits, r: int) -> BinaryVector:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """obj as the text ``json.dumps(obj, indent=2)`` writes, plus a newline.
+
+    The standard library encodes with an indent in pure Python, one call
+    per value; this emitter builds each list and object with one
+    ``str.join``, and a list of strings (a matrix row) in a single call
+    over the C string quoter.  It encodes str, int, bool, list and dict,
+    which is all the file encoders produce, and raises TypeError on
+    anything else.
+    """
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, newline: str) -> str:
+    """The indented JSON text of obj, whose lines start with newline."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        if {str}.issuperset(map(type, obj)):
+            items = map(_quote, obj)
+        else:
+            items = map(_json_text, obj, repeat(inner))
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if not {str}.issuperset(map(type, obj)):
+            raise TypeError("canonical_json encodes only str object keys")
+        items = map("{}: {}".format, map(_quote, obj), map(_json_text, obj.values(), repeat(inner)))
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"canonical_json cannot encode {kind.__name__}")
 
 
 def matrix_digest(m: Matrix) -> str:

@@ -412,9 +412,10 @@ def test_packed_mat_mul_matches_schoolbook(data):
 @st.composite
 def mod_p_system(draw):
     """Rows for _eliminate_mod: r equations, ncols = r coefficients reversed at
-    the end, 0 or r right-hand columns first, often singular mod p."""
+    the end, 0 or r right-hand columns first, often singular mod p.  At
+    2^32 - 5 a 64-bit slot takes a single update, so every column renormalises."""
     r = draw(st.integers(1, 40))
-    p = draw(st.sampled_from((2, 3, 257, _prime(0), _prime(4))))
+    p = draw(st.sampled_from((2, 3, 257, _prime(0), _prime(4), 2**32 - 5)))
     rhs = draw(st.sampled_from((0, r)))
     rng = Random(draw(st.integers(0, 2**32)))
     w = [[rng.randrange(p) for _ in range(rhs + r)] for _ in range(r)]
@@ -436,12 +437,32 @@ def test_packed_elimination_matches_schoolbook(system, reduce_above):
     w, ncols, p = system
     expected = [list(row) for row in w]
     solvable = eliminate_mod(expected, ncols, p, reduce_above)
-    for path in _kernel_paths("_PACKED_ELIM_MIN_ENTRIES"):
-        with path:
-            got = [list(row) for row in w]
-            assert _eliminate_mod(got, ncols, p, reduce_above) is solvable
-            if solvable and reduce_above:
-                assert got == expected
+    assert _eliminate_mod(w, ncols, p, reduce_above) is solvable
+    if solvable and reduce_above:
+        assert w == expected
+
+
+@pytest.mark.parametrize("reduce_above", [True, False])
+def test_elimination_renormalises_at_the_word_budget(reduce_above):
+    # 40 columns at the solver's prime pass its budget of 15 updates per
+    # slot twice.  The coefficients form a permuted identity, so every
+    # update adds p * (p - 1) to each right-hand slot, the most an update
+    # can add: a missed renormalisation overflows a slot.
+    p, r = _prime(0), 40
+    perm = Random(11).sample(range(r), r)
+    w = [[p - 1] * r + [int(j == perm[i]) for j in range(r)] for i in range(r)]
+    expected = [list(row) for row in w]
+    assert eliminate_mod(expected, r, p, reduce_above)
+    assert _eliminate_mod(w, r, p, reduce_above)
+    if reduce_above:
+        assert w == expected
+
+
+@pytest.mark.parametrize("p", [2**32 + 15, 2**61 - 1])
+def test_elimination_refuses_primes_beyond_the_word(p):
+    # from 2^32 on, p^2 exceeds a 64-bit slot: not even one update fits
+    with pytest.raises(ValueError):
+        _eliminate_mod([[1, 1]], 1, p, reduce_above=True)
 
 
 @PACKED

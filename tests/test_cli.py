@@ -8,7 +8,7 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matshare.cli import (
     EXIT_FORGERY,
@@ -170,6 +170,32 @@ def test_transcript_round_trip_is_byte_identical(tmp_path):
     raw = (ws / "transcript.json").read_text()
     reparsed = canonical_json(transcript_to_json(transcript_from_json(json.loads(raw), 4)))
     assert reparsed == raw
+
+
+WRITER_LEAVES = (
+    st.booleans()
+    | st.integers(-(1 << 300), 1 << 300)
+    | st.text()
+    | st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "é ☃ \U0001d11e"])
+)
+WRITER_DOCS = st.recursive(
+    WRITER_LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example({"": [[], {}, [{"a\"\\": [True, 1, False, 0, -(1 << 300)]}], "\x01é☃", ["7", "-8"]]})
+@given(WRITER_DOCS)
+def test_canonical_json_writes_what_json_dumps_writes(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [1.5, [["1"], [0.0]], {"a": None}])
+def test_canonical_json_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)
 
 
 # ---------------------------------------------------------------------------
