@@ -17,7 +17,11 @@ which pack their t trial vectors so that every row product checks all t
 trials at once.  Their slots are sized from a bound on the entries they
 will hold, so packing is exact at any dimension; below
 ``_PACKED_MUL_MIN_DIM`` the schoolbook product is faster and runs
-instead.
+instead.  That bound comes from each factor's entry width, which a
+``Matrix`` measures once and caches, so a matrix used in many products
+or audits is scanned once.  A Freivalds screen takes a chain of
+matrices and forms each element's packed image once, shared by the two
+pairs it belongs to.
 
 Quotients of matrices come from ``solve_integer``: it finds the integer
 Z with Z*a == rhs by solving modulo word-size primes and combining the
@@ -82,6 +86,16 @@ def _max_bits(rows) -> int:
     return max(map(abs, chain.from_iterable(rows))).bit_length()
 
 
+def _width(m: "Matrix") -> int:
+    """m's _max_bits, measured on first use and kept in its ``_bits`` slot."""
+    try:
+        return m._bits
+    except AttributeError:
+        bits = _max_bits(m.rows)
+        object.__setattr__(m, "_bits", bits)
+        return bits
+
+
 def _dots(rows, packed):
     """Each row's dot product with the packed column, lazily and in C."""
     return map(sum, map(map, repeat(mul), rows, repeat(packed)))
@@ -94,9 +108,17 @@ def _as_rng(seed_or_rng) -> random.Random:
 
 
 class Matrix:
-    """An immutable square matrix with int entries."""
+    """An immutable square matrix with int entries.
 
-    __slots__ = ("rows",)
+    Its value is ``rows``.  The ``_bits`` slot caches the bit length of the
+    largest absolute entry: it stays unset until ``mat_mul`` or a
+    Freivalds check first needs it, and is then written once, so a matrix
+    used in many products is scanned once.  The cache is not part of the
+    value: ``==``, ``hash``, ``repr``, copies and pickles see only the
+    rows, and a rebuilt matrix measures its width again.
+    """
+
+    __slots__ = ("rows", "_bits")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(map(tuple, rows))
@@ -200,7 +222,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if r < _PACKED_MUL_MIN_DIM:
         cols = list(zip(*b.rows))
         return Matrix(tuple(sum(map(mul, row, col)) for col in cols) for row in a.rows)
-    size = (_max_bits(a.rows) + _max_bits(b.rows) + r.bit_length()) // 8 + 1
+    size = (_width(a) + _width(b) + r.bit_length()) // 8 + 1
     half = 1 << (8 * size - 1)
     offset = _pack(repeat(half, r), size)
     packed = [_pack(map(add, row, repeat(half)), size) - offset for row in b.rows]
@@ -502,46 +524,51 @@ def freivalds_verify(a: Matrix, b: Matrix, c: Matrix, t: int, seed) -> bool:
     vector (O(r^2) per trial); the t vectors are packed into one int per
     coordinate, so one pass of row products checks them all.  Exact
     products are always accepted; a wrong c is accepted with probability
-    at most 2^-t.
+    at most 2^-t.  This is ``freivalds_screen`` on the chain (b, c) with
+    the one candidate a.
     """
-    return freivalds_screen([(b, c)], [a], t, seed)
+    return freivalds_screen((b, c), (a,), t, seed)
 
 
 def freivalds_screen(
-    pairs: Iterable[Tuple[Matrix, Matrix]], candidates: Sequence[Matrix], t: int, seed
+    matrices: Sequence[Matrix], candidates: Sequence[Matrix], t: int, seed
 ) -> bool:
-    """Whether every pair (prev, nxt) has a candidate c with c*prev == nxt, by t trials.
+    """Whether each consecutive pair (prev, nxt) of the chain has a c*prev == nxt.
 
+    Here c is any of the candidates, and each pair is checked by t trials.
     The t trial vectors U are drawn once and shared by every pair and
-    candidate: prev*U and nxt*U are formed once per pair (packed, one int
-    per row), and a candidate is screened row by row against them,
-    stopping at its first mismatching row.  True products always pass.
-    Each candidate still sees t independent uniform trials, so a pair that
-    no candidate explains passes a given candidate with probability at most
+    candidate.  Each chain element's image M*U is formed once (packed,
+    one int per row), when its pair is first screened, and serves as nxt
+    for one pair and as prev for the next; the screen returns on the
+    first pair no candidate explains, before any later element is imaged.
+    A candidate is screened row by row against the images, stopping at
+    its first mismatching row.  True products always pass.  Each
+    candidate still sees t independent uniform trials, so a pair that no
+    candidate explains passes a given candidate with probability at most
     2^-t, and passes the screen with probability at most k * 2^-t for k
-    candidates (union bound), not 2^-t.  No pairs draw nothing and pass.
+    candidates (union bound), not 2^-t.  A chain of fewer than two
+    matrices has no pair: it draws nothing and passes.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    pairs = list(pairs)
-    if not pairs:
+    if len(matrices) < 2:
         return True
-    r = pairs[0][0].dim
-    if any(m.dim != r for m in chain(candidates, *pairs)):
-        raise ValueError(f"dimension mismatch: a pair or candidate is not {r}x{r}")
+    r = matrices[0].dim
+    if any(m.dim != r for m in (*candidates, *matrices)):
+        raise ValueError(f"dimension mismatch: a chain matrix or candidate is not {r}x{r}")
     # entries of candidate*(prev*u) and of nxt*u stay below this bit length
+    widths = list(map(_width, matrices))
     bits = max(
-        max((_max_bits(m.rows) for m in candidates), default=0)
-        + max(_max_bits(prev.rows) for prev, _ in pairs)
-        + 2 * r.bit_length(),
-        max(_max_bits(nxt.rows) for _, nxt in pairs) + r.bit_length(),
+        max(map(_width, candidates), default=0) + max(widths[:-1]) + 2 * r.bit_length(),
+        max(widths[1:]) + r.bit_length(),
     )
     u = _trial_vectors(r, t, _as_rng(seed), bits)
-    for prev, nxt in pairs:
-        prev_u = list(_dots(prev.rows, u))
+    prev_u = list(_dots(matrices[0].rows, u))
+    for nxt in matrices[1:]:
         nxt_u = list(_dots(nxt.rows, u))
         if not any(all(map(eq, _dots(m.rows, prev_u), nxt_u)) for m in candidates):
             return False
+        prev_u = nxt_u
     return True
 
 

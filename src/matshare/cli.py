@@ -39,7 +39,7 @@ from .errors import (
     SingularMatrix,
 )
 from .protocol import CheaterSpec, freivalds_audit, simulate_run
-from .transport import Envelope, IndexPointer, Transcript
+from .transport import BROADCAST, PUBLIC, SECURE, Envelope, IndexPointer, Transcript
 
 EXIT_OK = 0
 EXIT_GENERATION = 1
@@ -259,7 +259,12 @@ def transcript_to_json(t: Transcript) -> dict:
 
 
 def transcript_from_json(doc, r: int) -> Transcript:
-    """A run's transcript, every payload shaped for the bulletin's r."""
+    """A run's transcript, every payload shaped for the bulletin's r.
+
+    A visibility is ``public`` or ``secure``, and a broadcast is public:
+    the eavesdropper's view keeps only public events, so any other tag
+    would hide an event from the attack.
+    """
     envelopes = []
     for i, event in enumerate(_entries(_fields(doc, "events")[0], None, dict, "events")):
         try:
@@ -269,6 +274,10 @@ def transcript_from_json(doc, r: int) -> Transcript:
             strings = (sender, recipient, visibility, kind)
             if type(step) is not int or not {str}.issuperset(map(type, strings)):
                 raise ValueError("step must be an integer and from, to, visibility and kind strings")
+            if visibility not in (PUBLIC, SECURE):
+                raise ValueError(f"unknown visibility {visibility!r}")
+            if recipient == BROADCAST and visibility != PUBLIC:
+                raise ValueError(f"a broadcast must be {PUBLIC!r}, not {visibility!r}")
             if kind not in _DECODERS:
                 raise ValueError(f"unknown payload kind {kind!r}")
             payload = _DECODERS[kind](payload, r)

@@ -147,3 +147,18 @@ def freivalds_trials(a, b, c, t, rng):
         if naive_matvec(a, naive_matvec(b, u)) != naive_matvec(c, u):
             return False
     return True
+
+
+def freivalds_chain_trials(chain, candidates, t, rng):
+    """t shared Freivalds trials of a chain of matrices against candidates.
+
+    The t vectors are drawn once, one rng.randrange(2) vector after
+    another; every consecutive pair (prev, nxt) must have one candidate c
+    with c*(prev*u) == nxt*u for all of them.
+    """
+    r = len(chain[0])
+    us = [[rng.randrange(2) for _ in range(r)] for _ in range(t)]
+    return all(
+        any(all(naive_matvec(c, naive_matvec(prev, u)) == naive_matvec(nxt, u) for u in us) for c in candidates)
+        for prev, nxt in zip(chain, chain[1:])
+    )

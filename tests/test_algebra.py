@@ -23,6 +23,7 @@ from matshare.algebra import (
     _prime,
     _uniform,
     determinant,
+    freivalds_screen,
     freivalds_verify,
     is_invertible,
     mat_mul,
@@ -38,6 +39,7 @@ from matshare.errors import SingularMatrix
 from oracles import (
     eliminate_mod,
     fraction_inverse,
+    freivalds_chain_trials,
     freivalds_trials,
     mat_rows,
     minor_rank,
@@ -482,6 +484,28 @@ def test_packed_freivalds_matches_per_trial_loop(data):
     assert freivalds_verify(a, b, Matrix(rows), t, seed) is expected
 
 
+@PACKED
+@given(st.data())
+def test_chain_screen_matches_shared_trial_oracle(data):
+    # chains of 1-5 matrices, each link a candidate's true product or a
+    # perturbed one: the screen decides as t shared trials decide
+    r = data.draw(st.integers(1, 16))
+    candidates = data.draw(st.lists(wide_matrix(r), min_size=1, max_size=3))
+    chain = [data.draw(wide_matrix(r))]
+    for _ in range(data.draw(st.integers(0, 4))):
+        rows = naive_mul(mat_rows(data.draw(st.sampled_from(candidates))), mat_rows(chain[-1]))
+        if data.draw(st.booleans()):
+            rows[data.draw(st.integers(0, r - 1))][data.draw(st.integers(0, r - 1))] += data.draw(
+                st.sampled_from((1, -1, 2**130))
+            )
+        chain.append(Matrix(rows))
+    t, seed = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 2**32))
+    expected = freivalds_chain_trials(
+        [mat_rows(m) for m in chain], [mat_rows(c) for c in candidates], t, Random(seed)
+    )
+    assert freivalds_screen(chain, candidates, t, seed) is expected
+
+
 # ---------------------------------------------------------------------------
 # freivalds_verify
 # ---------------------------------------------------------------------------
@@ -687,6 +711,27 @@ def test_matrix_must_be_square():
 def test_values_survive_copy_and_pickle(value):
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(clone) is type(value) and clone == value
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, -2], [3, 4]], [[0, 0], [0, 0]], [[2**300 - 1, -5], [-(2**299), 7]]],
+    ids=["signed", "zero", "300-bit"],
+)
+def test_width_cache_is_not_part_of_the_value(rows):
+    m, fresh = Matrix(rows), Matrix(rows)
+    before = (repr(m), hash(m), pickle.dumps(m))
+    assert not hasattr(m, "_bits")
+    assert freivalds_verify(m, m, mat_mul(m, m), 3, seed=1)
+    assert m._bits == algebra._max_bits(m.rows)
+    assert (repr(m), hash(m), pickle.dumps(m)) == before
+    assert m == fresh and fresh == m
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(clone) is Matrix and clone == m and clone.rows == m.rows
+    for name in ("rows", "_bits", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
+    assert m._bits == algebra._max_bits(m.rows)
 
 
 def test_binary_vector_rejects_non_bits():

@@ -448,6 +448,36 @@ def test_malformed_transcript_is_usage_error(tmp_path, capsys, name):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def _every_public_uppercased(doc):
+    for event in doc["events"]:
+        if event["visibility"] == "public":
+            event["visibility"] = "PUBLIC"
+    return doc
+
+
+def _first_broadcast_made_secure(doc):
+    next(event for event in doc["events"] if event["to"] == "Broadcast")["visibility"] = "secure"
+    return doc
+
+
+@pytest.mark.parametrize("edit", [_every_public_uppercased, _first_broadcast_made_secure])
+def test_transcript_visibility_outside_the_channel_tags_is_usage_error(tmp_path, capsys, edit):
+    # the eavesdropper's view keeps only "public" events: a run whose
+    # reveals were tagged otherwise would be attacked as if it showed nothing
+    ws = deal(tmp_path, r=6, k=6, n=3)
+    assert main(["run", "--workspace", str(ws)]) == EXIT_OK
+    capsys.readouterr()
+    path = ws / "transcript.json"
+    events = read_json(path)["events"]
+    edited = edit(read_json(path))
+    first = next(i for i, (old, new) in enumerate(zip(events, edited["events"])) if old != new)
+    path.write_text(json.dumps(edited))
+    assert main(["attack", "--workspace", str(ws), "--count-only"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert f"event {first}: " in err and repr(edited["events"][first]["visibility"]) in err
+
+
 def _json_paths(doc, prefix=()):
     """Every place in a JSON document, the root included, as a key path."""
     yield prefix

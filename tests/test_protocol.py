@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from matshare import algebra
 from matshare.algebra import (
     BinaryVector,
     Matrix,
@@ -396,6 +397,34 @@ def test_audit_rejects_negative_reveals():
         one_entry[3][4] = -one_entry[3][4]
         for rows in (negated, one_entry):
             assert not freivalds_audit(_with_reveal(transcript, index, rows), bulletin, 16, seed=index)
+
+
+def _imaged_reveals(monkeypatch, transcript, bulletin):
+    """The audit's verdict and the indices of the reveals it imaged, in order."""
+    reveal_rows = [e.payload.rows for e in broadcast_matrices(transcript.envelopes)]
+    imaged = []
+    dots = algebra._dots
+
+    def counting_dots(rows, packed):
+        imaged.extend(i for i, seen in enumerate(reveal_rows) if seen is rows)
+        return dots(rows, packed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_dots", counting_dots)
+        verdict = freivalds_audit(transcript, bulletin, 10, seed=3)
+    return verdict, imaged
+
+
+def test_audit_images_each_reveal_once(monkeypatch):
+    # 8 reveals make 7 pairs: each reveal's image serves as nxt of one pair
+    # and prev of the next, so 8 image products are formed, not 14
+    bulletin, transcript = _wide_transcript()
+    assert _imaged_reveals(monkeypatch, transcript, bulletin) == (True, list(range(8)))
+    # a forged first pair is rejected before any later reveal is imaged
+    rows = mat_rows(broadcast_matrices(transcript.envelopes)[1].payload)
+    rows[5][6] += 1
+    forged = _with_reveal(transcript, 1, rows)
+    assert _imaged_reveals(monkeypatch, forged, bulletin) == (False, [0, 1])
 
 
 def test_audit_accepts_an_honest_signed_chain():
