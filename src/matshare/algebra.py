@@ -35,7 +35,9 @@ that exact certificate.
 Everything here is deterministic and pure: samplers take an explicit
 ``random.Random`` (or an int seed) and draw exactly the values its
 ``randrange`` would, and all values are immutable once constructed, so
-concurrent use is safe.
+concurrent use is safe.  A matrix's width cache is the one write after
+construction; it always stores the same value, so two threads that fill
+it at once only measure it twice.
 """
 
 from __future__ import annotations
