@@ -15,13 +15,12 @@ packed-byte kernels, ``_pack`` and ``_slots``, serve only ``mat_mul``,
 which packs the rows of its right factor, and the Freivalds checks,
 which pack their t trial vectors so that every row product checks all t
 trials at once.  Their slots are sized from a bound on the entries they
-will hold, so packing is exact at any dimension; below
-``_PACKED_MUL_MIN_DIM`` the schoolbook product is faster and runs
-instead.  That bound comes from each factor's entry width, which a
-``Matrix`` measures once and caches, so a matrix used in many products
-or audits is scanned once.  A Freivalds screen takes a chain of
-matrices and forms each element's packed image once, shared by the two
-pairs it belongs to.
+will hold, so packing is exact at any dimension, and ``mat_mul`` packs
+at every size (there is no schoolbook branch).  That bound comes from
+each factor's entry width, which a ``Matrix`` measures once and caches,
+so a matrix used in many products or audits is scanned once.  A
+Freivalds screen takes a chain of matrices and forms each element's
+packed image once, shared by the two pairs it belongs to.
 
 Quotients of matrices come from ``solve_integer``: it finds the integer
 Z with Z*a == rhs by solving modulo word-size primes and combining the
@@ -54,9 +53,6 @@ from .errors import GenerationFailure, SingularMatrix
 #: retry budget for rejection sampling of invertible matrices
 MAX_SAMPLE_ATTEMPTS = 1000
 
-#: dimension from which mat_mul packs rows; below it the schoolbook loop
-#: is faster (measured with 8-bit by 8- to 100-bit entries)
-_PACKED_MUL_MIN_DIM = 10
 #: the low 64-bit slot of a packed mod-p row (_eliminate_mod)
 _WORD = (1 << 64) - 1
 
@@ -109,7 +105,19 @@ def _as_rng(seed_or_rng) -> random.Random:
     return random.Random(seed_or_rng)
 
 
-class Matrix:
+class _Frozen:
+    """Refuses to set or delete any attribute; constructors use object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Matrix(_Frozen):
     """An immutable square matrix with int entries.
 
     Its value is ``rows``.  The ``_bits`` slot caches the bit length of the
@@ -130,9 +138,6 @@ class Matrix:
             raise ValueError("matrix must be square")
         _require_ints(rows)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__: __setattr__ refuses their default path
@@ -156,7 +161,7 @@ class Matrix:
         return f"Matrix({[list(row) for row in self.rows]})"
 
 
-class Vector:
+class Vector(_Frozen):
     """An immutable column vector with int entries."""
 
     __slots__ = ("entries",)
@@ -167,9 +172,6 @@ class Vector:
             raise ValueError("vector must have at least one entry")
         _require_ints((entries,))
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), (self.entries,)
@@ -211,19 +213,15 @@ class BinaryVector(Vector):
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product a*b.
 
-    From _PACKED_MUL_MIN_DIM on, each row of b is packed into one int, so
-    row i of the product is the single sum of r big-int multiples
+    At every dimension each row of b is packed into one int, so row i of
+    the product is the single sum of r big-int multiples
     sum_l a[i][l] * packed(b[l]), computed in C.  The slots are wider than
     any entry bound r * max|a| * max|b|, and an offset of half a slot
     turns each signed entry into a nonnegative slot that unpacks exactly.
-    Below that dimension this is the schoolbook loop.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     r = a.dim
-    if r < _PACKED_MUL_MIN_DIM:
-        cols = list(zip(*b.rows))
-        return Matrix(tuple(sum(map(mul, row, col)) for col in cols) for row in a.rows)
     size = (_width(a) + _width(b) + r.bit_length()) // 8 + 1
     half = 1 << (8 * size - 1)
     offset = _pack(repeat(half, r), size)

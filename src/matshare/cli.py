@@ -372,16 +372,10 @@ def _parse_cheat(spec: str, r: int) -> CheaterSpec:
 
 def cmd_run(workspace: Path, start: int, cheat: Optional[str], t: int, seed: int) -> int:
     bulletin, shares = load_workspace(workspace)
-    if not 1 <= start <= bulletin.n:
-        raise ValueError(f"start must be in [1, {bulletin.n}]")
     if t < 1:
         raise ValueError("t must be >= 1")
-    cheater = None
-    if cheat is not None:
-        cheater = _parse_cheat(cheat, bulletin.r)
-        if not 1 <= cheater.position <= bulletin.n:
-            raise ValueError(f"cheater position must be in [1, {bulletin.n}]")
-
+    cheater = None if cheat is None else _parse_cheat(cheat, bulletin.r)
+    # the protocol checks start and the cheater's position before it sends anything
     result = simulate_run(bulletin, shares, start, Random(seed), cheater)
     _write(workspace / "transcript.json", transcript_to_json(result.transcript))
 
@@ -419,17 +413,17 @@ def cmd_attack(
 
     solutions: List[Tuple[int, ...]] = []
     if not count_only:
-        mode_space = attack_mod.count_search_space(k, n, mode)
-        if mode_space > attack_mod.GUARDRAIL_LIMIT and not force:
+        problem = attack_mod.SearchProblem(matrices=bulletin.matrices, n=n, target=target)
+        try:
+            result = attack_mod.exhaustive_search(problem, mode, limit=limit, allow_large=force)
+        except GuardrailExceeded as err:
             print(
-                f"refusing exhaustive search: {mode} space has {mode_space} sequences "
-                f"(multiset cardinality {space['multiset']}), limit {attack_mod.GUARDRAIL_LIMIT}; "
+                f"refusing exhaustive search: {mode} space has {err.space} sequences "
+                f"(multiset cardinality {space['multiset']}), limit {err.limit}; "
                 f"pass --force to override",
                 file=sys.stderr,
             )
             return EXIT_GUARDRAIL
-        problem = attack_mod.SearchProblem(matrices=bulletin.matrices, n=n, target=target)
-        result = attack_mod.exhaustive_search(problem, mode, limit=limit, allow_large=force)
         solutions = list(result.solutions)
         print(
             f"explored {result.nodes_explored} sequences in {result.elapsed:.3f}s, "

@@ -74,9 +74,13 @@ def run_verification(
 
     The final participant compares the chained vector against the published
     image for this start position and broadcasts the boolean verdict.  A
-    dimension mismatch anywhere aborts the round with a false verdict.
+    dimension mismatch anywhere aborts the round with a false verdict.  A
+    start or cheater position outside [1, n] raises ValueError before any
+    message is sent.
     """
     walk = ring_walk(start, bulletin.n)
+    if cheater is not None and not 1 <= cheater.position <= bulletin.n:
+        raise ValueError(f"cheater position must be in [1, {bulletin.n}]")
     held = {share.participant: share for share in shares}
     if net is None:
         net = _fresh_network(bulletin.n)

@@ -151,6 +151,15 @@ def test_run_bad_cheat_spec(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_run_cheater_out_of_range(tmp_path, capsys):
+    ws = deal(tmp_path)
+    for position in ("0", "4"):
+        code = main(["run", "--workspace", str(ws), "--cheat", f"{position}:5"])
+        assert code == EXIT_USAGE
+        assert "cheater position must be in [1, 3]" in capsys.readouterr().err
+    assert not (ws / "transcript.json").exists()
+
+
 def test_run_missing_workspace(tmp_path, capsys):
     code = main(["run", "--workspace", str(tmp_path / "nowhere")])
     assert code == EXIT_USAGE

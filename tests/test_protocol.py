@@ -130,6 +130,19 @@ def test_dimension_mismatch_aborts_with_false_verdict():
     assert transcript.envelopes[-1].payload is False
 
 
+def test_cheater_position_out_of_range_is_refused():
+    _, bulletin, shares = dealt(12)
+    forged = sample_matrix(4, 256, Random(998))
+    for position in (0, bulletin.n + 1):
+        cheater = CheaterSpec(position=position, forged=forged)
+        net = Network([participant_name(j) for j in range(1, bulletin.n + 1)])
+        with pytest.raises(ValueError, match=r"cheater position must be in \[1, 3\]"):
+            run_verification(bulletin, shares, 1, cheater, net)
+        assert net.transcript.envelopes == []
+        with pytest.raises(ValueError, match="cheater position"):
+            simulate_run(bulletin, shares, 1, Random(0), cheater)
+
+
 def test_round_plan_validation():
     _, bulletin, shares = dealt(11)
     for start in (0, 4):
