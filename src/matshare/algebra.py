@@ -8,19 +8,26 @@ so no step ever leaves the integers.
 The hot loops run on packed rows (Kronecker substitution; von zur Gathen
 & Gerhard, *Modern Computer Algebra*, sec. 8.4): a row of entries is one
 Python int of fixed-width slots, so a row update is one big-int
-multiply-add in C instead of one interpreter step per entry.  The mod-p
-elimination under the solver and ``is_invertible`` is one kernel,
-``_eliminate_mod``, whose residues sit in 64-bit word slots.  The
-packed-byte kernels, ``_pack`` and ``_slots``, serve only ``mat_mul``,
-which packs the rows of its right factor, and the Freivalds checks,
-which pack their t trial vectors so that every row product checks all t
-trials at once.  Their slots are sized from a bound on the entries they
-will hold, so packing is exact at any dimension, and ``mat_mul`` packs
-at every size (there is no schoolbook branch).  That bound comes from
-each factor's entry width, which a ``Matrix`` measures once and caches,
-so a matrix used in many products or audits is scanned once.  A
-Freivalds screen takes a chain of matrices and forms each element's
-packed image once, shared by the two pairs it belongs to.
+multiply-add in C instead of one interpreter step per entry.  Entries
+are touched one by one only where rows are packed in and unpacked out;
+every step in between acts on whole rows.  The mod-p elimination under
+the solver and ``is_invertible`` is one kernel, ``_eliminate_mod``,
+whose residues sit in 64-bit word slots: instead of unpacking a row to
+reduce it, it folds all of the row's slots at once with masks, shifts
+and one multiply (``_fold_plan``, found once per prime), which keeps each
+slot congruent mod p and small enough for the next updates.  ``mat_mul``
+packs the rows of its right factor with one ``bytes.join`` and reads the
+product back with one ``struct`` pass; the Freivalds checks pack their
+t trial vectors so that every row product checks all t trials at once.
+These byte slots are sized from a bound on the entries they will hold,
+so packing is exact at any dimension, and ``mat_mul`` packs at every
+size (there is no schoolbook branch).  That bound comes from each
+factor's entry width, which a ``Matrix`` measures once and caches, so a
+matrix used in many products or audits is scanned once.  A Freivalds
+screen takes a chain of matrices and forms each element's packed image
+once, shared by the two pairs it belongs to, and turns most wrong
+candidates away on one row's residue modulo a word-size prime before
+any wide product.
 
 Quotients of matrices come from ``solve_integer``: it finds the integer
 Z with Z*a == rhs by solving modulo word-size primes and combining the
@@ -41,6 +48,7 @@ it at once only measure it twice.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import struct
@@ -72,11 +80,6 @@ def _require_ints(rows) -> None:
 def _pack(values, size: int) -> int:
     """One int holding the values, each in [0, 256**size), first value highest."""
     return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(size), repeat("big"))), "big")
-
-
-def _slots(data: bytes, size: int):
-    """The size-byte big-endian slots of data as ints, highest first."""
-    return map(int.from_bytes, zip(*[iter(data)] * size), repeat("big"))
 
 
 def _max_bits(rows) -> int:
@@ -134,7 +137,7 @@ class Matrix(_Frozen):
         rows = tuple(map(tuple, rows))
         if not rows:
             raise ValueError("matrix must have at least one row")
-        if any(len(row) != len(rows) for row in rows):
+        if not {len(rows)}.issuperset(map(len, rows)):
             raise ValueError("matrix must be square")
         _require_ints(rows)
         object.__setattr__(self, "rows", rows)
@@ -218,18 +221,25 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     sum_l a[i][l] * packed(b[l]), computed in C.  The slots are wider than
     any entry bound r * max|a| * max|b|, and an offset of half a slot
     turns each signed entry into a nonnegative slot that unpacks exactly.
+    All of b is written by one ``bytes.join`` and sliced into its r row
+    ints; the product rows are joined the same way and read back by one
+    ``struct`` pass, one format of r byte-string fields per row, so no
+    step of the packing or unpacking loops over entries in Python.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     r = a.dim
     size = (_width(a) + _width(b) + r.bit_length()) // 8 + 1
+    step = r * size
     half = 1 << (8 * size - 1)
     offset = _pack(repeat(half, r), size)
-    packed = [_pack(map(add, row, repeat(half)), size) - offset for row in b.rows]
+    shifted = map(add, chain.from_iterable(b.rows), repeat(half))
+    flat = b"".join(map(int.to_bytes, shifted, repeat(size), repeat("big")))
+    packed = [int.from_bytes(flat[i:i + step], "big") - offset for i in range(0, r * step, step)]
     rows = map(add, _dots(a.rows, packed), repeat(offset))
-    data = b"".join(map(int.to_bytes, rows, repeat(r * size), repeat("big")))
-    entries = list(map(sub, _slots(data, size), repeat(half)))
-    return Matrix(entries[i:i + r] for i in range(0, r * r, r))
+    data = b"".join(map(int.to_bytes, rows, repeat(step), repeat("big")))
+    fields = struct.iter_unpack(f"{size}s" * r, data)
+    return Matrix(map(sub, map(int.from_bytes, row, repeat("big")), repeat(half)) for row in fields)
 
 
 def mat_vec_mul(a: Matrix, v: Vector) -> Vector:
@@ -238,7 +248,7 @@ def mat_vec_mul(a: Matrix, v: Vector) -> Vector:
         raise TypeError("expected a Vector")
     if a.dim != v.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {v.dim}")
-    return Vector(sum(map(mul, row, v.entries)) for row in a.rows)
+    return Vector(_dots(a.rows, v.entries))
 
 
 def _bareiss(w, ncols: int, reduce_above: bool = False):
@@ -369,6 +379,59 @@ def _from_words(packed: int, n: int) -> tuple:
     return struct.unpack(f"<{n}Q", packed.to_bytes(8 * n, "little"))
 
 
+@functools.lru_cache(maxsize=None)
+def _fold_plan(p: int):
+    """How _eliminate_mod keeps its 64-bit slots small mod p: (folds, B, budget).
+
+    A fold (k, c), with c = 2^k mod p, maps a slot x to
+    (x mod 2^k) + (x >> k) * c, which is congruent to x mod p.  The folds
+    are k = 32 and then k = p.bit_length(), repeated while they lower the
+    largest value a slot can end with, starting from 2^64 - 1; B = B(p) is
+    that value once no fold lowers it.  An update adds at most p * B to a
+    slot that holds at most 2^64 - 1, so (2^64 - 1 - B) // (p * B)
+    updates fit: the budget.  For the solver's primes just below 2^30 the
+    plan is three folds, B = 2^30 - 1 + (2^30 mod p) and a budget of 16.
+    Below 2^32 the folds always leave room for one update: at p = 2^32 - d
+    they end at B = 2^32 - 1 + d, and p * B fits beside B once d >= 2, so
+    no prime needs a further conditional subtraction.  A prime of 2^32 or
+    more leaves no room for one update and raises ValueError.  Each plan
+    is found once per prime.
+    """
+    top = _WORD
+    folds = []
+    for k in chain((32,), repeat(p.bit_length())):
+        c = (1 << k) % p
+        folded = min(top, (1 << k) - 1) + (top >> k) * c
+        if folded >= top:
+            break
+        folds.append((k, c))
+        top = folded
+    budget = (_WORD - top) // (p * top)
+    if budget < 1:
+        raise ValueError(f"prime {p} is too large for 64-bit slots")
+    return tuple(folds), top, budget
+
+
+def _folder(p: int, n: int):
+    """A function that applies p's fold plan to every slot of a row of n 64-bit slots.
+
+    Per-slot masks keep each fold's low k bits and the 64 - k bits above
+    them, so a fold is two masks, a shift, a multiply and an add on the
+    whole row.  Each slot of the result is congruent mod p to the same
+    slot of the row and at most B(p); see _fold_plan.
+    """
+    folds = _fold_plan(p)[0]
+    ones = ((1 << 64 * n) - 1) // _WORD
+    steps = [(k, ones * ((1 << k) - 1), ones * ((1 << 64 - k) - 1), c) for k, c in folds]
+
+    def fold(x):
+        for k, low, high, c in steps:
+            x = (x & low) + (x >> k & high) * c
+        return x
+
+    return fold
+
+
 def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
     """Gauss-Jordan elimination mod p of rows w, in place; False if singular mod p.
 
@@ -379,31 +442,32 @@ def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
     it, w ends unspecified.  Entries must lie in [0, p).
 
     A row is packed into one int of 64-bit slots, its last entry in the
-    lowest slot, so the pivot column is the low slot of every row.  Only
-    the pivot row is unpacked, reduced and scaled by the pivot's inverse;
-    it is repacked without its pivot entry, and every other row with
-    pivot-column residue f becomes (row >> 64) + (p - f) * pivot, dropping
-    that column too: one big-int multiply-add in C per row update.  A slot
-    starts below p and an update adds less than p^2, so it takes
-    (2^64 - p) // p^2 updates without overflowing into its neighbour (15
-    for the solver's primes); after that many columns the rows still to
-    be updated are reduced mod p.  A prime of 2^32 or more leaves no room
-    for one update and raises ValueError.  The slots are packed and
-    unpacked by ``struct`` in explicit little-endian order, so the layout
-    does not depend on the machine's byte order.
+    lowest slot, so the pivot column is the low slot of every row.  Entries
+    are touched one by one only when the rows are packed in and when they
+    are unpacked and reduced mod p at the end; every step in between acts
+    on whole rows.  The pivot row is folded (``_folder``: each slot kept
+    congruent mod p and brought to at most B(p)), multiplied by the
+    pivot's inverse as one big int, folded again and stripped of its pivot
+    slot.  Every other row with pivot-column residue f becomes
+    (row >> 64) + (p - f) * pivot, dropping that column too: one big-int
+    multiply-add in C per row update.  A slot starts at most B and an
+    update adds at most p * B, so the plan's budget of
+    (2^64 - 1 - B) // (p * B) updates fits in a slot (16 at the solver's
+    primes); after that many columns the rows still to be updated are
+    folded.  A prime of 2^32 or more leaves no room for one update and
+    raises ValueError.  The slots are packed and unpacked by ``struct`` in
+    explicit little-endian order, so the layout does not depend on the
+    machine's byte order.
     """
-    budget = ((1 << 64) - p) // (p * p)
-    if budget < 1:
-        raise ValueError(f"prime {p} is too large for 64-bit slots")
+    budget = _fold_plan(p)[2]
     m = len(w)
     live = len(w[0])
+    fold = _folder(p, live)
     rows = [_to_words(reversed(row), live) for row in w]
     for col in range(ncols):
         if col and not col % budget:
             first = 0 if reduce_above else col
-            rows[first:] = [
-                _to_words(map(p.__rmod__, _from_words(row, live)), live) for row in rows[first:]
-            ]
+            rows[first:] = map(fold, rows[first:])
         fs = list(map(p.__rmod__, map(_WORD.__and__, rows)))
         pivot_row = col
         while pivot_row < m and not fs[pivot_row]:
@@ -413,9 +477,7 @@ def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
         fs[col], fs[pivot_row] = fs[pivot_row], fs[col]
         live -= 1
-        inv = pow(fs[col], -1, p)
-        rest = _from_words(rows[col] >> 64, live)
-        pivot = _to_words(map(p.__rmod__, map(inv.__mul__, rest)), live)
+        pivot = fold(pow(fs[col], -1, p) * fold(rows[col] >> 64))
         first = 0 if reduce_above else col + 1
         shifted = map(rshift, rows[first:], repeat(64))
         rows[first:] = map(add, shifted, map(mul, map(p.__sub__, fs[first:]), repeat(pivot)))
@@ -426,7 +488,7 @@ def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
 
 
 def _norm_sq(row) -> int:
-    return sum(x * x for x in row)
+    return sum(map(mul, row, row))
 
 
 def solve_integer(a: Matrix, rhs: Matrix) -> Optional[Matrix]:
@@ -470,13 +532,13 @@ def solve_integer(a: Matrix, rhs: Matrix) -> Optional[Matrix]:
         if residues is None:
             residues = fresh
         else:
+            # x + modulus * ((y - x) * lift % p) for each old x and fresh y
             lift = pow(modulus, -1, p)
-            residues = [
-                x + modulus * ((y - x) * lift % p) for x, y in zip(residues, fresh)
-            ]
+            steps = map(p.__rmod__, map(lift.__mul__, map(sub, fresh, residues)))
+            residues = list(map(add, residues, map(modulus.__mul__, steps)))
         modulus *= p
-        half = modulus // 2
-        z = [x - modulus if x > half else x for x in residues]
+        # the symmetric residue: x - modulus where x > modulus // 2
+        z = list(map(sub, residues, map(modulus.__mul__, map((modulus // 2).__lt__, residues))))
         rows = [z[i * r:(i + 1) * r] for i in range(r)]
         if all(
             sum(map(mul, row, probe_in)) == want
@@ -542,7 +604,11 @@ def freivalds_screen(
     for one pair and as prev for the next; the screen returns on the
     first pair no candidate explains, before any later element is imaged.
     A candidate is screened row by row against the images, stopping at
-    its first mismatching row.  True products always pass.  Each
+    its first mismatching row.  Its first row is checked modulo the
+    word-size prime _prime(0) before any exact product: a residue
+    mismatch proves the exact rows differ, so this turns most wrong
+    candidates away after r word-size products and never changes a
+    verdict.  True products always pass.  Each
     candidate still sees t independent uniform trials, so a pair that no
     candidate explains passes a given candidate with probability at most
     2^-t, and passes the screen with probability at most k * 2^-t for k
@@ -563,12 +629,19 @@ def freivalds_screen(
         max(widths[1:]) + r.bit_length(),
     )
     u = _trial_vectors(r, t, _as_rng(seed), bits)
+    q = _prime(0)
     prev_u = list(_dots(matrices[0].rows, u))
+    prev_q = list(map(q.__rmod__, prev_u))
     for nxt in matrices[1:]:
         nxt_u = list(_dots(nxt.rows, u))
-        if not any(all(map(eq, _dots(m.rows, prev_u), nxt_u)) for m in candidates):
+        first_q = nxt_u[0] % q
+        if not any(
+            sum(map(mul, m.rows[0], prev_q)) % q == first_q
+            and all(map(eq, _dots(m.rows, prev_u), nxt_u))
+            for m in candidates
+        ):
             return False
-        prev_u = nxt_u
+        prev_u, prev_q = nxt_u, list(map(q.__rmod__, nxt_u))
     return True
 
 

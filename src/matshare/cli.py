@@ -39,7 +39,16 @@ from .errors import (
     SingularMatrix,
 )
 from .protocol import CheaterSpec, freivalds_audit, simulate_run
-from .transport import BROADCAST, PUBLIC, SECURE, Envelope, IndexPointer, Transcript
+from .transport import (
+    BROADCAST,
+    DEALER,
+    PUBLIC,
+    SECURE,
+    Envelope,
+    IndexPointer,
+    Transcript,
+    participant_name,
+)
 
 EXIT_OK = 0
 EXIT_GENERATION = 1
@@ -258,13 +267,18 @@ def transcript_to_json(t: Transcript) -> dict:
     }
 
 
-def transcript_from_json(doc, r: int) -> Transcript:
-    """A run's transcript, every payload shaped for the bulletin's r.
+def transcript_from_json(doc, r: int, n: int) -> Transcript:
+    """A run's transcript, every payload shaped for the bulletin's r and n.
 
-    A visibility is ``public`` or ``secure``, and a broadcast is public:
-    the eavesdropper's view keeps only public events, so any other tag
-    would hide an event from the attack.
+    A sender is ``Dealer`` or one of the bulletin's n participants, spelt
+    exactly as the protocol writes them (``P1`` to ``Pn``), and a
+    recipient is one of those or ``Broadcast``: the attack reads a
+    participant's position from its name.  A visibility is ``public`` or
+    ``secure``, and a broadcast is public: the eavesdropper's view keeps
+    only public events, so any other tag would hide an event from the
+    attack.
     """
+    senders = {DEALER, *map(participant_name, range(1, n + 1))}
     envelopes = []
     for i, event in enumerate(_entries(_fields(doc, "events")[0], None, dict, "events")):
         try:
@@ -274,6 +288,10 @@ def transcript_from_json(doc, r: int) -> Transcript:
             strings = (sender, recipient, visibility, kind)
             if type(step) is not int or not {str}.issuperset(map(type, strings)):
                 raise ValueError("step must be an integer and from, to, visibility and kind strings")
+            if sender not in senders:
+                raise ValueError(f"unknown sender {sender!r}")
+            if recipient not in senders and recipient != BROADCAST:
+                raise ValueError(f"unknown recipient {recipient!r}")
             if visibility not in (PUBLIC, SECURE):
                 raise ValueError(f"unknown visibility {visibility!r}")
             if recipient == BROADCAST and visibility != PUBLIC:
@@ -433,7 +451,7 @@ def cmd_attack(
     ratio_hits = []
     transcript_path = workspace / "transcript.json"
     if transcript_path.exists():
-        transcript = _load(transcript_path, transcript_from_json, bulletin.r)
+        transcript = _load(transcript_path, transcript_from_json, bulletin.r, bulletin.n)
         hits = attack_mod.ratio_analysis(transcript.eavesdropper_view, bulletin)
         ratio_hits = [
             {"position": h.position, "matrix_index": h.matrix_index} for h in hits

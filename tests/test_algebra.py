@@ -17,8 +17,12 @@ from matshare.algebra import (
     Matrix,
     Vector,
     _eliminate_mod,
+    _fold_plan,
+    _folder,
+    _from_words,
     _inverse_parts,
     _prime,
+    _to_words,
     _uniform,
     determinant,
     freivalds_screen,
@@ -96,6 +100,50 @@ def test_mat_mul_integer_closure():
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         mat_mul(A, Matrix.identity(3))
+
+
+def _extreme_matrix(r, w, sign, rng):
+    """An r x r matrix whose widest entry has exactly w bits.
+
+    sign 1 or -1 fills every entry with sign * (2^w - 1); sign 0 mixes
+    -(2^w - 1), 2^w - 1, -2^(w-1), 0 and 1.
+    """
+    if w == 0:
+        return Matrix([[0] * r for _ in range(r)])
+    top = (1 << w) - 1
+    if sign:
+        return Matrix([[sign * top] * r for _ in range(r)])
+    pool = (-top, top, -(1 << w - 1), 0, 1)
+    rows = [[rng.choice(pool) for _ in range(r)] for _ in range(r)]
+    rows[0][0] = -top
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize(
+    "signs", [(0, 0), (1, 1), (1, -1), (-1, -1)], ids=["mixed", "plus-plus", "plus-minus", "minus-minus"]
+)
+@pytest.mark.parametrize("r", [1, 2, 33, 40])
+@pytest.mark.parametrize("size", [1, 8, 9, 17])
+def test_mat_mul_at_slot_size_boundaries(size, r, signs):
+    # widths at the top of a slot size's range, and at its bottom where
+    # r allows: all entries +-(2^w - 1) of one sign bring the products
+    # nearest the slot's half, where a slot one byte short would overflow
+    rng = Random(size * 100 + r)
+    for total in {8 * size - 1, max(8 * size - 8, r.bit_length())}:
+        widths = total - r.bit_length()
+        wa, wb = widths // 2, widths - widths // 2
+        a = _extreme_matrix(r, wa, signs[0], rng)
+        b = _extreme_matrix(r, wb, signs[1], rng)
+        assert (wa + wb + r.bit_length()) // 8 + 1 == size
+        assert mat_rows(mat_mul(a, b)) == naive_mul(mat_rows(a), mat_rows(b))
+        assert mat_rows(mat_mul(b, a)) == naive_mul(mat_rows(b), mat_rows(a))
+
+
+@pytest.mark.parametrize("r", [1, 2, 33, 40])
+def test_mat_mul_with_all_zero_factors(r):
+    zero = Matrix([[0] * r for _ in range(r)])
+    m = rand_matrix(r, Random(r), lo=-(1 << 70), hi=1 << 70)
+    assert mat_mul(zero, zero) == mat_mul(zero, m) == mat_mul(m, zero) == zero
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +477,50 @@ def test_packed_elimination_matches_schoolbook(system, reduce_above):
         assert w == expected
 
 
-@pytest.mark.parametrize("reduce_above", [True, False])
-def test_elimination_renormalises_at_the_word_budget(reduce_above):
-    # 40 columns at the solver's prime pass its budget of 15 updates per
-    # slot twice.  The coefficients form a permuted identity, so every
-    # update adds p * (p - 1) to each right-hand slot, the most an update
-    # can add: a missed renormalisation overflows a slot.
-    p, r = _prime(0), 40
+FOLD_PRIMES = (2, 3, 257, _prime(0), _prime(4), 2**32 - 5, _prime(300), 2**31 - 1)
+
+
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+def test_fold_keeps_each_slot_congruent_and_within_the_budget_bound(p):
+    rng = Random(p)
+    slots = [0, 1, p - 1, p, 1 << 63, (1 << 64) - 1, *(rng.getrandbits(64) for _ in range(26))]
+    n = len(slots)
+    fold = _folder(p, n)
+    _, bound, budget = _fold_plan(p)
+    folded = _from_words(fold(_to_words(slots, n)), n)
+    assert all((y - x) % p == 0 for x, y in zip(slots, folded))
+    assert max(folded) <= bound
+    # the pivot row is scaled by an inverse below p and folded again
+    scaled = _from_words(fold((p - 1) * _to_words(folded, n)), n)
+    assert all((y - x * (p - 1)) % p == 0 for x, y in zip(folded, scaled))
+    assert max(scaled) <= bound
+    # budget updates of at most p * bound fit in a 64-bit slot; one more may not
+    assert bound + budget * p * bound < 2**64 <= bound + (budget + 1) * p * bound
+
+
+def test_solver_primes_fold_three_times_for_a_budget_of_16():
+    for p in map(_prime, range(4)):
+        folds, bound, budget = _fold_plan(p)
+        assert [k for k, _ in folds] == [32, 30, 30]
+        assert bound == (1 << 30) - 1 + (1 << 30) % p
+        assert budget == 16
+
+
+# every case at the solver's prime keeps its plain id
+WORD_BUDGET_CASES = [
+    pytest.param(p, reduce_above, id=str(reduce_above) if p == _prime(0) else f"{p}-{reduce_above}")
+    for p in (_prime(0), _prime(300), 2**31 - 1, 2**32 - 5)
+    for reduce_above in (True, False)
+]
+
+
+@pytest.mark.parametrize("p, reduce_above", WORD_BUDGET_CASES)
+def test_elimination_renormalises_at_the_word_budget(p, reduce_above):
+    # 40 columns pass the solver's prime's budget of 16 updates per slot
+    # twice (2^31 - 1 has 4, 2^32 - 5 has 1).  The coefficients form a
+    # permuted identity, so every update multiplies the pivot row by p,
+    # the largest factor an update uses: a missed fold overflows a slot.
+    r = 40
     perm = Random(11).sample(range(r), r)
     w = [[p - 1] * r + [int(j == perm[i]) for j in range(r)] for i in range(r)]
     expected = [list(row) for row in w]

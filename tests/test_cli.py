@@ -177,7 +177,7 @@ def test_transcript_round_trip_is_byte_identical(tmp_path):
     ws = deal(tmp_path)
     assert main(["run", "--workspace", str(ws), "--start", "3", "--seed", "2"]) == EXIT_OK
     raw = (ws / "transcript.json").read_text()
-    reparsed = canonical_json(transcript_to_json(transcript_from_json(json.loads(raw), 4)))
+    reparsed = canonical_json(transcript_to_json(transcript_from_json(json.loads(raw), 4, 3)))
     assert reparsed == raw
 
 
@@ -485,6 +485,30 @@ def test_transcript_visibility_outside_the_channel_tags_is_usage_error(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert f"event {first}: " in err and repr(edited["events"][first]["visibility"]) in err
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [("from", "P9"), ("from", "P+3"), ("from", "Mallory"), ("to", "P4")],
+)
+def test_transcript_names_outside_the_ring_are_usage_errors(tmp_path, capsys, field, name):
+    # ratio analysis reads a reveal's position from its sender's name, so a
+    # name beyond n, a non-canonical spelling or a stranger must be refused
+    # when the transcript is read, with the file and the event named
+    ws = deal(tmp_path, r=5, k=6, n=3)
+    assert main(["run", "--workspace", str(ws), "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    path = ws / "transcript.json"
+    doc = read_json(path)
+    reveals = [i for i, event in enumerate(doc["events"]) if event["kind"] == "matrix"]
+    second = reveals[1]
+    doc["events"][second][field] = name
+    path.write_text(json.dumps(doc))
+    assert main(["attack", "--workspace", str(ws), "--count-only"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert str(path) in err and f"event {second}: " in err and repr(name) in err
+    assert not (ws / "attack_report.json").exists()
 
 
 def _json_paths(doc, prefix=()):
