@@ -518,16 +518,19 @@ WORD_BUDGET_CASES = [
 def test_elimination_renormalises_at_the_word_budget(p, reduce_above):
     # 40 columns pass the solver's prime's budget of 16 updates per slot
     # twice (2^31 - 1 has 4, 2^32 - 5 has 1).  The coefficients form a
-    # permuted identity, so every update multiplies the pivot row by p,
+    # permuted diagonal, so every update multiplies the pivot row by p,
     # the largest factor an update uses: a missed fold overflows a slot.
+    # A diagonal of p - 1 scales each pivot row by p - 1 as well, so a
+    # pivot row left unfolded after scaling overflows at the next update.
     r = 40
     perm = Random(11).sample(range(r), r)
-    w = [[p - 1] * r + [int(j == perm[i]) for j in range(r)] for i in range(r)]
-    expected = [list(row) for row in w]
-    assert eliminate_mod(expected, r, p, reduce_above)
-    assert _eliminate_mod(w, r, p, reduce_above)
-    if reduce_above:
-        assert w == expected
+    for scale in (1, p - 1):
+        w = [[p - 1] * r + [scale * (j == perm[i]) for j in range(r)] for i in range(r)]
+        expected = [list(row) for row in w]
+        assert eliminate_mod(expected, r, p, reduce_above)
+        assert _eliminate_mod(w, r, p, reduce_above)
+        if reduce_above:
+            assert w == expected
 
 
 @pytest.mark.parametrize("p", [2**32 + 15, 2**61 - 1])
