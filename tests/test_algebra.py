@@ -444,13 +444,16 @@ def test_packed_mat_mul_matches_schoolbook(data):
     assert mat_rows(mat_mul(a, b)) == naive_mul(mat_rows(a), mat_rows(b))
 
 
+MOD_P_PRIMES = (2, 3, 257, _prime(0), _prime(4), 2**32 - 5)
+
+
 @st.composite
 def mod_p_system(draw):
     """Rows for _eliminate_mod: r equations, ncols = r coefficients reversed at
     the end, 0 or r right-hand columns first, often singular mod p.  At
     2^32 - 5 a 64-bit slot takes a single update, so every column renormalises."""
     r = draw(st.integers(1, 40))
-    p = draw(st.sampled_from((2, 3, 257, _prime(0), _prime(4), 2**32 - 5)))
+    p = draw(st.sampled_from(MOD_P_PRIMES))
     rhs = draw(st.sampled_from((0, r)))
     rng = Random(draw(st.integers(0, 2**32)))
     w = [[rng.randrange(p) for _ in range(rhs + r)] for _ in range(r)]
@@ -477,7 +480,7 @@ def test_packed_elimination_matches_schoolbook(system, reduce_above):
         assert w == expected
 
 
-FOLD_PRIMES = (2, 3, 257, _prime(0), _prime(4), 2**32 - 5, _prime(300), 2**31 - 1)
+FOLD_PRIMES = MOD_P_PRIMES + (_prime(300), 2**31 - 1)
 
 
 @pytest.mark.parametrize("p", FOLD_PRIMES)
