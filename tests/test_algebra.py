@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 from random import Random
 
@@ -480,7 +481,23 @@ def test_packed_elimination_matches_schoolbook(system, reduce_above):
         assert w == expected
 
 
-FOLD_PRIMES = MOD_P_PRIMES + (_prime(300), 2**31 - 1)
+def _is_small_prime(m):
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+def _edge_primes(k):
+    """The smallest prime above 2^(k-1) and the largest below 2^k."""
+    up = next(m for m in count((1 << k - 1) + 1) if _is_small_prime(m))
+    down = next(m for m in count((1 << k) - 1, -1) if _is_small_prime(m))
+    return up, down
+
+
+# the primes at both ends of every bit length are where the folds lower
+# the slot bound least (just above 2^(k-1)) and where p * B(p) comes
+# closest to the word (just below 2^32): each must keep a budget of 1 or more
+FOLD_PRIMES = tuple(dict.fromkeys(
+    MOD_P_PRIMES + (_prime(300),) + sum(map(_edge_primes, range(2, 33)), ())
+))
 
 
 @pytest.mark.parametrize("p", FOLD_PRIMES)
