@@ -3,13 +3,16 @@
 The exhaustive search solves the bounded matrix-representability search
 problem at desk scale: find n matrices in the public set whose ordered
 product equals a target.  It tests every sequence exactly, sharing the
-work sequences have in common: it carries only column 0 of each prefix
-product, one length-r mat-vec per prefix, then takes one length-r dot
-product per sequence for the (0, 0) entry of its product.  A sequence
-whose entry differs from the target's is provably not a solution; the
-full product is formed (n-1 ``mat_mul``), and compared exactly, only on
-a match.  The ratio analysis shows what a passive
-observer of the public reconstruction reveals can extract: each
+work sequences have in common.  A sequence splits into a prefix and a
+suffix, and the (0, 0) entry of its product is row 0 of the suffix's
+product times column 0 of the prefix's.  Each prefix column and each
+suffix row is formed once, one length-r mat-vec apiece; the suffix rows
+are packed into r big ints, so one packed product per prefix yields the
+(0, 0) entries of all its sequences at once, and ``bytes.find`` picks
+out those equal to the target's.  A sequence whose entry differs is
+provably not a solution; the full product is formed (n-1 ``mat_mul``),
+and compared exactly, only on a match.  The ratio analysis shows what a
+passive observer of the public reconstruction reveals can extract: each
 consecutive pair of reveals quotients to a raw shadow, found by the
 same certified integer solver that strips the blinding in recovery.
 """
@@ -19,10 +22,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import Matrix, chain_product, solve_integer
+from .algebra import Matrix, _max_bits, _pack, _width, chain_product, solve_integer
 from .dealer import Bulletin
 from .errors import GuardrailExceeded, SingularMatrix
 from .transport import Envelope, broadcast_matrices, participant_position
@@ -33,6 +37,10 @@ MULTISET = "multiset"
 
 #: sequences an un-forced exhaustive search will refuse to enumerate past
 GUARDRAIL_LIMIT = 10**7
+
+#: most suffixes one search packs: a longer suffix gives indices to the
+#: prefix, down to one index (whose k rows are the matrices' own row 0)
+_SUFFIX_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -93,10 +101,12 @@ def _prefix_columns(
     or ``product`` (with repetition), and are read in ring order: later
     indices multiply on the left.  Column 0 of m * acc is m times column 0
     of acc, so each prefix costs one length-r mat-vec onto its parent's
-    column and no product is formed.  The empty prefix's column is e_0.
+    column and no product is formed.  The empty prefix's column is e_0,
+    given as [1]: ``map`` stops at the shorter of its iterables, so the
+    zeros after it need not be written.
     """
     if depth == 0:
-        yield (), [1] + [0] * (matrices[0].dim - 1)
+        yield (), [1]
         return
     for prefix, col in _prefix_columns(matrices, depth - 1, distinct):
         for idx, m in enumerate(matrices):
@@ -104,25 +114,81 @@ def _prefix_columns(
                 yield prefix + (idx,), [sum(map(mul, row, col)) for row in m.rows]
 
 
-def _tested_sequences(problem: SearchProblem, distinct: bool) -> Iterator[Tuple[Tuple[int, ...], bool]]:
-    """Yield (sequence, is_solution) for every sequence, in enumeration order.
+def _suffix_rows(matrices: Sequence[Matrix], depth: int, distinct: bool):
+    """(suffixes, rows): every index suffix of the given depth and row 0 of its product.
 
-    Entry (0, 0) of m * acc is row 0 of m times column 0 of acc; when it
-    differs from the target's, m * acc is not the target, exactly.  Only
-    a sequence whose corner matches has its full product formed, and only
-    the exact comparison of that product with the target makes it a
-    solution.
+    Suffixes come in the same lexicographic order as prefixes, and are
+    read in ring order too, so (i, *rest) multiplies rest's product by
+    M_i on the right: its row 0 is rest's row 0 times M_i, one length-r
+    mat-vec on M_i's transpose, and the suffixes that start with i come in
+    the order of the shorter ones.  Depth 1 takes row 0 of each matrix.
+    """
+    suffixes, rows = tuple(zip(range(len(matrices)))), tuple(m.rows[0] for m in matrices)
+    transposes = [tuple(zip(*m.rows)) for m in matrices] if depth > 1 else ()
+    for _ in range(depth - 1):
+        suffixes, rows = zip(*(
+            ((i,) + rest, [sum(map(mul, row, col)) for col in cols])
+            for i, cols in enumerate(transposes)
+            for rest, row in zip(suffixes, rows)
+            if not (distinct and i in rest)
+        ))
+    return suffixes, rows
+
+
+def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Yield (sequence, tested) for every solution, in enumeration order.
+
+    ``tested`` counts the sequences tested up to and including the
+    solution.  A sequence is a prefix of d indices and a suffix of the
+    last h, its leftmost factors, so entry (0, 0) of its product is row 0
+    of the suffix's product times column 0 of the prefix's.  The suffix
+    rows are formed once and coordinate l of all of them is packed into
+    one int of byte slots, the suffixes in lexicographic order.  Each
+    prefix column, walked lazily, times the packed rows is then a single
+    sum of r big-int multiples holding the corner of every suffix, and
+    ``bytes.find`` looks for the target's corner in it; only a
+    slot-aligned find names a suffix.  The slots are wider than any
+    corner, r * max|row| * max|column| with a depth-d column below
+    2^(d * (w + bitlen(r))) for w the widest matrix, and than the
+    target's corner; an offset of half a slot makes each signed corner a
+    nonnegative slot.  A differing corner proves the sequence is not a
+    solution; a matching one has its full product formed and compared
+    exactly.
     """
     matrices, target = problem.matrices, problem.target
+    k, n, r = len(matrices), problem.n, target.dim
+    distinct = mode == ORDERED_DISTINCT
+    h = max(n // 2, 1)
+    while h > 1 and count_search_space(k, h, mode) > _SUFFIX_ROWS:
+        h -= 1
+    d = n - h
+    suffixes, rows = _suffix_rows(matrices, h, distinct)
+    # at d = 0 the one column is [1], so only coordinate 0 is packed
+    coords = list(zip(*rows))[: r if d else 1]
     corner = target.rows[0][0]
-    for prefix, col in _prefix_columns(matrices, problem.n - 1, distinct):
-        for idx, m in enumerate(matrices):
-            if not (distinct and idx in prefix):
-                seq = prefix + (idx,)
-                yield seq, (
-                    sum(map(mul, m.rows[0], col)) == corner
-                    and chain_product(matrices[i] for i in seq) == target
-                )
+    col_bits = d and d * (max(map(_width, matrices)) + r.bit_length())
+    size = max(_max_bits(coords) + col_bits + r.bit_length(), abs(corner).bit_length()) // 8 + 1
+    half = 1 << (8 * size - 1)
+    offset = int.from_bytes(half.to_bytes(size, "big") * len(suffixes), "big")
+    packed = [_pack(map(add, coord, repeat(half)), size) - offset for coord in coords]
+    key = (corner + half).to_bytes(size, "big")
+    per_prefix = math.perm(k - d, h) if distinct else len(suffixes)
+    tested = 0
+    for prefix, col in _prefix_columns(matrices, d, distinct):
+        found = (sum(map(mul, col, packed)) + offset).to_bytes(len(suffixes) * size, "big")
+        fresh = set(prefix).isdisjoint
+        pos = found.find(key)
+        while pos >= 0:
+            slot, skew = divmod(pos, size)
+            seq = prefix + suffixes[slot]
+            if (
+                not skew
+                and (not distinct or fresh(suffixes[slot]))
+                and chain_product(matrices[i] for i in seq) == target
+            ):
+                yield seq, tested + (sum(map(fresh, suffixes[: slot + 1])) if distinct else slot + 1)
+            pos = found.find(key, (slot + 1) * size)
+        tested += per_prefix
 
 
 def exhaustive_search(
@@ -136,15 +202,20 @@ def exhaustive_search(
     Returns each sequence whose ordered product equals the target, up to
     `limit` (at least 1), in the lexicographic order of ``permutations``
     (ordered-distinct) or ``product`` (ordered-rep).  Every sequence is
-    tested exactly and counted in ``nodes_explored``.  The cost is one
-    length-r mat-vec per prefix of length 1 to n-1 (column 0 of its
-    product), plus one length-r dot product per sequence for its (0, 0)
-    entry; the full product, n-1 ``mat_mul``, is formed only when that
-    entry matches the target's, and a solution is reported only after that
-    product compares equal to the target.  At worst every corner matches,
-    as over a set of identities, and each sequence costs n-1 ``mat_mul``.
-    Spaces beyond the desk-scale guardrail are refused unless explicitly
-    overridden.
+    tested exactly and counted in ``nodes_explored``.  Each sequence is a
+    prefix of n - h indices and a suffix of h = n // 2 (fewer if the
+    suffixes would outnumber ``_SUFFIX_ROWS``, but at least one).  The
+    cost is one length-r mat-vec per prefix of length 1 to n - h (column 0
+    of its product) and per suffix of length 2 to h (row 0 of its
+    product), then, per prefix, one packed product: r multiples of big
+    ints of one slot per suffix, which hold the (0, 0) entries of all the
+    prefix's sequences, searched for the target's entry by ``bytes.find``.
+    The full product, n-1 ``mat_mul``, is formed only for a sequence whose
+    entry matches the target's, and a solution is reported only after
+    that product compares equal to the target.  At worst every entry
+    matches, as over a set of identities, and each sequence costs n-1
+    ``mat_mul``.  Spaces beyond the desk-scale guardrail are refused
+    unless explicitly overridden.
     """
     if mode not in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
         raise ValueError(f"mode must be enumerable, got {mode!r}")
@@ -157,13 +228,12 @@ def exhaustive_search(
 
     started = time.perf_counter()
     solutions: List[Tuple[int, ...]] = []
-    nodes = 0
-    for seq, is_solution in _tested_sequences(problem, mode == ORDERED_DISTINCT):
-        nodes += 1
-        if is_solution:
-            solutions.append(seq)
-            if limit is not None and len(solutions) >= limit:
-                break
+    nodes = space
+    for seq, tested in _solutions(problem, mode):
+        solutions.append(seq)
+        if limit is not None and len(solutions) >= limit:
+            nodes = tested
+            break
     elapsed = time.perf_counter() - started
     return SearchResult(tuple(solutions), nodes, elapsed)
 

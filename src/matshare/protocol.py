@@ -153,12 +153,7 @@ def recover_secret(b: Matrix, c: Matrix, x: Matrix) -> Matrix:
     P*Q be integral, which no honest round needs.  Honest recovery costs
     a few primes per factor (the bits of the secret); rejecting an
     inconsistent reveal runs primes up to the Hadamard bound, about r
-    times the reveal width.  At r=32 n=8 that is some 3300 bits, and
-    rejecting a b with one entry off by one takes 0.05-0.53 s over the
-    eight starts of one instance (median 0.22 s, against 0.24 s before
-    the mod-p elimination folded its slots in place, on the same
-    machine), while accepting the honest b takes 0.016 s (0.019 s
-    before; CPython 3.11.7, shared 2-vCPU VM).
+    times the reveal width.
     """
     if not (b.dim == c.dim == x.dim):
         raise ValueError(f"dimension mismatch: {b.dim}, {c.dim}, {x.dim}")

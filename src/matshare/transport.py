@@ -10,7 +10,7 @@ never does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 from .algebra import Matrix, Vector
 
@@ -42,16 +42,16 @@ class IndexPointer:
         object.__setattr__(self, "ring", tuple(self.ring))
 
 
-Payload = Union[Matrix, Vector, bool, IndexPointer]
-
-
 @dataclass(frozen=True)
 class Envelope:
     step: int
     sender: str
     recipient: str
     visibility: str
-    payload: Payload
+    # the payload kinds are written out, not named by a module-level alias:
+    # typing caches a Union globally, and that would keep these classes
+    # (and every module of this import of the package) alive for good
+    payload: Matrix | Vector | bool | IndexPointer
 
 
 @dataclass
@@ -80,7 +80,9 @@ class Network:
     def _next_step(self) -> int:
         return len(self.transcript.envelopes)
 
-    def _append(self, sender: str, recipient: str, visibility: str, payload: Payload) -> int:
+    def _append(
+        self, sender: str, recipient: str, visibility: str, payload: Matrix | Vector | bool | IndexPointer
+    ) -> int:
         if not self._open:
             raise ValueError("run is closed")
         if sender not in self._known:
@@ -91,7 +93,9 @@ class Network:
         )
         return step
 
-    def send(self, sender: str, recipient: str, visibility: str, payload: Payload) -> int:
+    def send(
+        self, sender: str, recipient: str, visibility: str, payload: Matrix | Vector | bool | IndexPointer
+    ) -> int:
         """Point-to-point delivery; returns the envelope's step number."""
         if recipient not in self._known or recipient == BROADCAST:
             raise ValueError(f"unknown recipient: {recipient!r}")
@@ -99,7 +103,7 @@ class Network:
             raise ValueError(f"unknown visibility: {visibility!r}")
         return self._append(sender, recipient, visibility, payload)
 
-    def broadcast(self, sender: str, payload: Payload) -> int:
+    def broadcast(self, sender: str, payload: Matrix | Vector | bool | IndexPointer) -> int:
         """One public envelope delivered to every participant and the eavesdropper."""
         return self._append(sender, BROADCAST, PUBLIC, payload)
 

@@ -228,6 +228,111 @@ def test_search_forms_full_products_only_on_corner_matches(monkeypatch):
     assert len(calls) <= 3 * matches, f"{len(calls)} mat_mul calls, {matches} corner-matching sequences"
 
 
+def random_search_problem(rng):
+    """A small problem with signed entries, sometimes wide or repeated matrices.
+
+    The target is the product of a random distinct sequence, so it has a
+    solution in both modes, or that product with one entry off the
+    corner changed, so sequences may match its (0, 0) entry and still
+    not be solutions.
+    """
+    n = rng.randint(1, 5)
+    k = rng.randint(n, 5)
+    r = rng.randint(1, 2 if n == 5 else 3)
+    bound = 1 << rng.choice([1, 3, 40])
+    raw = [[[rng.randrange(-bound + 1, bound) for _ in range(r)] for _ in range(r)] for _ in range(k)]
+    for _ in range(rng.randint(0, 2)):
+        raw[rng.randrange(k)] = raw[rng.randrange(k)]
+    target = ordered_seq_product(raw, rng.sample(range(k), n))
+    if r > 1 and rng.random() < 0.3:
+        target[r - 1][r - 1] += 1
+    return SearchProblem(tuple(map(Matrix, raw)), n, Matrix(target))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_search_matches_reference_on_random_signed_problems(seed):
+    rng = Random(seed)
+    for _ in range(5):
+        problem = random_search_problem(rng)
+        for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+            for limit in (None, 1, 2, 3):
+                result = exhaustive_search(problem, mode, limit=limit)
+                assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, limit)
+
+
+@pytest.mark.parametrize("cap", [1, 10])
+def test_search_with_a_capped_suffix_table_matches_reference(monkeypatch, cap):
+    # a suffix table longer than the cap gives its first index to the prefix
+    monkeypatch.setattr(attack, "_SUFFIX_ROWS", cap)
+    rng = Random(100 + cap)
+    for _ in range(8):
+        problem = random_search_problem(rng)
+        for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+            for limit in (None, 2):
+                result = exhaustive_search(problem, mode, limit=limit)
+                assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, limit)
+
+
+def test_search_ignores_corner_bytes_at_unaligned_offsets(monkeypatch):
+    # r = 1 and n = 2, so every corner is a product of two of the scalars
+    # and fits 2-byte slots (entries of 6 bits, offset 0x8000).  For the
+    # prefix (2,) the suffixes 0 and 1 give the corners 637 and -2450,
+    # packed side by side as 82 7d | 76 6e.  The target's corner -650 is
+    # 7d 76, so its bytes straddle that slot boundary; the find there
+    # names no sequence, and only the two real corner matches, (0, 1) and
+    # (1, 0), have their products formed.
+    matrices = tuple(Matrix([[x]]) for x in (-13, 50, -49, -22))
+    problem = SearchProblem(matrices, 2, Matrix([[-650]]))
+    formed = []
+    original = attack.chain_product
+
+    def counting_chain_product(factors):
+        factors = list(factors)
+        formed.append(factors)
+        return original(factors)
+
+    monkeypatch.setattr(attack, "chain_product", counting_chain_product)
+    for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+        formed.clear()
+        result = exhaustive_search(problem, mode)
+        assert result.solutions == ((0, 1), (1, 0))
+        assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, None)
+        assert len(formed) == 2
+
+
+@pytest.mark.parametrize("bits", [4, 8, 12, 40])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_packs_corners_at_the_entry_bound(n, r, bits):
+    # every entry is +-(2^bits - 1), so the products' entries, and their
+    # corners, are as wide as matrices of this width allow, with either sign
+    top = (1 << bits) - 1
+    signs = ([[1] * r] * r, [[-1] * r] * r, [[(-1) ** (i + j) for j in range(r)] for i in range(r)])
+    raw = [[[s * top for s in row] for row in pattern] for pattern in signs]
+    raw.append(raw[0])
+    matrices = tuple(map(Matrix, raw))
+    for seq in ((0, 1, 2, 3)[:n], (1, 1, 1, 1)[:n], (3, 2, 1, 0)[-n:]):
+        problem = SearchProblem(matrices, n, Matrix(ordered_seq_product(raw, seq)))
+        for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+            result = exhaustive_search(problem, mode)
+            assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, None)
+            if mode == ORDERED_WITH_REPETITION or len(set(seq)) == n:
+                assert seq in result.solutions
+
+
+def test_search_one_factor_among_fifty():
+    rng = Random(50)
+    raw = [[[rng.randrange(-300, 300) for _ in range(3)] for _ in range(3)] for _ in range(50)]
+    raw[41] = raw[7]
+    matrices = tuple(map(Matrix, raw))
+    for index in (7, 0, 49):
+        problem = SearchProblem(matrices, 1, matrices[index])
+        for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+            for limit in (None, 1):
+                result = exhaustive_search(problem, mode, limit=limit)
+                assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, limit)
+
+
 @pytest.mark.parametrize("limit", [0, -3])
 def test_search_rejects_limit_below_one(limit):
     eye = Matrix.identity(2)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -137,3 +141,28 @@ def test_visibility_soundness_over_honest_runs():
         for envelope in result.transcript.eavesdropper_view:
             assert not isinstance(envelope.payload, IndexPointer)
             assert envelope.payload not in private_payloads
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+
+def load():
+    importlib.import_module("matshare")
+    return weakref.ref(sys.modules["matshare.algebra"].Matrix)
+
+first = load()
+for name in [n for n in sys.modules if n == "matshare" or n.startswith("matshare.")]:
+    del sys.modules[name]
+load()
+gc.collect()
+assert first() is None, "the first import's Matrix class outlived its modules"
+"""
+
+
+def test_reimported_package_lets_the_old_copy_go():
+    # nothing at module level may keep a class of one import alive past
+    # it (a typing.Union alias does: typing caches it globally); run in
+    # a fresh interpreter so this suite's own classes are not dropped
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", REIMPORT], env=env, check=True, timeout=60)
