@@ -166,7 +166,7 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
     # at d = 0 the one column is [1], so only coordinate 0 is packed
     coords = list(zip(*rows))[: r if d else 1]
     corner = target.rows[0][0]
-    col_bits = d and d * (max(map(_width, matrices)) + r.bit_length())
+    col_bits = d * (max(map(_width, matrices)) + r.bit_length()) if d else 0
     size = max(_max_bits(coords) + col_bits + r.bit_length(), abs(corner).bit_length()) // 8 + 1
     half = 1 << (8 * size - 1)
     offset = int.from_bytes(half.to_bytes(size, "big") * len(suffixes), "big")
