@@ -283,21 +283,20 @@ def test_search_ignores_corner_bytes_at_unaligned_offsets(monkeypatch):
     # (1, 0), have their products formed.
     matrices = tuple(Matrix([[x]]) for x in (-13, 50, -49, -22))
     problem = SearchProblem(matrices, 2, Matrix([[-650]]))
-    formed = []
+    calls = []
     original = attack.chain_product
 
     def counting_chain_product(factors):
-        factors = list(factors)
-        formed.append(factors)
+        calls.append(1)
         return original(factors)
 
     monkeypatch.setattr(attack, "chain_product", counting_chain_product)
     for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
-        formed.clear()
+        calls.clear()
         result = exhaustive_search(problem, mode)
         assert result.solutions == ((0, 1), (1, 0))
         assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, None)
-        assert len(formed) == 2
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("bits", [4, 8, 12, 40])
