@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Freivalds verification: always right on true products, 2^-t wrong on fakes.
 
-Instead of recomputing a full matrix product, t rounds of random binary
-test vectors certify it with one-sided error. The same machinery audits
+Instead of recomputing a full matrix product, one random test vector
+whose entries are uniform t-bit integers certifies it with one-sided
+error: a wrong product survives with probability at most 2^-t, as it
+would t rounds of binary test vectors. The same machinery audits
 reconstruction transcripts: every consecutive reveal pair must be
 explainable by some public matrix.
 """

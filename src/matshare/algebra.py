@@ -17,17 +17,17 @@ reduce it, it folds all of the row's slots at once with masks, shifts
 and one multiply (``_fold_plan``, found once per prime), which keeps each
 slot congruent mod p and small enough for the next updates.  ``mat_mul``
 packs the rows of its right factor with one ``bytes.join`` and reads the
-product back with one ``struct`` pass; the Freivalds checks pack their
-t trial vectors so that every row product checks all t trials at once.
-These byte slots are sized from a bound on the entries they will hold,
-so packing is exact at any dimension, and ``mat_mul`` packs at every
-size (there is no schoolbook branch).  That bound comes from each
-factor's entry width, which a ``Matrix`` measures once and caches, so a
-matrix used in many products or audits is scanned once.  A Freivalds
-screen takes a chain of matrices and forms each element's packed image
-once, shared by the two pairs it belongs to, and turns most wrong
-candidates away on one row's residue modulo a word-size prime before
-any wide product.
+product back with one ``struct`` pass.  Its byte slots are sized from a
+bound on the entries they will hold, so packing is exact at any
+dimension, and ``mat_mul`` packs at every size (there is no schoolbook
+branch).  That bound comes from each factor's entry width, which a
+``Matrix`` measures once and caches, so a matrix used in many products
+is scanned once.  A Freivalds screen checks on one vector of t-bit
+entries, which keeps the 2^-t bound of t binary trials (Schwartz 1980,
+Zippel 1979) with narrow products and no packing.  It takes a chain of
+matrices and forms each element's image once, shared by the two pairs
+it belongs to, and turns most wrong candidates away on one row's
+residue modulo a word-size prime before any wide product.
 
 Quotients of matrices come from ``solve_integer``: it finds the integer
 Z with Z*a == rhs by solving modulo word-size primes and combining the
@@ -97,9 +97,9 @@ def _width(m: "Matrix") -> int:
         return bits
 
 
-def _dots(rows, packed):
-    """Each row's dot product with the packed column, lazily and in C."""
-    return map(sum, map(map, repeat(mul), rows, repeat(packed)))
+def _dots(rows, column):
+    """Each row's dot product with the column of ints (or packed rows), lazily and in C."""
+    return map(sum, map(map, repeat(mul), rows, repeat(column)))
 
 
 def _as_rng(seed_or_rng) -> random.Random:
@@ -124,9 +124,9 @@ class Matrix(_Frozen):
     """An immutable square matrix with int entries.
 
     Its value is ``rows``.  The ``_bits`` slot caches the bit length of the
-    largest absolute entry: it stays unset until ``mat_mul`` or a
-    Freivalds check first needs it, and is then written once, so a matrix
-    used in many products is scanned once.  The cache is not part of the
+    largest absolute entry: it stays unset until ``mat_mul`` or the attack
+    first needs it, and is then written once, so a matrix used in many
+    products is scanned once.  The cache is not part of the
     value: ``==``, ``hash``, ``repr``, copies and pickles see only the
     rows, and a rebuilt matrix measures its width again.
     """
@@ -567,27 +567,14 @@ def chain_product(factors: Iterable[Matrix]) -> Matrix:
     return acc
 
 
-def _trial_vectors(r: int, t: int, rng, bits: int):
-    """t random binary r-vectors, packed: entry m holds coordinate m of every trial.
-
-    The trials are drawn one after another, r bits each.  Each slot has
-    room for a signed entry below 2^bits, so a row's dot product with the
-    packed vectors (``_dots``) holds that row's product with every trial,
-    and two such packed results are equal exactly when all t trials agree.
-    """
-    draws = _uniform(rng, 2, t * r)
-    return [_pack(draws[m::r], bits // 8 + 1) for m in range(r)]
-
-
 def freivalds_verify(a: Matrix, b: Matrix, c: Matrix, t: int, seed) -> bool:
     """Probabilistic check that a*b == c without forming the product.
 
-    Runs t independent trials, each multiplying by a fresh random binary
-    vector (O(r^2) per trial); the t vectors are packed into one int per
-    coordinate, so one pass of row products checks them all.  Exact
+    Compares a*(b*u) with c*u for one random vector u whose entries are
+    uniform t-bit integers (O(r^2) products of t-bit factors).  Exact
     products are always accepted; a wrong c is accepted with probability
-    at most 2^-t.  This is ``freivalds_screen`` on the chain (b, c) with
-    the one candidate a.
+    at most 2^-t, as with t binary trials.  This is ``freivalds_screen``
+    on the chain (b, c) with the one candidate a.
     """
     return freivalds_screen((b, c), (a,), t, seed)
 
@@ -597,22 +584,25 @@ def freivalds_screen(
 ) -> bool:
     """Whether each consecutive pair (prev, nxt) of the chain has a c*prev == nxt.
 
-    Here c is any of the candidates, and each pair is checked by t trials.
-    The t trial vectors U are drawn once and shared by every pair and
-    candidate.  Each chain element's image M*U is formed once (packed,
-    one int per row), when its pair is first screened, and serves as nxt
-    for one pair and as prev for the next; the screen returns on the
-    first pair no candidate explains, before any later element is imaged.
+    Here c is any of the candidates, and each pair is checked on one
+    vector u of r entries drawn uniformly from [0, 2^t), one
+    ``getrandbits(t)`` per coordinate; u is drawn once and shared by every
+    pair and candidate.  Each chain element's image M*u is formed once,
+    when its pair is first screened, and serves as nxt for one pair and
+    as prev for the next; the screen returns on the first pair no
+    candidate explains, before any later element is imaged.
     A candidate is screened row by row against the images, stopping at
     its first mismatching row.  Its first row is checked modulo the
     word-size prime _prime(0) before any exact product: a residue
     mismatch proves the exact rows differ, so this turns most wrong
     candidates away after r word-size products and never changes a
-    verdict.  True products always pass.  Each
-    candidate still sees t independent uniform trials, so a pair that no
-    candidate explains passes a given candidate with probability at most
-    2^-t, and passes the screen with probability at most k * 2^-t for k
-    candidates (union bound), not 2^-t.  A chain of fewer than two
+    verdict.  True products always pass.  If c*prev != nxt, some row d of
+    their difference is nonzero, and d.u == 0 holds for at most one value
+    of u at a coordinate where d is nonzero, whatever the others are
+    (Schwartz-Zippel): so a pair that no candidate explains passes a
+    given candidate with probability at most 2^-t, as with t binary
+    trials, and passes the screen with probability at most k * 2^-t for
+    k candidates (union bound), not 2^-t.  A chain of fewer than two
     matrices has no pair: it draws nothing and passes.
     """
     if t < 1:
@@ -622,13 +612,7 @@ def freivalds_screen(
     r = matrices[0].dim
     if any(m.dim != r for m in (*candidates, *matrices)):
         raise ValueError(f"dimension mismatch: a chain matrix or candidate is not {r}x{r}")
-    # entries of candidate*(prev*u) and of nxt*u stay below this bit length
-    widths = list(map(_width, matrices))
-    bits = max(
-        max(map(_width, candidates), default=0) + max(widths[:-1]) + 2 * r.bit_length(),
-        max(widths[1:]) + r.bit_length(),
-    )
-    u = _trial_vectors(r, t, _as_rng(seed), bits)
+    u = list(map(_as_rng(seed).getrandbits, repeat(t, r)))
     q = _prime(0)
     prev_u = list(_dots(matrices[0].rows, u))
     prev_q = list(map(q.__rmod__, prev_u))

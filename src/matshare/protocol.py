@@ -178,15 +178,13 @@ def freivalds_audit(transcript: Transcript, bulletin: Bulletin, t: int, seed) ->
 
     Every consecutive pair of public reveals must be explainable as one
     public-set matrix applied to the previous reveal.  ``freivalds_screen``
-    takes the reveals as one chain and checks each of the k candidates
-    with t Freivalds trials instead of a full product: the trial vectors
-    are shared by every pair and candidate, each reveal is imaged once,
-    and each matrix's entry width is measured once (so a bulletin audited
-    round after round is not rescanned).  A forged pair slips through
-    with probability at most k * 2^-t (union bound over the candidates),
-    not 2^-t.  The hand-back must equal the final reveal exactly.
-    Returns the conjunction of all checks; a false return signals
-    inconsistent reveals.
+    takes the reveals as one chain and checks each of the k candidates on
+    one random vector of t-bit entries instead of a full product: the
+    vector is shared by every pair and candidate, and each reveal is
+    imaged once.  A forged pair slips through with probability at most
+    k * 2^-t (union bound over the candidates), not 2^-t.  The hand-back
+    must equal the final reveal exactly.  Returns the conjunction of all
+    checks; a false return signals inconsistent reveals.
     """
     reveals = [e.payload for e in broadcast_matrices(transcript.envelopes)]
     if not freivalds_screen(reveals, bulletin.matrices, t, seed):

@@ -6,6 +6,7 @@ into the package, so a bug cannot hide on both sides of a comparison.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 
 def naive_mul(a, b):
@@ -80,6 +81,21 @@ def chain_matrix(shadows, x):
     return acc
 
 
+def adaptive_forgery(shadow, v):
+    """F = M + e_0*z^T with z != 0 and z.v == 0, so that F*v == M*v but F != M.
+
+    z takes two entries of v, nonzero ones first, swapped, one negated and
+    divided by their gcd.  A cheater who receives the chained vector v
+    before applying its shadow M can build F; v must not be zero.
+    """
+    i, j = sorted(range(len(v)), key=lambda x: not v[x])[:2]
+    g = gcd(v[i], v[j])
+    forged = [list(row) for row in shadow]
+    forged[0][i] += v[j] // g
+    forged[0][j] -= v[i] // g
+    return forged
+
+
 def ordered_seq_product(matrices, seq):
     """Product for an index sequence read in ring order (later on the left)."""
     acc = None
@@ -140,25 +156,20 @@ def eliminate_mod(w, ncols, p, reduce_above):
 
 
 def freivalds_trials(a, b, c, t, rng):
-    """t Freivalds trials of a*b == c, one rng.randrange(2) vector after another."""
-    r = len(a)
-    for _ in range(t):
-        u = [rng.randrange(2) for _ in range(r)]
-        if naive_matvec(a, naive_matvec(b, u)) != naive_matvec(c, u):
-            return False
-    return True
+    """Freivalds' check of a*b == c on one vector of rng.getrandbits(t) entries."""
+    u = [rng.getrandbits(t) for _ in range(len(a))]
+    return naive_matvec(a, naive_matvec(b, u)) == naive_matvec(c, u)
 
 
 def freivalds_chain_trials(chain, candidates, t, rng):
-    """t shared Freivalds trials of a chain of matrices against candidates.
+    """Freivalds' check of a chain of matrices against candidates, on one shared vector.
 
-    The t vectors are drawn once, one rng.randrange(2) vector after
-    another; every consecutive pair (prev, nxt) must have one candidate c
-    with c*(prev*u) == nxt*u for all of them.
+    The vector u is drawn once, one rng.getrandbits(t) per coordinate;
+    every consecutive pair (prev, nxt) must have one candidate c with
+    c*(prev*u) == nxt*u.
     """
-    r = len(chain[0])
-    us = [[rng.randrange(2) for _ in range(r)] for _ in range(t)]
+    u = [rng.getrandbits(t) for _ in range(len(chain[0]))]
     return all(
-        any(all(naive_matvec(c, naive_matvec(prev, u)) == naive_matvec(nxt, u) for u in us) for c in candidates)
+        any(naive_matvec(c, naive_matvec(prev, u)) == naive_matvec(nxt, u) for c in candidates)
         for prev, nxt in zip(chain, chain[1:])
     )

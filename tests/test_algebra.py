@@ -562,8 +562,8 @@ def test_elimination_refuses_primes_beyond_the_word(p):
 
 @PACKED
 @given(st.data())
-def test_packed_freivalds_matches_per_trial_loop(data):
-    # the same seed draws the same trial vectors, so the decisions agree
+def test_freivalds_matches_one_vector_oracle(data):
+    # the same seed draws the same t-bit vector, so the decisions agree
     # exactly, on signed and wide entries and on wrong products alike
     r = data.draw(st.integers(1, 40))
     a, b = data.draw(wide_matrix(r)), data.draw(wide_matrix(r))
@@ -581,7 +581,7 @@ def test_packed_freivalds_matches_per_trial_loop(data):
 @given(st.data())
 def test_chain_screen_matches_shared_trial_oracle(data):
     # chains of 1-5 matrices, each link a candidate's true product or a
-    # perturbed one: the screen decides as t shared trials decide
+    # perturbed one: the screen decides as the shared t-bit vector decides
     r = data.draw(st.integers(1, 16))
     candidates = data.draw(st.lists(wide_matrix(r), min_size=1, max_size=3))
     chain = [data.draw(wide_matrix(r))]
@@ -597,6 +597,27 @@ def test_chain_screen_matches_shared_trial_oracle(data):
         [mat_rows(m) for m in chain], [mat_rows(c) for c in candidates], t, Random(seed)
     )
     assert freivalds_screen(chain, candidates, t, seed) is expected
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_freivalds_false_accepts_match_the_oracle_draw(t):
+    # a +1 at (1, 2) is missed exactly when u[2] == 0, which one t-bit draw
+    # gives with probability 2^-t: the false accepts themselves must fall
+    # on the oracle's seeds (t binary trial vectors put them on others),
+    # for one candidate and for a chain screened against two
+    rng = Random(44)
+    a, b, other = rand_matrix(4, rng), rand_matrix(4, rng), rand_matrix(4, rng)
+    rows = mat_rows(mat_mul(a, b))
+    rows[1][2] += 1
+    seeds = range(64)
+    verdicts = [freivalds_verify(a, b, Matrix(rows), t, seed) for seed in seeds]
+    assert verdicts == [freivalds_trials(mat_rows(a), mat_rows(b), rows, t, Random(seed)) for seed in seeds]
+    assert 0 < sum(verdicts) < 64
+    chain = [b, Matrix(rows), mat_mul(other, Matrix(rows))]
+    plain = [mat_rows(m) for m in chain], [mat_rows(other), mat_rows(a)]
+    screened = [freivalds_screen(chain, (other, a), t, seed) for seed in seeds]
+    assert screened == [freivalds_chain_trials(*plain, t, Random(seed)) for seed in seeds]
+    assert 0 < sum(screened) < 64
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from matshare.algebra import (
     Matrix,
     Vector,
     mat_mul,
+    mat_vec_mul,
     sample_invertible_matrix,
     sample_matrix,
 )
@@ -26,7 +27,7 @@ from matshare.protocol import (
 )
 from matshare.transport import BROADCAST, SECURE, Network, broadcast_matrices, participant_name
 
-from oracles import chain_matrix, chain_vector, mat_rows
+from oracles import adaptive_forgery, chain_matrix, chain_vector, mat_rows
 
 A1 = Matrix([[1, 1], [0, 1]])
 A2 = Matrix([[1, 0], [1, 1]])
@@ -388,20 +389,41 @@ def _with_reveal(transcript, index, rows):
 
 def test_audit_rejects_unit_perturbations_at_every_wide_reveal():
     # +1 and -1 at four seeded entries of each of the 8 reveals; with t=16 a
-    # forged transcript slips through with probability at most k * 2^-16
+    # forged transcript slips through with probability at most k * 2^-16.
+    # At t=64 each entry of the audit's vector is wider than one CPython
+    # digit, so the images are products of multi-digit ints throughout
     bulletin, transcript = _wide_transcript()
     reveals = broadcast_matrices(transcript.envelopes)
-    assert len(reveals) == 8 and freivalds_audit(transcript, bulletin, 16, seed=0)
-    rng = Random(12)
-    for index, reveal in enumerate(reveals):
-        for delta in (1, -1) * 4:
-            rows = mat_rows(reveal.payload)
-            rows[rng.randrange(32)][rng.randrange(32)] += delta
-            assert not freivalds_audit(_with_reveal(transcript, index, rows), bulletin, 16, seed=index)
+    assert len(reveals) == 8
+    for t in (16, 64):
+        assert freivalds_audit(transcript, bulletin, t, seed=0)
+        rng = Random(12)
+        for index, reveal in enumerate(reveals):
+            for delta in (1, -1) * 4:
+                rows = mat_rows(reveal.payload)
+                rows[rng.randrange(32)][rng.randrange(32)] += delta
+                assert not freivalds_audit(_with_reveal(transcript, index, rows), bulletin, t, seed=index)
+
+
+def test_audit_draws_one_t_bit_entry_per_coordinate():
+    # one vector of r = 32 entries in [0, 2^t), shared by all 7 reveal pairs
+    # and all 32 candidates: exactly r draws of t bits per audit
+    draws = []
+
+    class CountingRandom(Random):
+        def getrandbits(self, k):
+            draws.append(k)
+            return super().getrandbits(k)
+
+    bulletin, transcript = _wide_transcript()
+    for t in (1, 10, 64):
+        draws.clear()
+        assert freivalds_audit(transcript, bulletin, t, CountingRandom(t))
+        assert draws == [t] * 32
 
 
 def test_audit_rejects_negative_reveals():
-    # the packed trial products are signed: a negated reveal, or one negated
+    # the audit's products are signed: a negated reveal, or one negated
     # entry, must compare unequal to every nonnegative candidate chain
     bulletin, transcript = _wide_transcript()
     for index, reveal in enumerate(broadcast_matrices(transcript.envelopes)):
@@ -462,6 +484,30 @@ def test_audit_accepts_an_honest_signed_chain():
     rows = mat_rows(broadcast_matrices(net.transcript.envelopes)[1].payload)
     rows[0][0] = -rows[0][0]
     assert not freivalds_audit(_with_reveal(net.transcript, 1, rows), bulletin, 16, seed=0)
+
+
+def test_adaptive_forgery_passes_verification_but_fails_the_audit():
+    # the cheater receives its chained vector v in public before applying its
+    # shadow M, and forges F = M + e_0 z^T with z.v == 0, so F*v == M*v:
+    # verification detects non-adaptive forgeries only.  F is no public
+    # matrix, so a reconstruction through F is refused by the audit
+    for seed in range(20):
+        rng = Random(seed)
+        instance, bulletin, shares = dealt(seed, r=8, k=12, n=4)
+        start = rng.randint(1, 4)
+        cheater = rng.choice([p for p in range(1, 5) if p != start])
+        _, honest = run_verification(bulletin, shares, start)
+        (v,) = [e.payload for e in honest.envelopes if e.recipient == participant_name(cheater)]
+        shadow = bulletin.shadow_of(shares[cheater - 1])
+        forged = Matrix(adaptive_forgery(mat_rows(shadow), v.entries))
+        assert mat_vec_mul(forged, v) == mat_vec_mul(shadow, v)
+        verdict, _ = run_verification(bulletin, shares, start, CheaterSpec(cheater, forged))
+        assert verdict
+        tampered = replace(bulletin, matrices=(*bulletin.matrices, forged))
+        held = [replace(s, matrix_index=bulletin.k) if s.participant == cheater else s for s in shares]
+        recovered, transcript = run_reconstruction(tampered, held, start, rng)
+        assert recovered != instance.secret
+        assert not freivalds_audit(transcript, bulletin, 20, seed)
 
 
 def test_audit_rejects_forged_handback():
