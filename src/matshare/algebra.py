@@ -34,9 +34,12 @@ Z with Z*a == rhs by solving modulo word-size primes and combining the
 residues by the Chinese remainder theorem (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 5), and returns Z only after checking
 Z*a == rhs in exact integer arithmetic, or None when Z is not integral.
-``is_invertible`` accepts on a nonzero determinant residue and asks
-Bareiss only on a zero one.  A modular result is never returned without
-that exact certificate.
+A caller that knows a limit on Z's entries passes it, and the solve
+then gives up once the modulus passes twice the limit, not the Hadamard
+bound, so a refusal costs about the limit's bits.  ``is_invertible``
+accepts on a nonzero determinant residue and asks Bareiss only on a zero
+one.  A modular result is never returned without that exact
+certificate.
 
 Everything here is deterministic and pure: samplers take an explicit
 ``random.Random`` (or an int seed) and draw exactly the values its
@@ -95,6 +98,18 @@ def _width(m: "Matrix") -> int:
         bits = _max_bits(m.rows)
         object.__setattr__(m, "_bits", bits)
         return bits
+
+
+def _product_bound(matrices: Sequence["Matrix"], m: int) -> int:
+    """Largest absolute entry a product of m of the matrices can have: r^(m-1) * E^m.
+
+    E = 2^w - 1 for w the widest matrix's cached ``_width``, so m
+    matrices whose entries all equal E meet the bound.  The product of
+    no matrices is the identity, bounded by 1.
+    """
+    if m == 0:
+        return 1
+    return matrices[0].dim ** (m - 1) * ((1 << max(map(_width, matrices))) - 1) ** m
 
 
 def _dots(rows, column):
@@ -491,7 +506,7 @@ def _norm_sq(row) -> int:
     return sum(map(mul, row, row))
 
 
-def solve_integer(a: Matrix, rhs: Matrix) -> Optional[Matrix]:
+def solve_integer(a: Matrix, rhs: Matrix, limit: Optional[int] = None) -> Optional[Matrix]:
     """The integer matrix Z with Z*a == rhs, or None when Z is not integral.
 
     Solves modulo primes just below 2^30 and lifts the residues by CRT to
@@ -503,13 +518,25 @@ def solve_integer(a: Matrix, rhs: Matrix) -> Optional[Matrix]:
     that bound an uncertified candidate proves Z is not integral.  A prime
     dividing det(a) is skipped; a singular a raises SingularMatrix.
 
+    With a `limit`, the caller accepts only a Z with every |Z_ij| <= limit,
+    and that limit takes the Hadamard bound's place: the solve returns
+    None once the modulus exceeds twice the limit, or when the certified Z
+    has an entry beyond it.  The certificate is checked first at every
+    prime, so a Z within the limit comes from the same primes either way.
+
     The cost follows the bit length of Z on success, but on failure it
-    follows the bound, which is about r times the bit length of a's rows.
+    follows the bound: about r times the bit length of a's rows, or the
+    bit length of the limit.
     """
     if a.dim != rhs.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     r = a.dim
-    bound_sq = max(map(_norm_sq, rhs.rows)) * math.prod(map(_norm_sq, a.rows))
+    if limit is None:
+        bound_sq = max(map(_norm_sq, rhs.rows)) * math.prod(map(_norm_sq, a.rows))
+    else:
+        bound_sq = limit * limit
     # equation j of a^T Z^T == rhs^T: column j of rhs, then column j of a reversed
     equations = [
         list(rhs_col) + list(reversed(a_col))
@@ -546,7 +573,7 @@ def solve_integer(a: Matrix, rhs: Matrix) -> Optional[Matrix]:
         ):
             candidate = Matrix(rows)
             if mat_mul(candidate, a) == rhs:
-                return candidate
+                return candidate if limit is None or max(map(abs, z)) <= limit else None
         if modulus * modulus > 4 * bound_sq:
             return None
 

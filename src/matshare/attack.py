@@ -5,28 +5,32 @@ problem at desk scale: find n matrices in the public set whose ordered
 product equals a target.  It tests every sequence exactly, sharing the
 work sequences have in common.  A sequence splits into a prefix and a
 suffix, and the (0, 0) entry of its product is row 0 of the suffix's
-product times column 0 of the prefix's.  Each prefix column and each
-suffix row is formed once, one length-r mat-vec apiece; the suffix rows
-are packed into r big ints, so one packed product per prefix yields the
-(0, 0) entries of all its sequences at once, and ``bytes.find`` picks
-out those equal to the target's.  A sequence whose entry differs is
-provably not a solution; the full product is formed (n-1 ``mat_mul``),
-and compared exactly, only on a match.  The ratio analysis shows what a
-passive observer of the public reconstruction reveals can extract: each
-consecutive pair of reveals quotients to a raw shadow, found by the
-same certified integer solver that strips the blinding in recovery.
+product times column 0 of the prefix's.  The suffix rows and the prefix
+columns are tables built a level at a time in packed big ints (one int
+per coordinate, one byte slot per sequence): a level is extended by each
+matrix with r sums of r big-int multiples, whatever its length, and in
+ordered-distinct mode it keeps only sequences of distinct indices.  One
+packed product per prefix then yields the (0, 0) entries of all its
+sequences at once, and ``bytes.find`` picks out those equal to the
+target's.  A sequence whose entry differs is provably not a solution;
+the full product is formed (n-1 ``mat_mul``), and compared exactly, only
+on a match.  The ratio analysis shows what a passive observer of the
+public reconstruction reveals can extract: each consecutive pair of
+reveals quotients to a raw shadow, found by the same certified integer
+solver that strips the blinding in recovery.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import time
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul
+from itertools import chain, compress, count, permutations, product, repeat
+from operator import add, and_, contains, lshift, mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import Matrix, _max_bits, _pack, _width, chain_product, solve_integer
+from .algebra import _WORD, Matrix, _dots, _product_bound, chain_product, solve_integer
 from .dealer import Bulletin
 from .errors import GuardrailExceeded, SingularMatrix
 from .transport import Envelope, broadcast_matrices, participant_position
@@ -92,47 +96,92 @@ def count_search_space(k: int, n: int, mode: str) -> int:
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _prefix_columns(
-    matrices: Sequence[Matrix], depth: int, distinct: bool
-) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
-    """Yield (prefix, column 0 of its product) for every index prefix of the given depth.
+def _sequences(k: int, length: int, distinct: bool) -> Iterator[Tuple[int, ...]]:
+    """Every index sequence of the length, in ``permutations`` or ``product`` (lexicographic) order."""
+    return permutations(range(k), length) if distinct else product(range(k), repeat=length)
 
-    Prefixes come in the lexicographic order of ``permutations`` (distinct)
-    or ``product`` (with repetition), and are read in ring order: later
-    indices multiply on the left.  Column 0 of m * acc is m times column 0
-    of acc, so each prefix costs one length-r mat-vec onto its parent's
-    column and no product is formed.  The empty prefix's column is e_0,
-    given as [1]: ``map`` stops at the shorter of its iterables, so the
-    zeros after it need not be written.
+
+def _slot_size(matrices: Sequence[Matrix], n: int, corner: int) -> int:
+    """Bytes per suffix-table slot: a sign and any corner of n factors, or the target's corner."""
+    return max(_product_bound(matrices, n).bit_length(), abs(corner).bit_length()) // 8 + 1
+
+
+def _levels(coords, factors, depth: int, distinct: bool, size: int) -> Iterator[List[bytes]]:
+    """Yield each level of a corner table, for keys of one index up to `depth`.
+
+    The vector of key (i,) has coordinate c coords[c][i], and that of
+    (i, *rest) is factors[i] times rest's: coordinate c is
+    sum_l factors[i][c][l] times coordinate l of rest's.  A level is r
+    byte strings, one per coordinate; string l holds coordinate l of
+    every key's vector in one slot of `size` bytes, offset by half a
+    slot, the keys in the order of ``_sequences``.  The next level is k
+    blocks, the one for i holding the keys that start with i, and each
+    block is one ``_dots``: r sums of r big-int multiples of the level's
+    ints.  In ordered-distinct mode block i drops the keys whose rest
+    holds i: the next level's bytes are cut there and joined a whole run
+    at a time, with the same cuts in every coordinate.
     """
-    if depth == 0:
-        yield (), [1]
-        return
-    for prefix, col in _prefix_columns(matrices, depth - 1, distinct):
-        for idx, m in enumerate(matrices):
-            if not (distinct and idx in prefix):
-                yield prefix + (idx,), [sum(map(mul, row, col)) for row in m.rows]
+    k = len(coords[0])
+    half = 1 << (8 * size - 1)
+    level = [
+        b"".join(map(int.to_bytes, map(add, coord, repeat(half)), repeat(size), repeat("big")))
+        for coord in coords
+    ]
+    yield level
+    for length in range(1, depth):
+        keys = list(_sequences(k, length, distinct))
+        span = len(keys) * size
+        offset = int.from_bytes(half.to_bytes(size, "big") * len(keys), "big")
+        ints = [int.from_bytes(data, "big") - offset for data in level]
+        level = [
+            b"".join(map(int.to_bytes, map(add, blocks, repeat(offset)), repeat(span), repeat("big")))
+            for blocks in zip(*map(_dots, factors, repeat(ints)))
+        ]
+        if distinct:
+            firsts = chain.from_iterable(map(repeat, range(k), repeat(len(keys))))
+            held = list(compress(count(), map(contains, keys * k, firsts)))
+            ends = [x * size for x in held + [k * len(keys)]]
+            cuts = list(map(slice, [(x + 1) * size for x in [-1] + held], ends))
+            level = [b"".join(map(data.__getitem__, cuts)) for data in level]
+        yield level
 
 
-def _suffix_rows(matrices: Sequence[Matrix], depth: int, distinct: bool):
-    """(suffixes, rows): every index suffix of the given depth and row 0 of its product.
+def _column_table(matrices: Sequence[Matrix], head, allowed, depth: int, distinct: bool) -> dict:
+    """Column 0 of the product of every prefix head + tail, keyed by the tail reversed.
 
-    Suffixes come in the same lexicographic order as prefixes, and are
-    read in ring order too, so (i, *rest) multiplies rest's product by
-    M_i on the right: its row 0 is rest's row 0 times M_i, one length-r
-    mat-vec on M_i's transpose, and the suffixes that start with i come in
-    the order of the shorter ones.  Depth 1 takes row 0 of each matrix.
+    The tail is `depth` indices, given as positions in `allowed`.  Column
+    0 of (*rest, i) is M_i times rest's column 0, so the head's column is
+    one length-r mat-vec per index, each tail index adds a level on top
+    of it, and tails of two or more indices come from one ``_levels``
+    table, keyed by the reversed tail.  Its slots are whole 64-bit words,
+    so one ``struct`` pass unpacks the table.
     """
-    suffixes, rows = tuple(zip(range(len(matrices)))), tuple(m.rows[0] for m in matrices)
-    transposes = [tuple(zip(*m.rows)) for m in matrices] if depth > 1 else ()
-    for _ in range(depth - 1):
-        suffixes, rows = zip(*(
-            ((i,) + rest, [sum(map(mul, row, col)) for col in cols])
-            for i, cols in enumerate(transposes)
-            for rest, row in zip(suffixes, rows)
-            if not (distinct and i in rest)
-        ))
-    return suffixes, rows
+    # e_0 as [1]: ``map`` stops at the shorter iterable
+    col = (1,)
+    for i in head:
+        col = list(_dots(matrices[i].rows, col))
+    if not depth:
+        return {(): col}
+    factors = [matrices[i].rows for i in allowed]
+    vectors = [list(_dots(rows, col)) for rows in factors]
+    if depth == 1:
+        return dict(zip(zip(range(len(allowed))), vectors))
+    words = _product_bound(matrices, len(head) + depth).bit_length() // 64 + 1
+    *_, level = _levels(list(zip(*vectors)), factors, depth, distinct, 8 * words)
+    flat = b"".join(level)
+    slots = len(flat) // (8 * words)
+    # flipping each slot's top bit turns its offset value into two's
+    # complement: a slot's leading word reads signed, the others unsigned
+    flip = int.from_bytes((b"\x80" + bytes(8 * words - 1)) * slots, "big")
+    signed = (int.from_bytes(flat, "big") ^ flip).to_bytes(len(flat), "big")
+    data = struct.unpack(f">{slots * words}q", signed)
+    values = data[::words]
+    for w in range(1, words):
+        low = map(and_, data[w::words], repeat(_WORD))
+        values = tuple(map(add, map(lshift, values, repeat(64)), low))
+    per = slots // len(level)
+    coords = [values[c * per:(c + 1) * per] for c in range(len(level))]
+    return dict(zip(_sequences(len(allowed), depth, distinct), zip(*coords)))
 
 
 def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, ...], int]]:
@@ -140,20 +189,16 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
 
     ``tested`` counts the sequences tested up to and including the
     solution.  A sequence is a prefix of d indices and a suffix of the
-    last h, its leftmost factors, so entry (0, 0) of its product is row 0
-    of the suffix's product times column 0 of the prefix's.  The suffix
-    rows are formed once and coordinate l of all of them is packed into
-    one int of byte slots, the suffixes in lexicographic order.  Each
-    prefix column, walked lazily, times the packed rows is then a single
-    sum of r big-int multiples holding the corner of every suffix, and
-    ``bytes.find`` looks for the target's corner in it; only a
-    slot-aligned find names a suffix.  The slots are wider than any
-    corner, r * max|row| * max|column| with a depth-d column below
-    2^(d * (w + bitlen(r))) for w the widest matrix, and than the
-    target's corner; an offset of half a slot makes each signed corner a
-    nonnegative slot.  A differing corner proves the sequence is not a
-    solution; a matching one has its full product formed and compared
-    exactly.
+    last h, its leftmost factors.  Row 0 of (i, *rest) is rest's row 0
+    times M_i, so the suffix rows come from one ``_levels`` table keyed
+    by the suffix, whose r ints hold coordinate l of every suffix row.  A
+    prefix is a head of e indices and a tail of d - e, e the fewest that
+    keep the tails within ``_SUFFIX_ROWS``, and each head's tails take
+    their columns from one ``_column_table``.  Each prefix column times
+    the packed rows is a single sum of r big-int multiples holding the
+    corner of every suffix, in ``_slot_size`` slots, and ``bytes.find``
+    looks for the target's corner in it; only a slot-aligned find names
+    a suffix, and only an exact product comparison makes it a solution.
     """
     matrices, target = problem.matrices, problem.target
     k, n, r = len(matrices), problem.n, target.dim
@@ -162,33 +207,41 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
     while h > 1 and count_search_space(k, h, mode) > _SUFFIX_ROWS:
         h -= 1
     d = n - h
-    suffixes, rows = _suffix_rows(matrices, h, distinct)
-    # at d = 0 the one column is [1], so only coordinate 0 is packed
-    coords = list(zip(*rows))[: r if d else 1]
+    e = 0
+    while e < d and (math.perm(k - e, d - e) if distinct else k ** (d - e)) > _SUFFIX_ROWS:
+        e += 1
     corner = target.rows[0][0]
-    col_bits = d * (max(map(_width, matrices)) + r.bit_length()) if d else 0
-    size = max(_max_bits(coords) + col_bits + r.bit_length(), abs(corner).bit_length()) // 8 + 1
+    size = _slot_size(matrices, n, corner)
     half = 1 << (8 * size - 1)
+    # at d = 0 (so h = 1) the one column is e_0, so only coordinate 0 is packed
+    coords = list(zip(*(m.rows[0] for m in matrices)))[: r if d else 1]
+    transposes = [tuple(zip(*m.rows)) for m in matrices] if h > 1 else ()
+    *_, rows = _levels(coords, transposes, h, distinct, size)
+    suffixes = list(_sequences(k, h, distinct))
     offset = int.from_bytes(half.to_bytes(size, "big") * len(suffixes), "big")
-    packed = [_pack(map(add, coord, repeat(half)), size) - offset for coord in coords]
-    key = (corner + half).to_bytes(size, "big")
+    packed = [int.from_bytes(data, "big") - offset for data in rows]
+    key, span = (corner + half).to_bytes(size, "big"), len(suffixes) * size
     per_prefix = math.perm(k - d, h) if distinct else len(suffixes)
     tested = 0
-    for prefix, col in _prefix_columns(matrices, d, distinct):
-        found = (sum(map(mul, col, packed)) + offset).to_bytes(len(suffixes) * size, "big")
-        fresh = set(prefix).isdisjoint
-        pos = found.find(key)
-        while pos >= 0:
-            slot, skew = divmod(pos, size)
-            seq = prefix + suffixes[slot]
-            if (
-                not skew
-                and (not distinct or fresh(suffixes[slot]))
-                and chain_product(matrices[i] for i in seq) == target
-            ):
-                yield seq, tested + (sum(map(fresh, suffixes[: slot + 1])) if distinct else slot + 1)
-            pos = found.find(key, (slot + 1) * size)
-        tested += per_prefix
+    for head in _sequences(k, e, distinct):
+        allowed = [i for i in range(k) if i not in head] if distinct and head else range(k)
+        columns = _column_table(matrices, head, allowed, d - e, distinct)
+        for tail in _sequences(len(allowed), d - e, distinct):
+            found = sum(map(mul, columns[tail[::-1]], packed), offset).to_bytes(span, "big")
+            pos = found.find(key)
+            while pos >= 0:
+                slot, skew = divmod(pos, size)
+                prefix = head + tuple(map(allowed.__getitem__, tail))
+                seq = prefix + suffixes[slot]
+                fresh = set(prefix).isdisjoint
+                if (
+                    not skew
+                    and (not distinct or fresh(suffixes[slot]))
+                    and chain_product(matrices[i] for i in seq) == target
+                ):
+                    yield seq, tested + (sum(map(fresh, suffixes[: slot + 1])) if distinct else slot + 1)
+                pos = found.find(key, (slot + 1) * size)
+            tested += per_prefix
 
 
 def exhaustive_search(
@@ -205,17 +258,25 @@ def exhaustive_search(
     tested exactly and counted in ``nodes_explored``.  Each sequence is a
     prefix of n - h indices and a suffix of h = n // 2 (fewer if the
     suffixes would outnumber ``_SUFFIX_ROWS``, but at least one).  The
-    cost is one length-r mat-vec per prefix of length 1 to n - h (column 0
-    of its product) and per suffix of length 2 to h (row 0 of its
-    product), then, per prefix, one packed product: r multiples of big
-    ints of one slot per suffix, which hold the (0, 0) entries of all the
-    prefix's sequences, searched for the target's entry by ``bytes.find``.
-    The full product, n-1 ``mat_mul``, is formed only for a sequence whose
-    entry matches the target's, and a solution is reported only after
-    that product compares equal to the target.  At worst every entry
-    matches, as over a set of identities, and each sequence costs n-1
-    ``mat_mul``.  Spaces beyond the desk-scale guardrail are refused
-    unless explicitly overridden.
+    suffix rows (row 0 of each suffix's product) and the prefix columns
+    (column 0 of each prefix's) are built a level at a time, one level
+    per index of length: extending a level costs k * r sums of r big-int
+    multiples, however many sequences it holds, and in ordered-distinct
+    mode each level holds only sequences of distinct indices.  Where the
+    prefixes too would outnumber ``_SUFFIX_ROWS``, their first indices
+    are walked one length-r mat-vec at a time and each walked head gets
+    a table of its own, so no table outgrows that cap.  Then, per
+    prefix, one packed product: r multiples of big ints of one slot per
+    suffix, which hold the (0, 0) entries of all the prefix's sequences,
+    searched for the target's entry by ``bytes.find``.  In
+    ordered-distinct mode the slots of suffixes that share an index with
+    the prefix are formed too, and skipped; when k is close to n they are
+    most of each product.  The full product, n-1 ``mat_mul``, is formed
+    only for a sequence whose entry matches the target's, and a solution
+    is reported only after that product compares equal to the target.
+    At worst every entry matches, as over a set of identities, and each
+    sequence costs n-1 ``mat_mul``.  Spaces beyond the desk-scale
+    guardrail are refused unless explicitly overridden.
     """
     if mode not in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
         raise ValueError(f"mode must be enumerable, got {mode!r}")

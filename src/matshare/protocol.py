@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from .algebra import (
     Matrix,
+    _product_bound,
     freivalds_screen,
     mat_mul,
     mat_vec_mul,
@@ -132,13 +133,18 @@ def run_reconstruction(
     # the last walker gives what they computed back to the starter
     net.send(participant_name(walk[-1]), participant_name(start), PUBLIC, v)
 
-    recovered = recover_secret(v, c, x)
+    # P is the n - start + 1 shadows from the starter through position n,
+    # Q the start - 1 after it, so no honest factor passes these limits
+    limits = tuple(_product_bound(bulletin.matrices, m) for m in (bulletin.n - start + 1, start - 1))
+    recovered = recover_secret(v, c, x, limits)
     # the starter's private record of the outcome; never visible publicly
     net.send(participant_name(start), participant_name(start), SECURE, recovered)
     return recovered, net.transcript
 
 
-def recover_secret(b: Matrix, c: Matrix, x: Matrix) -> Matrix:
+def recover_secret(
+    b: Matrix, c: Matrix, x: Matrix, limits: Optional[Tuple[int, int]] = None
+) -> Matrix:
     """Strip the blinding: S = P*Q with P*x == c and Q*c == b.
 
     With b the full blinded chain and c the partial chain through ring
@@ -147,29 +153,35 @@ def recover_secret(b: Matrix, c: Matrix, x: Matrix) -> Matrix:
     Each factor comes from ``solve_integer``: a multimodular (CRT) solve
     that returns only after the exact integer check P*x == c (resp.
     Q*c == b), so a modular shortcut can never yield a wrong secret.
+    `limits`, if given, bounds the entries of P and of Q: a factor beyond
+    its limit is refused like a non-integral one.
 
     Raises SingularMatrix when x or c is singular, and IntegrityFailure
-    when P or Q is not integral; this is stricter than asking only that
-    P*Q be integral, which no honest round needs.  Honest recovery costs
-    a few primes per factor (the bits of the secret); rejecting an
-    inconsistent reveal runs primes up to the Hadamard bound, about r
-    times the reveal width.
+    when P or Q is not integral or passes its limit; this is stricter than
+    asking only that P*Q be integral, which no honest round needs.  Honest
+    recovery costs a few primes per factor (the bits of the secret);
+    rejecting an inconsistent reveal runs primes up to twice the factor's
+    limit, or without one up to the Hadamard bound, about r times the
+    reveal width.
     """
     if not (b.dim == c.dim == x.dim):
         raise ValueError(f"dimension mismatch: {b.dim}, {c.dim}, {x.dim}")
-    p = _integer_factor(x, c, "blinding matrix is singular")
-    q = _integer_factor(c, b, "partial-product reveal is singular")
+    p_limit, q_limit = limits or (None, None)
+    p = _integer_factor(x, c, p_limit, "blinding matrix is singular")
+    q = _integer_factor(c, b, q_limit, "partial-product reveal is singular")
     return mat_mul(p, q)
 
 
-def _integer_factor(a: Matrix, rhs: Matrix, singular: str) -> Matrix:
-    """The certified integer Z with Z*a == rhs, or the recovery error."""
+def _integer_factor(a: Matrix, rhs: Matrix, limit: Optional[int], singular: str) -> Matrix:
+    """The certified integer Z with Z*a == rhs within the limit, or the recovery error."""
     try:
-        z = solve_integer(a, rhs)
+        z = solve_integer(a, rhs, limit)
     except SingularMatrix:
         raise SingularMatrix(singular) from None
     if z is None:
-        raise IntegrityFailure("recovered factor has non-integer entries; reveals are inconsistent")
+        raise IntegrityFailure(
+            "recovered factor is not an integer matrix within its limit; reveals are inconsistent"
+        )
     return z
 
 

@@ -401,6 +401,85 @@ def test_solve_integer_reaches_the_hadamard_bound():
         assert solve_integer(Matrix([[1]]), Matrix([[v]])) == Matrix([[v]])
 
 
+BOUNDED_A = Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+
+
+def z_at(limit):
+    """A 3x3 integer matrix whose largest absolute entry is exactly `limit`, met with both signs."""
+    return Matrix([[limit, -limit, 0], [limit // 2, 1 % (limit + 1), -(limit // 3)], [0, limit, -limit]])
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [0, 1, 7, 2**29, (_prime(0) - 1) // 2, (_prime(0) + 1) // 2, _prime(0) * _prime(1) // 2, 2**100],
+)
+def test_bounded_solve_finds_z_at_the_limit_and_refuses_limit_plus_one(limit):
+    # (p - 1) / 2 is the widest Z one prime can certify; (p + 1) / 2 and
+    # p*q / 2 need the next prime to pass twice the limit
+    z = z_at(limit)
+    assert solve_integer(BOUNDED_A, mat_mul(z, BOUNDED_A), limit) == z
+    beyond = z_at(limit + 1)
+    assert solve_integer(BOUNDED_A, mat_mul(beyond, BOUNDED_A), limit) is None
+    assert solve_integer(BOUNDED_A, mat_mul(beyond, BOUNDED_A)) == beyond
+
+
+def test_bounded_solve_refuses_a_negative_limit():
+    with pytest.raises(ValueError, match="limit"):
+        solve_integer(Matrix.identity(2), Matrix.identity(2), -1)
+
+
+@SEEDED
+@given(st.data())
+def test_bounded_solve_matches_the_unbounded_solve(data):
+    # the bounded solve returns the unbounded answer when every entry is
+    # within the limit, and None otherwise; rhs is sometimes off by one
+    # entry, so that Z is not integral or lies elsewhere
+    a, z = data.draw(nonsingular_and_solution(solution=st.integers(-(2**70), 2**70)))
+    rows = [list(row) for row in mat_mul(z, a).rows]
+    if data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, a.dim - 1))][data.draw(st.integers(0, a.dim - 1))] += data.draw(
+            st.sampled_from((1, -1))
+        )
+    rhs = Matrix(rows)
+    top = max(abs(x) for row in z.rows for x in row)
+    limit = data.draw(st.sampled_from((top, top + 1, max(top - 1, 0), 2 * top, top // 2, 2**200)))
+    unbounded = solve_integer(a, rhs)
+    within = unbounded is not None and max(abs(x) for row in unbounded.rows for x in row) <= limit
+    assert solve_integer(a, rhs, limit) == (unbounded if within else None)
+
+
+def test_bounded_solve_stops_once_the_modulus_passes_twice_the_limit(monkeypatch):
+    # a tampered rhs at r=16 with 60-bit entries: the unbounded solve runs
+    # primes to the Hadamard bound, the bounded one until the modulus
+    # passes 2 * limit, and an honest Z costs the same primes either way
+    rng = Random(9)
+    a = Matrix([[rng.randrange(-(2**60), 2**60) for _ in range(16)] for _ in range(16)])
+    z = Matrix([[rng.randrange(-(2**40), 2**40) for _ in range(16)] for _ in range(16)])
+    limit = 2**40
+    honest = mat_mul(z, a)
+    tampered = Matrix([[x + (i == j == 3) for j, x in enumerate(row)] for i, row in enumerate(honest.rows)])
+    primes = []
+    original = algebra._eliminate_mod
+
+    def counting(w, ncols, p, reduce_above):
+        primes.append(p)
+        return original(w, ncols, p, reduce_above)
+
+    monkeypatch.setattr(algebra, "_eliminate_mod", counting)
+
+    def used(rhs, bound=None):
+        primes.clear()
+        result = solve_integer(a, rhs, bound)
+        return result, list(primes)
+
+    assert used(honest, limit) == used(honest)
+    assert used(honest)[0] == z
+    refused, bounded = used(tampered, limit)
+    assert refused is None and used(tampered)[0] is None
+    assert math.prod(bounded[:-1]) <= 2 * limit < math.prod(bounded)
+    assert len(bounded) == 2 and len(used(tampered)[1]) > 20
+
+
 def test_solver_primes_are_the_largest_below_2_to_30():
     def by_trial(m):
         return all(m % d for d in range(2, math.isqrt(m) + 1))
@@ -560,19 +639,24 @@ def test_elimination_refuses_primes_beyond_the_word(p):
         _eliminate_mod([[1, 1]], 1, p, reduce_above=True)
 
 
+#: a one-entry change to a product: +-1 four times in five, else one far wider than 2^t
+PERTURBATION = st.sampled_from((1, -1, 1, -1, 2**130))
+
+
 @PACKED
 @given(st.data())
 def test_freivalds_matches_one_vector_oracle(data):
     # the same seed draws the same t-bit vector, so the decisions agree
-    # exactly, on signed and wide entries and on wrong products alike
+    # exactly, on signed and wide entries and on wrong products alike.
+    # Most products are off by one in one entry and t is 1 to 3, so a
+    # wrong product passes often (when u is 0 at that column), and those
+    # false accepts must fall on the same seeds as the oracle's
     r = data.draw(st.integers(1, 40))
     a, b = data.draw(wide_matrix(r)), data.draw(wide_matrix(r))
     rows = naive_mul(mat_rows(a), mat_rows(b))
-    if data.draw(st.booleans()):
-        rows[data.draw(st.integers(0, r - 1))][data.draw(st.integers(0, r - 1))] += data.draw(
-            st.sampled_from((1, -1, 2**130))
-        )
-    t, seed = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 2**32))
+    if data.draw(st.integers(0, 3)):
+        rows[data.draw(st.integers(0, r - 1))][data.draw(st.integers(0, r - 1))] += data.draw(PERTURBATION)
+    t, seed = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32))
     expected = freivalds_trials(mat_rows(a), mat_rows(b), rows, t, Random(seed))
     assert freivalds_verify(a, b, Matrix(rows), t, seed) is expected
 
@@ -581,18 +665,17 @@ def test_freivalds_matches_one_vector_oracle(data):
 @given(st.data())
 def test_chain_screen_matches_shared_trial_oracle(data):
     # chains of 1-5 matrices, each link a candidate's true product or a
-    # perturbed one: the screen decides as the shared t-bit vector decides
+    # perturbed one: the screen decides as the shared t-bit vector decides,
+    # false accepts included (t is 1 to 3 and most perturbations are +-1)
     r = data.draw(st.integers(1, 16))
     candidates = data.draw(st.lists(wide_matrix(r), min_size=1, max_size=3))
     chain = [data.draw(wide_matrix(r))]
     for _ in range(data.draw(st.integers(0, 4))):
         rows = naive_mul(mat_rows(data.draw(st.sampled_from(candidates))), mat_rows(chain[-1]))
         if data.draw(st.booleans()):
-            rows[data.draw(st.integers(0, r - 1))][data.draw(st.integers(0, r - 1))] += data.draw(
-                st.sampled_from((1, -1, 2**130))
-            )
+            rows[data.draw(st.integers(0, r - 1))][data.draw(st.integers(0, r - 1))] += data.draw(PERTURBATION)
         chain.append(Matrix(rows))
-    t, seed = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 2**32))
+    t, seed = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32))
     expected = freivalds_chain_trials(
         [mat_rows(m) for m in chain], [mat_rows(c) for c in candidates], t, Random(seed)
     )

@@ -22,7 +22,7 @@ from matshare.errors import GuardrailExceeded
 from matshare.protocol import simulate_run
 from matshare.transport import broadcast_matrices
 
-from oracles import mat_rows, naive_matvec, ordered_seq_product
+from oracles import chain_vector, mat_rows, naive_matvec, ordered_seq_product
 
 
 def dealt(seed=42, r=4, k=6, n=3):
@@ -273,6 +273,38 @@ def test_search_with_a_capped_suffix_table_matches_reference(monkeypatch, cap):
                 assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, limit)
 
 
+@pytest.mark.parametrize("cap", [2, 5, 30])
+def test_search_walks_prefix_heads_past_the_table_cap(monkeypatch, cap):
+    # a prefix whose tails would outnumber the cap walks its first
+    # indices one at a time, so no column table holds more than the cap;
+    # at cap 2 some tails are empty, at 5 and 30 they are one or two indices
+    monkeypatch.setattr(attack, "_SUFFIX_ROWS", cap)
+    sizes = []
+    original = attack._column_table
+
+    def recording(*args):
+        table = original(*args)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(attack, "_column_table", recording)
+    rng = Random(200 + cap)
+    walked = False
+    for n, k in ((5, 6), (5, 5), (4, 7), (3, 6)):
+        raw = [[[rng.randrange(-9, 10) for _ in range(2)] for _ in range(2)] for _ in range(k)]
+        raw[1] = raw[4]
+        target = Matrix(ordered_seq_product(raw, rng.sample(range(k), n)))
+        problem = SearchProblem(tuple(map(Matrix, raw)), n, target)
+        for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+            for limit in (None, 2):
+                sizes.clear()
+                result = exhaustive_search(problem, mode, limit=limit)
+                assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, limit)
+                assert max(sizes) <= cap
+                walked |= len(sizes) > 1
+    assert walked
+
+
 def test_search_ignores_corner_bytes_at_unaligned_offsets(monkeypatch):
     # r = 1 and n = 2, so every corner is a product of two of the scalars
     # and fits 2-byte slots (entries of 6 bits, offset 0x8000).  For the
@@ -330,6 +362,84 @@ def test_search_one_factor_among_fifty():
             for limit in (None, 1):
                 result = exhaustive_search(problem, mode, limit=limit)
                 assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, limit)
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def unpacked_level(level, size):
+    """Each coordinate string of a ``_levels`` level as its list of signed slot values."""
+    half = 1 << (8 * size - 1)
+    return [[int.from_bytes(data[i:i + size], "big") - half for i in range(0, len(data), size)] for data in level]
+
+
+def level_cases():
+    rng = Random(18)
+    top = (1 << 40) - 1
+
+    def matrices(count, r, entry):
+        return [[[entry() for _ in range(r)] for _ in range(r)] for _ in range(count)]
+
+    return {
+        # small signed entries, k > depth
+        "signed": (matrices(5, 3, lambda: rng.randrange(-9, 10)), 3),
+        # 40-bit entries of both signs, some at the entry bound
+        "wide": (matrices(4, 2, lambda: rng.choice([top, -top, rng.randrange(-top, top)])), 3),
+        # every entry at the bound: each slot of the deepest level is r^(depth-1) * E^depth
+        "bound": ([[[top] * 3] * 3, [[-top] * 3] * 3, [[top] * 3] * 3], 3),
+        # k = depth, so the distinct levels hold every permutation of all k indices
+        "k_is_n": (matrices(4, 3, lambda: rng.randrange(-200, 200)), 4),
+        # depth 1 is the vectors themselves
+        "one_factor": (matrices(6, 2, lambda: rng.randrange(-5, 6)), 1),
+    }
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+@pytest.mark.parametrize("case", sorted(level_cases()))
+def test_levels_match_per_sequence_mat_vecs(case, distinct):
+    # the vector of key (i, *rest) is F_i times rest's, F the matrices
+    # (prefix columns) or their transposes (suffix rows), so it is e_0
+    # chained through F in the key's reversed order
+    raw, depth = level_cases()[case]
+    matrices = tuple(map(Matrix, raw))
+    k, r = len(raw), len(raw[0])
+    e0 = [1] + [0] * (r - 1)
+    size = attack._slot_size(matrices, depth, 0)
+    for factors in (raw, [transpose(m) for m in raw]):
+        coords = transpose([[row[0] for row in f] for f in factors])
+        levels = list(attack._levels(coords, factors, depth, distinct, size))
+        assert len(levels) == depth
+        for length, level in enumerate(levels, 1):
+            keys = permutations(range(k), length) if distinct else product(range(k), repeat=length)
+            want = [chain_vector([factors[i] for i in reversed(key)], e0) for key in keys]
+            assert unpacked_level(level, size) == transpose(want)
+
+
+@pytest.mark.parametrize("mode", [ORDERED_DISTINCT, ORDERED_WITH_REPETITION])
+@pytest.mark.parametrize("r,k,n", [(8, 12, 4), (3, 6, 6), (4, 7, 5), (3, 9, 1)])
+def test_search_extends_each_table_level_once_per_matrix(monkeypatch, mode, r, k, n):
+    # a table of depth t costs k * (t - 1) extensions, one ``_dots`` each,
+    # however many sequences its levels hold; the prefix table's first
+    # level extends e_0, so it costs k * d
+    calls = []
+    original = attack._dots
+
+    def counting_dots(rows, column):
+        calls.append(len(column))
+        return original(rows, column)
+
+    monkeypatch.setattr(attack, "_dots", counting_dots)
+    rng = Random(r * k * n)
+    raw = [[[rng.randrange(256) for _ in range(r)] for _ in range(r)] for _ in range(k)]
+    problem = SearchProblem(tuple(map(Matrix, raw)), n, Matrix(ordered_seq_product(raw, range(n))))
+    result = exhaustive_search(problem, mode)
+    h = max(n // 2, 1)
+    assert count_search_space(k, h, mode) <= attack._SUFFIX_ROWS
+    assert count_search_space(k, max(n - h, 1), mode) <= attack._SUFFIX_ROWS
+    assert len(calls) == k * (h - 1) + k * (n - h)
+    assert set(calls) <= {1, r}
+    assert tuple(range(n)) in result.solutions
 
 
 @pytest.mark.parametrize("limit", [0, -3])

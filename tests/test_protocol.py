@@ -1,10 +1,11 @@
 import copy
+import math
 from dataclasses import replace
 from random import Random
 
 import pytest
 
-from matshare import algebra
+from matshare import algebra, protocol
 from matshare.algebra import (
     BinaryVector,
     Matrix,
@@ -299,6 +300,82 @@ def test_recover_rejects_tampered_wide_reveal():
     rows[5][17] += 1
     with pytest.raises(IntegrityFailure):
         recover_secret(b, Matrix(rows), x)
+
+
+def test_recover_refuses_a_factor_beyond_its_limit():
+    # P = c and Q = [[1, 1], [0, 1]] have entries of at most 1: a limit of
+    # 0 on either refuses an integral factor that an unbounded solve accepts
+    b, c, x = Matrix([[2, 1], [1, 1]]), Matrix([[1, 0], [1, 1]]), Matrix.identity(2)
+    assert recover_secret(b, c, x, (1, 1)) == recover_secret(b, c, x)
+    for limits in ((0, 1), (1, 0)):
+        with pytest.raises(IntegrityFailure):
+            recover_secret(b, c, x, limits)
+
+
+def test_reconstruction_limits_each_factor_by_its_shadow_count(monkeypatch):
+    # P holds the n - s + 1 shadows from start s through position n, Q the
+    # s - 1 after it: each limit is r^(m-1) * E^m for m shadows, with E
+    # = 2^w - 1 for the widest public matrix, and 1 for none (Q = I)
+    instance, bulletin, shares = dealt(21, r=5, k=7, n=4)
+    widest = max(max(abs(x) for row in m.rows for x in row) for m in bulletin.matrices).bit_length()
+
+    def bound(m):
+        return 5 ** (m - 1) * (2**widest - 1) ** m if m else 1
+
+    seen = []
+    original = protocol.solve_integer
+
+    def recording(a, rhs, limit=None):
+        seen.append(limit)
+        return original(a, rhs, limit)
+
+    monkeypatch.setattr(protocol, "solve_integer", recording)
+    for start in range(1, 5):
+        seen.clear()
+        recovered, _ = run_reconstruction(bulletin, shares, start, Random(start))
+        assert recovered == instance.secret
+        assert seen == [bound(4 - start + 1), bound(start - 1)]
+
+
+def test_reconstruction_refuses_a_tampered_chain_within_its_limit(monkeypatch):
+    # at r=32, for every start, b with one entry off by one is refused;
+    # its Q solve stops at the first modulus past twice Q's limit, while
+    # the unbounded solve runs primes up to the Hadamard bound
+    instance, bulletin, shares = dealt(seed=4242, r=32, k=32, n=8)
+    primes = []
+    original = algebra._eliminate_mod
+
+    def counting(w, ncols, p, reduce_above):
+        primes.append(p)
+        return original(w, ncols, p, reduce_above)
+
+    monkeypatch.setattr(algebra, "_eliminate_mod", counting)
+    widest = max(m.rows[i][j].bit_length() for m in bulletin.matrices for i in range(32) for j in range(32))
+
+    def bound(m):
+        return 32 ** (m - 1) * (2**widest - 1) ** m if m else 1
+
+    for start in range(1, 9):
+        x = sample_invertible_matrix(32, X_ENTRY_BOUND, Random(start))
+        reveals, v = {}, x
+        for pos in ring_walk(start, 8):
+            v = mat_mul(instance.shadow(pos), v)
+            reveals[pos] = v
+        b, c = v, reveals[8]
+        rows = [list(row) for row in b.rows]
+        rows[5][7] += 1
+        limits = (bound(8 - start + 1), bound(start - 1))
+        assert recover_secret(b, c, x, limits) == instance.secret
+        with pytest.raises(IntegrityFailure):
+            recover_secret(Matrix(rows), c, x, limits)
+        primes.clear()
+        assert algebra.solve_integer(c, Matrix(rows), limits[1]) is None
+        assert math.prod(primes[:-1]) <= 2 * limits[1] < math.prod(primes)
+        if start == 3:
+            bounded = len(primes)
+            primes.clear()
+            assert algebra.solve_integer(c, Matrix(rows)) is None
+            assert len(primes) > 10 * bounded
 
 
 def test_recover_requires_both_factors_integral():
