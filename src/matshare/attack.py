@@ -224,7 +224,10 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
     per_prefix = math.perm(k - d, h) if distinct else len(suffixes)
     tested = 0
     for head in _sequences(k, e, distinct):
-        allowed = [i for i in range(k) if i not in head] if distinct and head else range(k)
+        if d == e:
+            allowed = ()  # the head is the whole prefix: one empty tail
+        else:
+            allowed = [i for i in range(k) if i not in head] if distinct and head else range(k)
         columns = _column_table(matrices, head, allowed, d - e, distinct)
         for tail in _sequences(len(allowed), d - e, distinct):
             found = sum(map(mul, columns[tail[::-1]], packed), offset).to_bytes(span, "big")
