@@ -100,16 +100,20 @@ def _width(m: "Matrix") -> int:
         return bits
 
 
-def _product_bound(matrices: Sequence["Matrix"], m: int) -> int:
-    """Largest absolute entry a product of m of the matrices can have: r^(m-1) * E^m.
+def _entry_bound(matrices: Sequence["Matrix"]) -> int:
+    """E = 2^w - 1 for w the widest matrix's cached ``_width``: no entry exceeds it."""
+    return (1 << max(map(_width, matrices))) - 1
 
-    E = 2^w - 1 for w the widest matrix's cached ``_width``, so m
-    matrices whose entries all equal E meet the bound.  The product of
-    no matrices is the identity, bounded by 1.
+
+def _product_bound(r: int, top: int, m: int) -> int:
+    """Largest absolute entry a product of m r x r matrices of entries at most `top` can have.
+
+    That is r^(m-1) * top^m, met by m matrices whose entries all equal
+    `top`.  The product of no matrices is the identity, bounded by 1.
     """
     if m == 0:
         return 1
-    return matrices[0].dim ** (m - 1) * ((1 << max(map(_width, matrices))) - 1) ** m
+    return r ** (m - 1) * top**m
 
 
 def _dots(rows, column):

@@ -30,7 +30,7 @@ from itertools import chain, compress, count, permutations, product, repeat
 from operator import add, and_, contains, lshift, mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import _WORD, Matrix, _dots, _product_bound, chain_product, solve_integer
+from .algebra import _WORD, Matrix, _dots, _entry_bound, _product_bound, chain_product, solve_integer
 from .dealer import Bulletin
 from .errors import GuardrailExceeded, SingularMatrix
 from .transport import Envelope, broadcast_matrices, participant_position
@@ -101,37 +101,57 @@ def _sequences(k: int, length: int, distinct: bool) -> Iterator[Tuple[int, ...]]
     return permutations(range(k), length) if distinct else product(range(k), repeat=length)
 
 
-def _slot_size(matrices: Sequence[Matrix], n: int, corner: int) -> int:
-    """Bytes per suffix-table slot: a sign and any corner of n factors, or the target's corner."""
-    return max(_product_bound(matrices, n).bit_length(), abs(corner).bit_length()) // 8 + 1
+def _slot_size(r: int, top: int, n: int, corner: int) -> int:
+    """Bytes per suffix-table slot: a sign and any corner of n factors, or the target's corner.
 
-
-def _levels(coords, factors, depth: int, distinct: bool, size: int) -> Iterator[List[bytes]]:
-    """Yield each level of a corner table, for keys of one index up to `depth`.
-
-    The vector of key (i,) has coordinate c coords[c][i], and that of
-    (i, *rest) is factors[i] times rest's: coordinate c is
-    sum_l factors[i][c][l] times coordinate l of rest's.  A level is r
-    byte strings, one per coordinate; string l holds coordinate l of
-    every key's vector in one slot of `size` bytes, offset by half a
-    slot, the keys in the order of ``_sequences``.  The next level is k
-    blocks, the one for i holding the keys that start with i, and each
-    block is one ``_dots``: r sums of r big-int multiples of the level's
-    ints.  In ordered-distinct mode block i drops the keys whose rest
-    holds i: the next level's bytes are cut there and joined a whole run
-    at a time, with the same cuts in every coordinate.
+    No factor has an entry beyond `top`.
     """
-    k = len(coords[0])
+    return max(_product_bound(r, top, n).bit_length(), abs(corner).bit_length()) // 8 + 1
+
+
+def _to_slots(values, size: int) -> bytes:
+    """The ints in `size`-byte slots, each offset by half a slot so that it reads nonnegative."""
     half = 1 << (8 * size - 1)
-    level = [
-        b"".join(map(int.to_bytes, map(add, coord, repeat(half)), repeat(size), repeat("big")))
-        for coord in coords
-    ]
+    return b"".join(map(int.to_bytes, map(add, values, repeat(half)), repeat(size), repeat("big")))
+
+
+def _halves(slots: int, size: int) -> int:
+    """The offset of `slots` slots of `size` bytes: the int with half a slot in each."""
+    return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "big") * slots, "big")
+
+
+def _packed(values: Sequence[int], size: int) -> int:
+    """The ints as one signed big int, a `size`-byte slot each, the first value highest."""
+    return int.from_bytes(_to_slots(values, size), "big") - _halves(len(values), size)
+
+
+def _drop_slots(level: List[bytes], held: List[int], size: int) -> List[bytes]:
+    """Each string of the level without the slots at the ascending positions `held`."""
+    cuts = list(map(slice, [(x + 1) * size for x in [-1] + held], [x * size for x in held] + [None]))
+    return [b"".join(map(data.__getitem__, cuts)) for data in level]
+
+
+def _levels(level: List[bytes], factors, depth: int, distinct: bool, size: int) -> Iterator[List[bytes]]:
+    """Yield `level` and each level built on it, up to keys of `depth` indices.
+
+    A level is r byte strings, one per coordinate; string l holds
+    coordinate l of every key's vector in one slot of `size` bytes,
+    offset by half a slot, the keys in the order of ``_sequences``.  The
+    given level holds the keys of one index, one per factor.  The vector
+    of (i, *rest) is factors[i] times rest's: coordinate c is
+    sum_l factors[i][c][l] times coordinate l of rest's.  So the next
+    level is k blocks, the one for i holding the keys that start with i,
+    and each block is one ``_dots``: r sums of r big-int multiples of the
+    level's ints.  In ordered-distinct mode block i drops the keys whose
+    rest holds i: the next level's bytes are cut there and joined a whole
+    run at a time, with the same cuts in every coordinate.
+    """
+    k = len(factors)
     yield level
     for length in range(1, depth):
         keys = list(_sequences(k, length, distinct))
         span = len(keys) * size
-        offset = int.from_bytes(half.to_bytes(size, "big") * len(keys), "big")
+        offset = _halves(len(keys), size)
         ints = [int.from_bytes(data, "big") - offset for data in level]
         level = [
             b"".join(map(int.to_bytes, map(add, blocks, repeat(offset)), repeat(span), repeat("big")))
@@ -139,22 +159,24 @@ def _levels(coords, factors, depth: int, distinct: bool, size: int) -> Iterator[
         ]
         if distinct:
             firsts = chain.from_iterable(map(repeat, range(k), repeat(len(keys))))
-            held = list(compress(count(), map(contains, keys * k, firsts)))
-            ends = [x * size for x in held + [k * len(keys)]]
-            cuts = list(map(slice, [(x + 1) * size for x in [-1] + held], ends))
-            level = [b"".join(map(data.__getitem__, cuts)) for data in level]
+            level = _drop_slots(level, list(compress(count(), map(contains, keys * k, firsts))), size)
         yield level
 
 
-def _column_table(matrices: Sequence[Matrix], head, allowed, depth: int, distinct: bool) -> dict:
+def _column_table(
+    matrices: Sequence[Matrix], entries, head, allowed, depth: int, distinct: bool, size: int
+) -> dict:
     """Column 0 of the product of every prefix head + tail, keyed by the tail reversed.
 
     The tail is `depth` indices, given as positions in `allowed`.  Column
     0 of (*rest, i) is M_i times rest's column 0, so the head's column is
-    one length-r mat-vec per index, each tail index adds a level on top
-    of it, and tails of two or more indices come from one ``_levels``
-    table, keyed by the reversed tail.  Its slots are whole 64-bit words,
-    so one ``struct`` pass unpacks the table.
+    one length-r mat-vec per index.  ``entries[c][l]`` packs entry (c, l)
+    of every matrix, a `size`-byte slot each, so the head's column times
+    them is the column of head + (i,) for every i at once: r sums of r
+    big-int multiples.  Less the slots of the head's own indices in
+    ordered-distinct mode, that is the first level of the tails'
+    ``_levels`` table.  Its slots are whole 64-bit words, so one
+    ``struct`` pass unpacks the table.
     """
     # e_0 as [1]: ``map`` stops at the shorter iterable
     col = (1,)
@@ -162,18 +184,17 @@ def _column_table(matrices: Sequence[Matrix], head, allowed, depth: int, distinc
         col = list(_dots(matrices[i].rows, col))
     if not depth:
         return {(): col}
-    factors = [matrices[i].rows for i in allowed]
-    vectors = [list(_dots(rows, col)) for rows in factors]
-    if depth == 1:
-        return dict(zip(zip(range(len(allowed))), vectors))
-    words = _product_bound(matrices, len(head) + depth).bit_length() // 64 + 1
-    *_, level = _levels(list(zip(*vectors)), factors, depth, distinct, 8 * words)
+    k = len(matrices)
+    offset = _halves(k, size)
+    level = [(v + offset).to_bytes(k * size, "big") for v in _dots(entries, col)]
+    if distinct:
+        level = _drop_slots(level, sorted(head), size)
+    *_, level = _levels(level, [matrices[i].rows for i in allowed], depth, distinct, size)
     flat = b"".join(level)
-    slots = len(flat) // (8 * words)
+    words, slots = size // 8, len(flat) // size
     # flipping each slot's top bit turns its offset value into two's
     # complement: a slot's leading word reads signed, the others unsigned
-    flip = int.from_bytes((b"\x80" + bytes(8 * words - 1)) * slots, "big")
-    signed = (int.from_bytes(flat, "big") ^ flip).to_bytes(len(flat), "big")
+    signed = (int.from_bytes(flat, "big") ^ _halves(slots, size)).to_bytes(len(flat), "big")
     data = struct.unpack(f">{slots * words}q", signed)
     values = data[::words]
     for w in range(1, words):
@@ -211,16 +232,25 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
     while e < d and (math.perm(k - e, d - e) if distinct else k ** (d - e)) > _SUFFIX_ROWS:
         e += 1
     corner = target.rows[0][0]
-    size = _slot_size(matrices, n, corner)
+    top = _entry_bound(matrices)
+    size = _slot_size(r, top, n, corner)
     half = 1 << (8 * size - 1)
     # at d = 0 (so h = 1) the one column is e_0, so only coordinate 0 is packed
     coords = list(zip(*(m.rows[0] for m in matrices)))[: r if d else 1]
     transposes = [tuple(zip(*m.rows)) for m in matrices] if h > 1 else ()
-    *_, rows = _levels(coords, transposes, h, distinct, size)
+    *_, rows = _levels([_to_slots(coord, size) for coord in coords], transposes, h, distinct, size)
     suffixes = list(_sequences(k, h, distinct))
-    offset = int.from_bytes(half.to_bytes(size, "big") * len(suffixes), "big")
+    offset = _halves(len(suffixes), size)
     packed = [int.from_bytes(data, "big") - offset for data in rows]
     key, span = (corner + half).to_bytes(size, "big"), len(suffixes) * size
+    # the column tables' slots are whole 64-bit words, room for any column
+    # of d factors; entry (c, l) of every matrix is packed once, for l < 1
+    # at e = 0, where the one head column is e_0, and for no c at d = 0
+    width = 8 * (_product_bound(r, top, d).bit_length() // 64 + 1)
+    entries = [
+        [_packed([m.rows[c][l] for m in matrices], width) for l in range(r if e else 1)]
+        for c in range(r if d else 0)
+    ]
     per_prefix = math.perm(k - d, h) if distinct else len(suffixes)
     tested = 0
     for head in _sequences(k, e, distinct):
@@ -228,7 +258,7 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
             allowed = ()  # the head is the whole prefix: one empty tail
         else:
             allowed = [i for i in range(k) if i not in head] if distinct and head else range(k)
-        columns = _column_table(matrices, head, allowed, d - e, distinct)
+        columns = _column_table(matrices, entries, head, allowed, d - e, distinct, width)
         for tail in _sequences(len(allowed), d - e, distinct):
             found = sum(map(mul, columns[tail[::-1]], packed), offset).to_bytes(span, "big")
             pos = found.find(key)
@@ -268,7 +298,9 @@ def exhaustive_search(
     mode each level holds only sequences of distinct indices.  Where the
     prefixes too would outnumber ``_SUFFIX_ROWS``, their first indices
     are walked one length-r mat-vec at a time and each walked head gets
-    a table of its own, so no table outgrows that cap.  Then, per
+    a table of its own, so no table outgrows that cap; its first level
+    is the head's column times every matrix's entries, packed once per
+    search, r sums of r big-int multiples.  Then, per
     prefix, one packed product: r multiples of big ints of one slot per
     suffix, which hold the (0, 0) entries of all the prefix's sequences,
     searched for the target's entry by ``bytes.find``.  In

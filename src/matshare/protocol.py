@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from .algebra import (
     Matrix,
+    _entry_bound,
     _product_bound,
     freivalds_screen,
     mat_mul,
@@ -135,7 +136,8 @@ def run_reconstruction(
 
     # P is the n - start + 1 shadows from the starter through position n,
     # Q the start - 1 after it, so no honest factor passes these limits
-    limits = tuple(_product_bound(bulletin.matrices, m) for m in (bulletin.n - start + 1, start - 1))
+    top = _entry_bound(bulletin.matrices)
+    limits = tuple(_product_bound(bulletin.r, top, m) for m in (bulletin.n - start + 1, start - 1))
     recovered = recover_secret(v, c, x, limits)
     # the starter's private record of the outcome; never visible publicly
     net.send(participant_name(start), participant_name(start), SECURE, recovered)

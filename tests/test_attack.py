@@ -405,10 +405,10 @@ def test_levels_match_per_sequence_mat_vecs(case, distinct):
     matrices = tuple(map(Matrix, raw))
     k, r = len(raw), len(raw[0])
     e0 = [1] + [0] * (r - 1)
-    size = attack._slot_size(matrices, depth, 0)
+    size = attack._slot_size(r, algebra._entry_bound(matrices), depth, 0)
     for factors in (raw, [transpose(m) for m in raw]):
         coords = transpose([[row[0] for row in f] for f in factors])
-        levels = list(attack._levels(coords, factors, depth, distinct, size))
+        levels = list(attack._levels([attack._to_slots(c, size) for c in coords], factors, depth, distinct, size))
         assert len(levels) == depth
         for length, level in enumerate(levels, 1):
             keys = permutations(range(k), length) if distinct else product(range(k), repeat=length)
@@ -416,12 +416,45 @@ def test_levels_match_per_sequence_mat_vecs(case, distinct):
             assert unpacked_level(level, size) == transpose(want)
 
 
+@pytest.mark.parametrize("cap", [attack._SUFFIX_ROWS, 5])
+@pytest.mark.parametrize("case", sorted(level_cases()))
+def test_column_tables_match_per_prefix_mat_vecs(monkeypatch, case, cap):
+    # every column a search builds is e_0 chained through its prefix's
+    # matrices, the first index applied first; at cap 5 the prefixes walk
+    # heads, whose own indices the packed first level drops in distinct mode
+    monkeypatch.setattr(attack, "_SUFFIX_ROWS", cap)
+    raw, _ = level_cases()[case]
+    k, r = len(raw), len(raw[0])
+    e0 = [1] + [0] * (r - 1)
+    heads = []
+    original = attack._column_table
+
+    def checking(matrices, entries, head, allowed, depth, distinct, size):
+        table = original(matrices, entries, head, allowed, depth, distinct, size)
+        positions = range(len(allowed))
+        tails = list(permutations(positions, depth) if distinct else product(positions, repeat=depth))
+        assert len(table) == len(tails)
+        for tail in tails:
+            prefix = head + tuple(allowed[t] for t in tail)
+            assert list(table[tail[::-1]]) == chain_vector([raw[i] for i in prefix], e0)
+        heads.append(head)
+        return table
+
+    monkeypatch.setattr(attack, "_column_table", checking)
+    matrices = tuple(map(Matrix, raw))
+    for n in range(2, k + 1):
+        problem = SearchProblem(matrices, n, Matrix(ordered_seq_product(raw, range(n))))
+        for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+            assert tuple(range(n)) in exhaustive_search(problem, mode).solutions
+    assert any(heads) == (cap == 5)
+
+
 @pytest.mark.parametrize("mode", [ORDERED_DISTINCT, ORDERED_WITH_REPETITION])
 @pytest.mark.parametrize("r,k,n", [(8, 12, 4), (3, 6, 6), (4, 7, 5), (3, 9, 1)])
 def test_search_extends_each_table_level_once_per_matrix(monkeypatch, mode, r, k, n):
     # a table of depth t costs k * (t - 1) extensions, one ``_dots`` each,
     # however many sequences its levels hold; the prefix table's first
-    # level extends e_0, so it costs k * d
+    # level is one more, e_0 times the packed entries of every matrix
     calls = []
     original = attack._dots
 
@@ -437,7 +470,8 @@ def test_search_extends_each_table_level_once_per_matrix(monkeypatch, mode, r, k
     h = max(n // 2, 1)
     assert count_search_space(k, h, mode) <= attack._SUFFIX_ROWS
     assert count_search_space(k, max(n - h, 1), mode) <= attack._SUFFIX_ROWS
-    assert len(calls) == k * (h - 1) + k * (n - h)
+    d = n - h
+    assert len(calls) == k * (h - 1) + (1 + k * (d - 1) if d else 0)
     assert set(calls) <= {1, r}
     assert tuple(range(n)) in result.solutions
 
