@@ -12,41 +12,51 @@ multiply-add in C instead of one interpreter step per entry.  Entries
 are touched one by one only where rows are packed in and unpacked out;
 every step in between acts on whole rows.  The mod-p elimination under
 the solver and ``is_invertible`` is one kernel, ``_eliminate_mod``,
-whose residues sit in 64-bit word slots: instead of unpacking a row to
-reduce it, it folds all of the row's slots at once with masks, shifts
-and one multiply (``_fold_plan``, found once per prime), which keeps each
-slot congruent mod p and small enough for the next updates.  ``mat_mul``
-packs the rows of its right factor with one ``bytes.join`` and reads the
-product back with one ``struct`` pass.  Its byte slots are sized from a
-bound on the entries they will hold, so packing is exact at any
-dimension, and ``mat_mul`` packs at every size (there is no schoolbook
-branch).  That bound comes from each factor's entry width, which a
-``Matrix`` measures once and caches, so a matrix used in many products
-is scanned once.  A Freivalds screen checks on one vector of t-bit
-entries, which keeps the 2^-t bound of t binary trials (Schwartz 1980,
-Zippel 1979) with narrow products and no packing.  It takes a chain of
-matrices and forms each element's image once, shared by the two pairs
-it belongs to, and turns most wrong candidates away on one row's
-residue modulo a word-size prime before any wide product.
+whose residues sit in 64-bit word slots with the pivot column in each
+row's top live slot: instead of unpacking a row to reduce it, it folds
+all of the row's slots at once with masks, shifts and one multiply
+(``_fold_plan``, found once per prime), which keeps each slot congruent
+mod p and small enough for the next updates.  ``mat_mul`` packs the rows
+of its right factor with one ``bytes.join`` and reads the product back
+with one ``struct`` pass.  Its byte slots are sized from a bound on
+the entries they will hold, so packing is exact at any dimension, and
+``mat_mul`` packs at every size (there is no schoolbook branch).  That
+bound comes from each factor's entry width, which a ``Matrix`` measures
+once and caches, so a matrix used in many products is scanned once.  A
+second cache keeps the byte slots a matrix was packed into as a right
+factor, or produced from as a product: a product that becomes the next
+right factor, as at every hop of the blinded chain, is re-padded to its
+wider slots with one ``struct`` pass and one ``bytes.join`` instead of
+being packed one entry at a time.  A Freivalds screen checks on one
+vector of t-bit entries, which keeps the 2^-t bound of t binary trials
+(Schwartz 1980, Zippel 1979) with narrow products and no packing.  It
+takes a chain of matrices and forms each element's image once, shared by
+the two pairs it belongs to, and turns most wrong candidates away on one
+row's residue modulo a word-size prime before any wide product.
 
 Quotients of matrices come from ``solve_integer``: it finds the integer
 Z with Z*a == rhs by solving modulo word-size primes and combining the
 residues by the Chinese remainder theorem (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 5), and returns Z only after checking
 Z*a == rhs in exact integer arithmetic, or None when Z is not integral.
-A caller that knows a limit on Z's entries passes it, and the solve
-then gives up once the modulus passes twice the limit, not the Hadamard
-bound, so a refusal costs about the limit's bits.  ``is_invertible``
-accepts on a nonzero determinant residue and asks Bareiss only on a zero
-one.  A modular result is never returned without that exact
-certificate.
+That certificate compares packed rows: those of Z*a, formed as in
+``mat_mul``, with those of rhs, in slots wide enough for both, so no
+product matrix is built.  A caller that knows a limit on Z's entries
+passes it, and the solve then gives up once the modulus passes twice the
+limit, not the Hadamard bound, so a refusal costs about the limit's
+bits.  ``is_invertible`` accepts on a nonzero determinant residue and
+asks Bareiss only on a zero one.  A modular result is never returned
+without that exact certificate.
 
 Everything here is deterministic and pure: samplers take an explicit
 ``random.Random`` (or an int seed) and draw exactly the values its
 ``randrange`` would, and all values are immutable once constructed, so
-concurrent use is safe.  A matrix's width cache is the one write after
-construction; it always stores the same value, so two threads that fill
-it at once only measure it twice.
+concurrent use is safe.  A matrix's two caches are the only writes after
+construction.  The width cache always stores the same value, so two
+threads that fill it at once only measure it twice.  The slot cache can
+be replaced by another packing of the same rows, in narrower slots; each
+packing is stored and read as one ``(size, bytes)`` tuple, so a reader
+always gets a whole, consistent packing, whichever thread wrote it.
 """
 
 from __future__ import annotations
@@ -80,9 +90,9 @@ def _require_ints(rows) -> None:
         raise TypeError(f"entries must be int, got {type(bad).__name__}")
 
 
-def _pack(values, size: int) -> int:
-    """One int holding the values, each in [0, 256**size), first value highest."""
-    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(size), repeat("big"))), "big")
+def _offset(have: int, size: int, r: int) -> int:
+    """r slots of `size` bytes, each holding half a slot of `have` bytes, 2^(8*have - 1)."""
+    return int.from_bytes((bytes(size - have) + b"\x80" + bytes(have - 1)) * r, "big")
 
 
 def _max_bits(rows) -> int:
@@ -142,15 +152,19 @@ class _Frozen:
 class Matrix(_Frozen):
     """An immutable square matrix with int entries.
 
-    Its value is ``rows``.  The ``_bits`` slot caches the bit length of the
-    largest absolute entry: it stays unset until ``mat_mul`` or the attack
-    first needs it, and is then written once, so a matrix used in many
-    products is scanned once.  The cache is not part of the
-    value: ``==``, ``hash``, ``repr``, copies and pickles see only the
-    rows, and a rebuilt matrix measures its width again.
+    Its value is ``rows``.  Two slots cache work on it.  ``_bits`` holds
+    the bit length of the largest absolute entry: it stays unset until
+    ``mat_mul`` or the attack first needs it, and is then written once, so
+    a matrix used in many products is scanned once.  ``_slots`` holds
+    ``(size, bytes)``: the rows as offset big-endian slots of `size` bytes,
+    as ``mat_mul`` produced the matrix or last packed it as a right
+    factor, so a product that becomes the next right factor is re-padded
+    rather than packed entry by entry (``_packed_rows``).  Neither cache
+    is part of the value: ``==``, ``hash``, ``repr``, copies and pickles
+    see only the rows, and a rebuilt matrix measures and packs again.
     """
 
-    __slots__ = ("rows", "_bits")
+    __slots__ = ("rows", "_bits", "_slots")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(map(tuple, rows))
@@ -164,6 +178,17 @@ class Matrix(_Frozen):
     def __reduce__(self):
         # copy and pickle rebuild through __init__: __setattr__ refuses their default path
         return type(self), (self.rows,)
+
+    @classmethod
+    def _of(cls, rows: Iterable[Tuple[int, ...]]) -> "Matrix":
+        """A matrix of rows already known to be int tuples forming a nonempty square.
+
+        Skips ``__init__``'s checks, for results the package computed
+        itself from checked matrices (products and certified quotients).
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", tuple(rows))
+        return m
 
     @property
     def dim(self) -> int:
@@ -232,6 +257,35 @@ class BinaryVector(Vector):
         return sum(self.entries)
 
 
+def _packed_rows(m: Matrix, size: int) -> list:
+    """m's rows as signed packed ints of `size`-byte slots, entry j of row i in slot j from the top.
+
+    The rows come from offset big-endian bytes: each slot holds its entry
+    plus half its own slot, so it is nonnegative, and the offset is taken
+    off each row int.  Those bytes are m's ``_slots`` cache when it holds
+    slots of at most `size` bytes: a narrower cache is re-padded to `size`
+    with one ``struct`` pass and one ``bytes.join``, and its slots keep
+    their own (smaller) offset, which is the one taken off.  Otherwise m
+    is packed one entry at a time and the cache is set to that packing.
+    Every entry must be below half a slot in absolute value.
+    """
+    r = m.dim
+    step = r * size
+    cached = getattr(m, "_slots", None)
+    if cached is None or cached[0] > size:
+        have = size
+        shifted = map(add, chain.from_iterable(m.rows), repeat(1 << (8 * size - 1)))
+        flat = b"".join(map(int.to_bytes, shifted, repeat(size), repeat("big")))
+        object.__setattr__(m, "_slots", (size, flat))
+    else:
+        have, flat = cached
+        if have < size:
+            pad = bytes(size - have)
+            flat = pad + pad.join(chain.from_iterable(struct.iter_unpack(f"{have}s" * r, flat)))
+    offset = _offset(have, size, r)
+    return [int.from_bytes(flat[i:i + step], "big") - offset for i in range(0, r * step, step)]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product a*b.
 
@@ -240,25 +294,28 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     sum_l a[i][l] * packed(b[l]), computed in C.  The slots are wider than
     any entry bound r * max|a| * max|b|, and an offset of half a slot
     turns each signed entry into a nonnegative slot that unpacks exactly.
-    All of b is written by one ``bytes.join`` and sliced into its r row
-    ints; the product rows are joined the same way and read back by one
-    ``struct`` pass, one format of r byte-string fields per row, so no
-    step of the packing or unpacking loops over entries in Python.
+    b's rows come from ``_packed_rows``: from b's slot cache when b was
+    packed or produced at this slot size or a narrower one, else one
+    ``bytes.join`` of all its entries.  The product rows are joined the
+    same way and read back by one ``struct`` pass, one format of r
+    byte-string fields per row (a format per row, not per matrix, keeps
+    ``struct``'s cache of compiled formats small), and those bytes become
+    the product's slot cache, so a product used as the next right factor
+    is re-padded, not packed again.  No step of the packing or unpacking
+    loops over entries in Python.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     r = a.dim
     size = (_width(a) + _width(b) + r.bit_length()) // 8 + 1
-    step = r * size
-    half = 1 << (8 * size - 1)
-    offset = _pack(repeat(half, r), size)
-    shifted = map(add, chain.from_iterable(b.rows), repeat(half))
-    flat = b"".join(map(int.to_bytes, shifted, repeat(size), repeat("big")))
-    packed = [int.from_bytes(flat[i:i + step], "big") - offset for i in range(0, r * step, step)]
-    rows = map(add, _dots(a.rows, packed), repeat(offset))
-    data = b"".join(map(int.to_bytes, rows, repeat(step), repeat("big")))
-    fields = struct.iter_unpack(f"{size}s" * r, data)
-    return Matrix(map(sub, map(int.from_bytes, row, repeat("big")), repeat(half)) for row in fields)
+    rows = map(add, _dots(a.rows, _packed_rows(b, size)), repeat(_offset(size, size, r)))
+    data = b"".join(map(int.to_bytes, rows, repeat(r * size), repeat("big")))
+    fields = chain.from_iterable(struct.iter_unpack(f"{size}s" * r, data))
+    entries = map(sub, map(int.from_bytes, fields, repeat("big")), repeat(1 << (8 * size - 1)))
+    # r references to one iterator: zip takes its entries r at a time, one row each
+    product = Matrix._of(zip(*repeat(entries, r)))
+    object.__setattr__(product, "_slots", (size, data))
+    return product
 
 
 def mat_vec_mul(a: Matrix, v: Vector) -> Vector:
@@ -460,17 +517,20 @@ def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
     the remaining (right-hand side) columns solved for unknown i; without
     it, w ends unspecified.  Entries must lie in [0, p).
 
-    A row is packed into one int of 64-bit slots, its last entry in the
-    lowest slot, so the pivot column is the low slot of every row.  Entries
+    A row is packed into one int of 64-bit slots, its first entry in the
+    lowest slot, so the pivot column is the top live slot of every row
+    and its residue f is read by one shift whose result is short.  Entries
     are touched one by one only when the rows are packed in and when they
     are unpacked and reduced mod p at the end; every step in between acts
-    on whole rows.  The pivot row is folded (``_folder``: each slot kept
-    congruent mod p and brought to at most B(p)), multiplied by the
-    pivot's inverse as one big int, folded again and stripped of its pivot
-    slot.  Every other row with pivot-column residue f becomes
-    (row >> 64) + (p - f) * pivot, dropping that column too: one big-int
-    multiply-add in C per row update.  A slot starts at most B and an
-    update adds at most p * B, so the plan's budget of
+    on whole rows.  The pivot row is masked below its pivot slot, folded
+    (``_folder``: each slot kept congruent mod p and brought to at most
+    B(p)), multiplied by the pivot's inverse as one big int and folded
+    again.  Every other row with pivot-column residue f becomes
+    row + (p - f) * pivot: one big-int multiply-add in C per row update.
+    The pivot row is zero from its pivot slot up, so the slots of columns
+    already pivoted are dead: no update reaches them, a fold keeps them
+    within 64 bits, and they are never read again.  A live slot starts at
+    most B and an update adds at most p * B, so the plan's budget of
     (2^64 - 1 - B) // (p * B) updates fits in a slot (16 at the solver's
     primes); after that many columns the rows still to be updated are
     folded.  A prime of 2^32 or more leaves no room for one update and
@@ -482,32 +542,50 @@ def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
     m = len(w)
     live = len(w[0])
     fold = _folder(p, live)
-    rows = [_to_words(reversed(row), live) for row in w]
+    rows = [_to_words(row, live) for row in w]
     for col in range(ncols):
+        # rows from `first` on are updated: every row, or those not yet pivots
+        first = 0 if reduce_above else col
         if col and not col % budget:
-            first = 0 if reduce_above else col
             rows[first:] = map(fold, rows[first:])
-        fs = list(map(p.__rmod__, map(_WORD.__and__, rows)))
-        pivot_row = col
-        while pivot_row < m and not fs[pivot_row]:
-            pivot_row += 1
-        if pivot_row == m:
-            return False
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        fs[col], fs[pivot_row] = fs[pivot_row], fs[col]
         live -= 1
-        pivot = fold(pow(fs[col], -1, p) * fold(rows[col] >> 64))
-        first = 0 if reduce_above else col + 1
-        shifted = map(rshift, rows[first:], repeat(64))
-        rows[first:] = map(add, shifted, map(mul, map(p.__sub__, fs[first:]), repeat(pivot)))
+        shift = 64 * live
+        fs = list(map(p.__rmod__, map(_WORD.__and__, map(rshift, rows[first:], repeat(shift)))))
+        k = col - first
+        while k < m - first and not fs[k]:
+            k += 1
+        if k == m - first:
+            return False
+        rows[col], rows[first + k] = rows[first + k], rows[col]
+        f, fs[k] = fs[k], fs[col - first]
+        pivot = fold(pow(f, -1, p) * fold(rows[col] & (1 << shift) - 1))
+        fs[col - first] = p  # p - p = 0: the pivot row, replaced below, takes no update
+        rows[first:] = map(add, rows[first:], map(mul, map(p.__sub__, fs), repeat(pivot)))
         rows[col] = pivot
     if reduce_above:
-        w[:] = [list(map(p.__rmod__, reversed(_from_words(row, live)))) for row in rows]
+        low = (1 << 64 * live) - 1
+        w[:] = [list(map(p.__rmod__, _from_words(row & low, live))) for row in rows]
     return True
 
 
 def _norm_sq(row) -> int:
     return sum(map(mul, row, row))
+
+
+def _certifies(z_rows, a: Matrix, rhs: Matrix) -> bool:
+    """Whether z * a == rhs exactly, compared on signed packed rows.
+
+    Row i of z * a packs to sum_l z[i][l] * packed(a[l]), r big-int
+    multiples as in ``mat_mul``, and is compared with rhs's packed row i
+    (``_packed_rows``, from the slot caches of a and rhs where they fit).
+    The slots are sized for both the entry bound r * max|z| * max|a| and
+    rhs's widest entry, so every entry of either side lies below half a
+    slot, where a packed row determines its entries: equal ints mean
+    equal rows.  No product matrix is formed.
+    """
+    r = a.dim
+    size = max(_max_bits(z_rows) + _width(a) + r.bit_length(), _width(rhs)) // 8 + 1
+    return all(map(eq, _dots(z_rows, _packed_rows(a, size)), _packed_rows(rhs, size)))
 
 
 def solve_integer(a: Matrix, rhs: Matrix, limit: Optional[int] = None) -> Optional[Matrix]:
@@ -516,7 +594,8 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: Optional[int] = None) -> Option
     Solves modulo primes just below 2^30 and lifts the residues by CRT to
     symmetric residues.  After each prime the candidate is screened with
     one O(r^2) product against a*1 and, if that passes, certified exactly
-    by Z*a == rhs, so a returned Z is always the true solution.  An
+    by Z*a == rhs (``_certifies``, on packed rows), so a returned Z is
+    always the true solution.  An
     integral Z satisfies |Z_ij| <= max_i |rhs_i| * prod_l |a_l| (Cramer
     with Hadamard's bound on the rows), so once the modulus exceeds twice
     that bound an uncertified candidate proves Z is not integral.  A prime
@@ -574,10 +653,10 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: Optional[int] = None) -> Option
         if all(
             sum(map(mul, row, probe_in)) == want
             for row, want in zip(rows, probe_out)
-        ):
-            candidate = Matrix(rows)
-            if mat_mul(candidate, a) == rhs:
-                return candidate if limit is None or max(map(abs, z)) <= limit else None
+        ) and _certifies(rows, a, rhs):
+            if limit is not None and max(map(abs, z)) > limit:
+                return None
+            return Matrix._of(map(tuple, rows))
         if modulus * modulus > 4 * bound_sq:
             return None
 

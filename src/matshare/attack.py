@@ -74,8 +74,8 @@ class RatioHit:
     """One shadow recovered from a consecutive reveal pair, or a gap.
 
     A gap (matrix and matrix_index None) means the earlier reveal is
-    singular or the quotient is not an integer matrix, so the pair names
-    no public-set matrix.
+    singular, or the quotient is not an integer matrix within the public
+    entry bound, so the pair names no public-set matrix.
     """
 
     position: int
@@ -342,13 +342,21 @@ def ratio_analysis(eavesdropper_view: Sequence[Envelope], bulletin: Bulletin) ->
     set identifies that participant's secret index.  The quotient comes
     from ``solve_integer``, certified exactly; a singular reveal or a
     quotient that is not integral yields a gap entry instead.
+
+    Every solve is bounded by the public entry bound E = 2^w - 1, w the
+    widest public matrix's bit length: a quotient that names a public
+    matrix has no entry beyond E, so a gap is refused after the primes
+    that E's bits need, not those of the Hadamard bound.  An integral
+    quotient with an entry beyond E is no public matrix either; it is
+    reported as a gap too, so ``matrix`` is None for it.
     """
     reveals = broadcast_matrices(eavesdropper_view)
+    bound = _entry_bound(bulletin.matrices)
     hits: List[RatioHit] = []
     for prev, nxt in zip(reveals, reveals[1:]):
         position = participant_position(nxt.sender)
         try:
-            shadow = solve_integer(prev.payload, nxt.payload)
+            shadow = solve_integer(prev.payload, nxt.payload, bound)
         except SingularMatrix:
             shadow = None
         index = next(

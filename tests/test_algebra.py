@@ -395,6 +395,49 @@ def test_solve_integer_certifies_what_the_screen_passes():
     assert solve_integer(a, Matrix([[0, 1], [0, 0]])) is None
 
 
+def test_certificate_refuses_every_one_entry_change():
+    # Z*a == rhs is compared on packed rows: a change of +-1 in any entry
+    # of any row, or of half a slot, is refused, and the true rhs passes
+    rng = Random(19)
+    r = 5
+    a = Matrix([[rng.randrange(-(2**40), 2**40) for _ in range(r)] for _ in range(r)])
+    z = [[rng.randrange(-(2**20), 2**20) for _ in range(r)] for _ in range(r)]
+    rhs = naive_mul(z, mat_rows(a))
+    assert algebra._certifies(z, a, Matrix(rhs))
+    size = (max(map(abs, sum(z, []))).bit_length() + algebra._width(a) + r.bit_length()) // 8 + 1
+    for i in range(r):
+        for j in range(r):
+            for change in (1, -1, 1 << (8 * size - 1), -(1 << (8 * size - 1))):
+                rows = [list(row) for row in rhs]
+                rows[i][j] += change
+                assert not algebra._certifies(z, a, Matrix(rows))
+
+
+@pytest.mark.parametrize("size", [1, 2, 9])
+def test_certificate_slots_cover_the_widest_rhs_entry(size):
+    # rhs holds an entry of width exactly 8 * size - 1, which sets the slot
+    # size; Z*a is off by one there, or by half a slot (-1 against
+    # 2^(8 * size - 1) - 1)
+    top = (1 << (8 * size - 1)) - 1
+    a = Matrix.identity(2)
+    for z, rhs in (
+        ([[0, top - 1], [0, 0]], [[0, top], [0, 0]]),
+        ([[0, -1], [0, 0]], [[0, top], [0, 0]]),
+        ([[0, 0], [-1, 0]], [[0, 0], [top, 0]]),
+    ):
+        assert not algebra._certifies(z, a, Matrix(rhs))
+        assert algebra._certifies(rhs, a, Matrix(rhs))
+
+
+def test_certificate_slots_are_sized_for_rhs_too():
+    # Z*a = [5, 7] fits 1-byte slots, where [4, 7 + 256] and [6, 7 - 256]
+    # pack to the same int as [5, 7]: slots sized for Z*a alone would
+    # certify them
+    z, a = [[5, 7], [0, 0]], Matrix.identity(2)
+    for rhs in ([[4, 7 + 256], [0, 0]], [[6, 7 - 256], [0, 0]]):
+        assert not algebra._certifies(z, a, Matrix(rhs))
+
+
 def test_solve_integer_reaches_the_hadamard_bound():
     # a = 1 attains the bound |Z| <= |rhs|, and |Z| > p/2 needs a second prime
     for v in (_prime(0) - 1, 1 - _prime(0)):
@@ -524,6 +567,74 @@ def test_packed_mat_mul_matches_schoolbook(data):
     assert mat_rows(mat_mul(a, b)) == naive_mul(mat_rows(a), mat_rows(b))
 
 
+#: entry widths next to byte boundaries, where a slot one byte short or a
+#: re-pad with the wrong offset would show
+NEAR_BYTE_WIDTHS = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
+
+
+@st.composite
+def near_byte_matrix(draw, r):
+    """An r x r matrix of signed entries up to +-(2^k - 1), k next to a byte boundary.
+
+    The entries are all 2^k - 1 of one sign (the widest products), or mixed
+    from -(2^k - 1), 2^k - 1, 0 and random values of at most k bits.
+    """
+    k = draw(st.sampled_from(NEAR_BYTE_WIDTHS))
+    top = (1 << k) - 1
+    sign = draw(st.sampled_from((1, -1, 0)))
+    if sign:
+        return Matrix([[sign * top] * r for _ in range(r)])
+    rng = Random(draw(st.integers(0, 2**32)))
+    pool = (-top, top, 0, rng.randint(-top, top))
+    return Matrix([[rng.choice(pool) for _ in range(r)] for _ in range(r)])
+
+
+@PACKED
+@given(st.data())
+def test_chained_products_reuse_their_slots_exactly(data):
+    # each product becomes the next right factor, so its cached slots are
+    # re-padded to the wider slot the next product needs; a zero factor
+    # leaves a product whose slots are wider than the next product needs,
+    # which repacks it.  Every product equals the per-entry product.
+    r = data.draw(st.integers(1, 6))
+    factors = data.draw(st.lists(near_byte_matrix(r), min_size=3, max_size=5))
+    acc, expected = factors[0], mat_rows(factors[0])
+    for m in factors[1:]:
+        acc, expected = mat_mul(m, acc), naive_mul(mat_rows(m), expected)
+        assert mat_rows(acc) == expected
+    # the last product again as a right factor, behind a wide and a narrow left factor
+    for left in (data.draw(near_byte_matrix(r)), Matrix.identity(r)):
+        assert mat_rows(mat_mul(left, acc)) == naive_mul(mat_rows(left), expected)
+
+
+def test_product_slots_are_re_padded_wider_and_repacked_narrower(monkeypatch):
+    # a zero product of a 65-bit factor keeps 9-byte slots: a 4-bit left
+    # factor needs 1 byte (repacked, and the 1-byte slots are kept), then a
+    # 90-bit one needs 12 (re-padded from 1).  A 67-bit product of 9-byte
+    # slots is re-padded to 10 and then to 21 bytes.
+    r = 4
+    wide = Matrix([[(1 << 65) - 1 - i * j for j in range(r)] for i in range(r)])
+    zero = mat_mul(wide, Matrix([[0] * r for _ in range(r)]))
+    product = mat_mul(Matrix([[1, -1, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]]), wide)
+    assert zero._slots[0] == 9 and product._slots[0] == 9
+    seen = []
+    original = algebra._packed_rows
+
+    def spy(m, size):
+        seen.append((m._slots[0] if hasattr(m, "_slots") else None, size))
+        return original(m, size)
+
+    monkeypatch.setattr(algebra, "_packed_rows", spy)
+    small = Matrix([[(-1) ** (i + j) * (i + 2 * j) for j in range(r)] for i in range(r)])
+    big = Matrix([[(1 << 90) - 1 if i == j else -(1 << 89) for j in range(r)] for i in range(r)])
+    for right in (zero, product):
+        for left in (small, big):
+            got = mat_mul(left, right)
+            assert mat_rows(got) == naive_mul(mat_rows(left), mat_rows(right))
+            assert got._slots[0] == seen[-1][1]
+    assert seen == [(9, 1), (1, 12), (9, 10), (9, 21)]
+
+
 MOD_P_PRIMES = (2, 3, 257, _prime(0), _prime(4), 2**32 - 5)
 
 
@@ -630,6 +741,25 @@ def test_elimination_renormalises_at_the_word_budget(p, reduce_above):
         assert _eliminate_mod(w, r, p, reduce_above)
         if reduce_above:
             assert w == expected
+
+
+@pytest.mark.parametrize("reduce_above", [True, False])
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+def test_elimination_keeps_dead_slots_within_the_word(p, reduce_above):
+    # every nonzero entry is p - 1, the largest residue, so every slot
+    # takes the largest updates; 2 * budget + 1 columns (at most 33, the
+    # solver primes' count) cross the fold twice.  The coefficients are
+    # lower triangular, so each column's pivot updates every row below it.
+    # A slot that passed 64 bits would carry into the slot above it, a
+    # live one into the next pivot's residue and the top live one into
+    # the consumed slots, and the result would differ from the oracle's.
+    r = min(2 * _fold_plan(p)[2] + 1, 33)
+    w = [[p - 1] * 2 + [p - 1 if j >= r - 1 - i else 0 for j in range(r)] for i in range(r)]
+    expected = [list(row) for row in w]
+    assert eliminate_mod(expected, r, p, reduce_above)
+    assert _eliminate_mod(w, r, p, reduce_above)
+    if reduce_above:
+        assert w == expected
 
 
 @pytest.mark.parametrize("p", [2**32 + 15, 2**61 - 1])
@@ -916,18 +1046,28 @@ def test_values_survive_copy_and_pickle(value):
     ids=["signed", "zero", "300-bit"],
 )
 def test_width_cache_is_not_part_of_the_value(rows):
+    # neither the width cache nor the slot cache changes the value: a
+    # matrix packed as a right factor, and a product that holds its slots,
+    # compare, hash, print, copy and pickle as a fresh matrix of its rows
     m, fresh = Matrix(rows), Matrix(rows)
     before = (repr(m), hash(m), pickle.dumps(m))
-    assert not hasattr(m, "_bits")
-    assert freivalds_verify(m, m, mat_mul(m, m), 3, seed=1)
+    assert not hasattr(m, "_bits") and not hasattr(m, "_slots")
+    product = mat_mul(m, m)
+    assert freivalds_verify(m, m, product, 3, seed=1)
     assert m._bits == algebra._max_bits(m.rows)
+    assert m._slots[0] == product._slots[0]
     assert (repr(m), hash(m), pickle.dumps(m)) == before
     assert m == fresh and fresh == m
-    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-        assert type(clone) is Matrix and clone == m and clone.rows == m.rows
-    for name in ("rows", "_bits", "other"):
-        with pytest.raises(AttributeError):
-            setattr(m, name, 0)
+    plain = Matrix(product.rows)
+    assert product == plain and plain == product
+    assert (repr(product), hash(product), pickle.dumps(product)) == (repr(plain), hash(plain), pickle.dumps(plain))
+    for value in (m, product):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is Matrix and clone == value and clone.rows == value.rows
+            assert not hasattr(clone, "_bits") and not hasattr(clone, "_slots")
+        for name in ("rows", "_bits", "_slots", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
     assert m._bits == algebra._max_bits(m.rows)
 
 

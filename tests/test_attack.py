@@ -575,3 +575,44 @@ def test_ratio_reports_gap_for_non_integral_quotient():
     assert hits[0].matrix_index is None
     assert hits[1].matrix == instance.shadow(3)
     assert hits[1].matrix_index == instance.sigma[2]
+
+
+def test_ratio_refuses_gaps_within_the_public_entry_bound(monkeypatch):
+    # r=32: one entry of the fourth reveal plus one makes the two pairs
+    # around it gaps.  Each solve is bounded by the public entry bound, so
+    # a gap is refused after at most 2 solver primes, not after the primes
+    # of the Hadamard bound; the other pairs still name their shadows
+    instance, bulletin, shares = dealt(4242, r=32, k=32, n=8)
+    result = simulate_run(bulletin, shares, 3, Random(2))
+    envelopes = list(result.transcript.envelopes)
+    target = broadcast_matrices(envelopes)[3]
+    rows = [list(row) for row in target.payload.rows]
+    rows[5][7] += 1
+    envelopes[envelopes.index(target)] = replace(target, payload=Matrix(rows))
+    view = [e for e in envelopes if e.visibility == "public"]
+    primes, solves = [], []
+    eliminate, solve = algebra._eliminate_mod, attack.solve_integer
+
+    def counting(w, ncols, p, reduce_above):
+        primes.append(p)
+        return eliminate(w, ncols, p, reduce_above)
+
+    def counted_solve(a, rhs, limit=None):
+        primes.clear()
+        z = solve(a, rhs, limit)
+        solves.append((z is not None, len(primes)))
+        return z
+
+    monkeypatch.setattr(algebra, "_eliminate_mod", counting)
+    monkeypatch.setattr(attack, "solve_integer", counted_solve)
+    hits = ratio_analysis(view, bulletin)
+    assert [h.position for h in hits] == [4, 5, 6, 7, 8, 1, 2]
+    assert [h.matrix is None for h in hits] == [False, False, True, True, False, False, False]
+    for hit in hits:
+        if hit.matrix is not None:
+            assert hit.matrix == instance.shadow(hit.position)
+            assert hit.matrix_index == instance.sigma[hit.position - 1]
+        else:
+            assert hit.matrix_index is None
+    gaps = [used for found, used in solves if not found]
+    assert len(gaps) == 2 and max(gaps) <= 2
