@@ -41,10 +41,10 @@ residues by the Chinese remainder theorem (von zur Gathen & Gerhard,
 Z*a == rhs in exact integer arithmetic, or None when Z is not integral.
 That certificate compares packed rows: those of Z*a, formed as in
 ``mat_mul``, with those of rhs, in slots wide enough for both, so no
-product matrix is built.  A caller that knows a limit on Z's entries
-passes it, and the solve then gives up once the modulus passes twice the
-limit, not the Hadamard bound, so a refusal costs about the limit's
-bits.  ``is_invertible`` accepts on a nonzero determinant residue and
+product matrix is built.  Every solve is bounded: the caller passes a
+limit on Z's entries, and the solve gives up once the modulus passes
+twice the limit, so a refusal costs about the limit's bits.
+``is_invertible`` accepts on a nonzero determinant residue and
 asks Bareiss only on a zero one.  A modular result is never returned
 without that exact certificate.
 
@@ -62,7 +62,6 @@ always gets a whole, consistent packing, whichever thread wrote it.
 from __future__ import annotations
 
 import functools
-import math
 import random
 import struct
 from itertools import chain, count, islice, repeat
@@ -88,6 +87,17 @@ def _require_ints(rows) -> None:
     if not {int}.issuperset(map(type, chain.from_iterable(rows))):
         bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
         raise TypeError(f"entries must be int, got {type(bad).__name__}")
+
+
+def _to_slots(values, size: int) -> bytes:
+    """The ints in `size`-byte big-endian slots, each offset by half a slot so that it reads nonnegative.
+
+    The one slot codec of the package: ``_packed_rows`` packs matrices
+    with it, and the attack its search tables; ``_offset`` is the int to
+    take off once the bytes are read back as one int.
+    """
+    half = 1 << (8 * size - 1)
+    return b"".join(map(int.to_bytes, map(add, values, repeat(half)), repeat(size), repeat("big")))
 
 
 def _offset(have: int, size: int, r: int) -> int:
@@ -273,9 +283,7 @@ def _packed_rows(m: Matrix, size: int) -> list:
     step = r * size
     cached = getattr(m, "_slots", None)
     if cached is None or cached[0] > size:
-        have = size
-        shifted = map(add, chain.from_iterable(m.rows), repeat(1 << (8 * size - 1)))
-        flat = b"".join(map(int.to_bytes, shifted, repeat(size), repeat("big")))
+        have, flat = size, _to_slots(chain.from_iterable(m.rows), size)
         object.__setattr__(m, "_slots", (size, flat))
     else:
         have, flat = cached
@@ -568,10 +576,6 @@ def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
     return True
 
 
-def _norm_sq(row) -> int:
-    return sum(map(mul, row, row))
-
-
 def _certifies(z_rows, a: Matrix, rhs: Matrix) -> bool:
     """Whether z * a == rhs exactly, compared on signed packed rows.
 
@@ -588,38 +592,27 @@ def _certifies(z_rows, a: Matrix, rhs: Matrix) -> bool:
     return all(map(eq, _dots(z_rows, _packed_rows(a, size)), _packed_rows(rhs, size)))
 
 
-def solve_integer(a: Matrix, rhs: Matrix, limit: Optional[int] = None) -> Optional[Matrix]:
-    """The integer matrix Z with Z*a == rhs, or None when Z is not integral.
+def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
+    """The integer matrix Z with Z*a == rhs and every |Z_ij| <= limit, or None.
 
     Solves modulo primes just below 2^30 and lifts the residues by CRT to
     symmetric residues.  After each prime the candidate is screened with
     one O(r^2) product against a*1 and, if that passes, certified exactly
     by Z*a == rhs (``_certifies``, on packed rows), so a returned Z is
-    always the true solution.  An
-    integral Z satisfies |Z_ij| <= max_i |rhs_i| * prod_l |a_l| (Cramer
-    with Hadamard's bound on the rows), so once the modulus exceeds twice
-    that bound an uncertified candidate proves Z is not integral.  A prime
-    dividing det(a) is skipped; a singular a raises SingularMatrix.
+    always the true solution.  A certified Z with an entry beyond the
+    limit is refused, and once the modulus exceeds twice the limit an
+    uncertified candidate proves that no integral Z lies within it, so
+    the solve returns None.  A prime dividing det(a) is skipped; a
+    singular a raises SingularMatrix.
 
-    With a `limit`, the caller accepts only a Z with every |Z_ij| <= limit,
-    and that limit takes the Hadamard bound's place: the solve returns
-    None once the modulus exceeds twice the limit, or when the certified Z
-    has an entry beyond it.  The certificate is checked first at every
-    prime, so a Z within the limit comes from the same primes either way.
-
-    The cost follows the bit length of Z on success, but on failure it
-    follows the bound: about r times the bit length of a's rows, or the
-    bit length of the limit.
+    The cost follows the bit length of Z on success, and the bit length
+    of the limit on failure.
     """
     if a.dim != rhs.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
-    if limit is not None and limit < 0:
+    if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     r = a.dim
-    if limit is None:
-        bound_sq = max(map(_norm_sq, rhs.rows)) * math.prod(map(_norm_sq, a.rows))
-    else:
-        bound_sq = limit * limit
     # equation j of a^T Z^T == rhs^T: column j of rhs, then column j of a reversed
     equations = [
         list(rhs_col) + list(reversed(a_col))
@@ -654,10 +647,10 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: Optional[int] = None) -> Option
             sum(map(mul, row, probe_in)) == want
             for row, want in zip(rows, probe_out)
         ) and _certifies(rows, a, rhs):
-            if limit is not None and max(map(abs, z)) > limit:
+            if max(map(abs, z)) > limit:
                 return None
             return Matrix._of(map(tuple, rows))
-        if modulus * modulus > 4 * bound_sq:
+        if modulus > 2 * limit:
             return None
 
 

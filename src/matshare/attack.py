@@ -30,7 +30,17 @@ from itertools import chain, compress, count, permutations, product, repeat
 from operator import add, and_, contains, lshift, mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import _WORD, Matrix, _dots, _entry_bound, _product_bound, chain_product, solve_integer
+from .algebra import (
+    _WORD,
+    Matrix,
+    _dots,
+    _entry_bound,
+    _offset,
+    _product_bound,
+    _to_slots,
+    chain_product,
+    solve_integer,
+)
 from .dealer import Bulletin
 from .errors import GuardrailExceeded, SingularMatrix
 from .transport import Envelope, broadcast_matrices, participant_position
@@ -109,20 +119,9 @@ def _slot_size(r: int, top: int, n: int, corner: int) -> int:
     return max(_product_bound(r, top, n).bit_length(), abs(corner).bit_length()) // 8 + 1
 
 
-def _to_slots(values, size: int) -> bytes:
-    """The ints in `size`-byte slots, each offset by half a slot so that it reads nonnegative."""
-    half = 1 << (8 * size - 1)
-    return b"".join(map(int.to_bytes, map(add, values, repeat(half)), repeat(size), repeat("big")))
-
-
-def _halves(slots: int, size: int) -> int:
-    """The offset of `slots` slots of `size` bytes: the int with half a slot in each."""
-    return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "big") * slots, "big")
-
-
 def _packed(values: Sequence[int], size: int) -> int:
     """The ints as one signed big int, a `size`-byte slot each, the first value highest."""
-    return int.from_bytes(_to_slots(values, size), "big") - _halves(len(values), size)
+    return int.from_bytes(_to_slots(values, size), "big") - _offset(size, size, len(values))
 
 
 def _drop_slots(level: List[bytes], held: List[int], size: int) -> List[bytes]:
@@ -151,7 +150,7 @@ def _levels(level: List[bytes], factors, depth: int, distinct: bool, size: int) 
     for length in range(1, depth):
         keys = list(_sequences(k, length, distinct))
         span = len(keys) * size
-        offset = _halves(len(keys), size)
+        offset = _offset(size, size, len(keys))
         ints = [int.from_bytes(data, "big") - offset for data in level]
         level = [
             b"".join(map(int.to_bytes, map(add, blocks, repeat(offset)), repeat(span), repeat("big")))
@@ -185,7 +184,7 @@ def _column_table(
     if not depth:
         return {(): col}
     k = len(matrices)
-    offset = _halves(k, size)
+    offset = _offset(size, size, k)
     level = [(v + offset).to_bytes(k * size, "big") for v in _dots(entries, col)]
     if distinct:
         level = _drop_slots(level, sorted(head), size)
@@ -194,7 +193,7 @@ def _column_table(
     words, slots = size // 8, len(flat) // size
     # flipping each slot's top bit turns its offset value into two's
     # complement: a slot's leading word reads signed, the others unsigned
-    signed = (int.from_bytes(flat, "big") ^ _halves(slots, size)).to_bytes(len(flat), "big")
+    signed = (int.from_bytes(flat, "big") ^ _offset(size, size, slots)).to_bytes(len(flat), "big")
     data = struct.unpack(f">{slots * words}q", signed)
     values = data[::words]
     for w in range(1, words):
@@ -234,15 +233,14 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
     corner = target.rows[0][0]
     top = _entry_bound(matrices)
     size = _slot_size(r, top, n, corner)
-    half = 1 << (8 * size - 1)
     # at d = 0 (so h = 1) the one column is e_0, so only coordinate 0 is packed
     coords = list(zip(*(m.rows[0] for m in matrices)))[: r if d else 1]
     transposes = [tuple(zip(*m.rows)) for m in matrices] if h > 1 else ()
     *_, rows = _levels([_to_slots(coord, size) for coord in coords], transposes, h, distinct, size)
     suffixes = list(_sequences(k, h, distinct))
-    offset = _halves(len(suffixes), size)
+    offset = _offset(size, size, len(suffixes))
     packed = [int.from_bytes(data, "big") - offset for data in rows]
-    key, span = (corner + half).to_bytes(size, "big"), len(suffixes) * size
+    key, span = _to_slots((corner,), size), len(suffixes) * size
     # the column tables' slots are whole 64-bit words, room for any column
     # of d factors; entry (c, l) of every matrix is packed once, for l < 1
     # at e = 0, where the one head column is e_0, and for no c at d = 0
@@ -346,9 +344,9 @@ def ratio_analysis(eavesdropper_view: Sequence[Envelope], bulletin: Bulletin) ->
     Every solve is bounded by the public entry bound E = 2^w - 1, w the
     widest public matrix's bit length: a quotient that names a public
     matrix has no entry beyond E, so a gap is refused after the primes
-    that E's bits need, not those of the Hadamard bound.  An integral
-    quotient with an entry beyond E is no public matrix either; it is
-    reported as a gap too, so ``matrix`` is None for it.
+    that E's bits need.  An integral quotient with an entry beyond E is
+    no public matrix either; it is reported as a gap too, so ``matrix``
+    is None for it.
     """
     reveals = broadcast_matrices(eavesdropper_view)
     bound = _entry_bound(bulletin.matrices)

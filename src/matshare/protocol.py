@@ -144,9 +144,7 @@ def run_reconstruction(
     return recovered, net.transcript
 
 
-def recover_secret(
-    b: Matrix, c: Matrix, x: Matrix, limits: Optional[Tuple[int, int]] = None
-) -> Matrix:
+def recover_secret(b: Matrix, c: Matrix, x: Matrix, limits: Tuple[int, int]) -> Matrix:
     """Strip the blinding: S = P*Q with P*x == c and Q*c == b.
 
     With b the full blinded chain and c the partial chain through ring
@@ -155,26 +153,25 @@ def recover_secret(
     Each factor comes from ``solve_integer``: a multimodular (CRT) solve
     that returns only after the exact integer check P*x == c (resp.
     Q*c == b), so a modular shortcut can never yield a wrong secret.
-    `limits`, if given, bounds the entries of P and of Q: a factor beyond
-    its limit is refused like a non-integral one.
+    `limits` bounds the entries of P and of Q: a factor beyond its limit
+    is refused like a non-integral one.
 
     Raises SingularMatrix when x or c is singular, and IntegrityFailure
     when P or Q is not integral or passes its limit; this is stricter than
     asking only that P*Q be integral, which no honest round needs.  Honest
     recovery costs a few primes per factor (the bits of the secret);
     rejecting an inconsistent reveal runs primes up to twice the factor's
-    limit, or without one up to the Hadamard bound, about r times the
-    reveal width.
+    limit.
     """
     if not (b.dim == c.dim == x.dim):
         raise ValueError(f"dimension mismatch: {b.dim}, {c.dim}, {x.dim}")
-    p_limit, q_limit = limits or (None, None)
+    p_limit, q_limit = limits
     p = _integer_factor(x, c, p_limit, "blinding matrix is singular")
     q = _integer_factor(c, b, q_limit, "partial-product reveal is singular")
     return mat_mul(p, q)
 
 
-def _integer_factor(a: Matrix, rhs: Matrix, limit: Optional[int], singular: str) -> Matrix:
+def _integer_factor(a: Matrix, rhs: Matrix, limit: int, singular: str) -> Matrix:
     """The certified integer Z with Z*a == rhs within the limit, or the recovery error."""
     try:
         z = solve_integer(a, rhs, limit)

@@ -1,0 +1,305 @@
+"""Committed mutation checks: each mutant of ``src/`` must fail the tests it names.
+
+Run from the repository root, with pytest and hypothesis installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only the named mutants
+
+The runner first runs every named test on the clean tree and requires
+them all to pass.  Then, for each mutant, it copies ``src/`` to a
+temporary directory, replaces the mutant's old text, which must occur
+exactly once in its file, with the new text, and runs the mutant's tests
+against that copy; the mutant is killed when pytest reports a failed
+test.  An entry marked ``equivalent`` is not run, because no test can
+tell it from the clean tree, but its old text must still match, so a
+change that removes or rewrites that text fails here as well.  The exit
+status is 1 when the clean run fails, a text is stale or a mutant
+survives.  pytest does not collect this file: it is not named
+``test_*.py``.
+
+A fast path added to ``src/`` should add its mutant here: a shortcut
+that only saves time needs a test that counts what it saves, or an
+``equivalent`` mark with the reason.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+#: pytest's exit status when tests ran and at least one failed
+TESTS_FAILED = 1
+
+ALGEBRA = "matshare/algebra.py"
+ATTACK = "matshare/attack.py"
+PROTOCOL = "matshare/protocol.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: Tuple[str, ...] = ()
+    equivalent: str = ""  # why no test can tell the mutant apart, if none can
+
+
+def _algebra(name):
+    return f"tests/test_algebra.py::{name}"
+
+
+def _protocol(name):
+    return f"tests/test_protocol.py::{name}"
+
+
+def _attack(name):
+    return f"tests/test_attack.py::{name}"
+
+
+def _acceptance(name):
+    return f"tests/test_acceptance.py::{name}"
+
+
+MUTANTS = (
+    # -- the mod-p elimination kernel ---------------------------------------
+    Mutant(
+        "fold-plan-missing-its-last-fold",
+        ALGEBRA,
+        "    return tuple(folds), top, budget\n",
+        "    return tuple(folds[:-1]), top, budget\n",
+        (_algebra("test_solver_primes_fold_three_times_for_a_budget_of_16"),),
+    ),
+    Mutant(
+        "fold-budget-one-too-high",
+        ALGEBRA,
+        "    budget = (_WORD - top) // (p * top)\n",
+        "    budget = (_WORD - top) // (p * top) + 1\n",
+        (_algebra("test_elimination_renormalises_at_the_word_budget[True]"),),
+    ),
+    Mutant(
+        "pivot-row-left-unfolded-after-scaling",
+        ALGEBRA,
+        "pivot = fold(pow(f, -1, p) * fold(rows[col] & (1 << shift) - 1))",
+        "pivot = pow(f, -1, p) * fold(rows[col] & (1 << shift) - 1)",
+        (_algebra("test_elimination_renormalises_at_the_word_budget[True]"),),
+    ),
+    Mutant(
+        "pivot-residue-read-one-slot-low",
+        ALGEBRA,
+        "map(rshift, rows[first:], repeat(shift))",
+        "map(rshift, rows[first:], repeat(shift - 64))",
+        (_algebra("test_elimination_renormalises_at_the_word_budget[True]"),),
+    ),
+    Mutant(
+        "pivot-row-not-masked-below-its-pivot-slot",
+        ALGEBRA,
+        "fold(rows[col] & (1 << shift) - 1)",
+        "fold(rows[col])",
+        (_algebra("test_pivot_rows_are_masked_below_their_pivot_slot[True]"),),
+    ),
+    Mutant(
+        "invertibility-without-its-determinant-fallback",
+        ALGEBRA,
+        "reduce_above=False) or determinant(a) != 0",
+        "reduce_above=False)",
+        (_algebra("test_is_invertible_trivials"),),
+    ),
+    # -- packing: one slot codec for mat_mul, the certificate and the attack --
+    Mutant(
+        "slot-codec-offset-a-quarter-slot",
+        ALGEBRA,
+        "    half = 1 << (8 * size - 1)\n    return b\"\".join(",
+        "    half = 1 << (8 * size - 2)\n    return b\"\".join(",
+        (
+            _algebra("test_mat_mul_with_all_zero_factors[1]"),
+            _attack("test_levels_match_per_sequence_mat_vecs"),
+        ),
+    ),
+    Mutant(
+        "re-pad-without-the-offset-correction",
+        ALGEBRA,
+        "    offset = _offset(have, size, r)\n",
+        "    offset = _offset(size, size, r)\n",
+        (_algebra("test_chained_products_reuse_their_slots_exactly"),),
+    ),
+    # -- the bounded solver -------------------------------------------------
+    Mutant(
+        "solver-without-its-exact-certificate",
+        ALGEBRA,
+        "        ) and _certifies(rows, a, rhs):\n",
+        "        ):\n",
+        (_algebra("test_solve_integer_certifies_what_the_screen_passes"),),
+    ),
+    Mutant(
+        "solver-without-its-probe-screen",
+        ALGEBRA,
+        "        if all(\n"
+        "            sum(map(mul, row, probe_in)) == want\n"
+        "            for row, want in zip(rows, probe_out)\n"
+        "        ) and _certifies(rows, a, rhs):\n",
+        "        if _certifies(rows, a, rhs):\n",
+        (_algebra("test_probe_screen_leaves_one_certificate_per_solve"),),
+    ),
+    Mutant(
+        "certificate-compares-row-0-only",
+        ALGEBRA,
+        "_dots(z_rows, _packed_rows(a, size))",
+        "_dots(z_rows[:1], _packed_rows(a, size))",
+        (_algebra("test_certificate_refuses_every_one_entry_change"),),
+    ),
+    Mutant(
+        "certificate-slots-sized-without-rhs",
+        ALGEBRA,
+        "size = max(_max_bits(z_rows) + _width(a) + r.bit_length(), _width(rhs)) // 8 + 1",
+        "size = (_max_bits(z_rows) + _width(a) + r.bit_length()) // 8 + 1",
+        (_algebra("test_certificate_slots_are_sized_for_rhs_too"),),
+    ),
+    Mutant(
+        "solve-stops-once-the-modulus-passes-the-limit",
+        ALGEBRA,
+        "        if modulus > 2 * limit:\n",
+        "        if modulus > limit:\n",
+        (_algebra("test_bounded_solve_finds_z_at_the_limit_and_refuses_limit_plus_one[536870912]"),),
+    ),
+    Mutant(
+        "certified-z-not-checked-against-the-limit",
+        ALGEBRA,
+        "            if max(map(abs, z)) > limit:\n                return None\n",
+        "",
+        (_algebra("test_bounded_solve_finds_z_at_the_limit_and_refuses_limit_plus_one[7]"),),
+    ),
+    # -- the Freivalds screen and the audit ---------------------------------
+    Mutant(
+        "audit-vector-of-bits-not-t-bit-entries",
+        ALGEBRA,
+        "getrandbits, repeat(t, r)",
+        "getrandbits, repeat(1, r)",
+        (_acceptance("test_criterion_4_freivalds_bound"),),
+    ),
+    Mutant(
+        "chain-screen-checks-only-the-first-pair",
+        ALGEBRA,
+        "    for nxt in matrices[1:]:\n",
+        "    for nxt in matrices[1:2]:\n",
+        (_protocol("test_audit_rejects_unit_perturbations_at_every_wide_reveal"),),
+    ),
+    Mutant(
+        "chain-screen-prev-image-never-advances",
+        ALGEBRA,
+        "        prev_u, prev_q = nxt_u, list(map(q.__rmod__, nxt_u))\n",
+        "        prev_q = list(map(q.__rmod__, nxt_u))\n",
+        (_protocol("test_audit_accepts_honest_transcript"),),
+    ),
+    Mutant(
+        "screen-trusts-the-residue-alone",
+        ALGEBRA,
+        "\n            and all(map(eq, _dots(m.rows, prev_u), nxt_u))",
+        "",
+        (_acceptance("test_criterion_4_freivalds_bound"),),
+    ),
+    Mutant(
+        "screen-checks-row-0-exactly-and-trusts-the-rest",
+        ALGEBRA,
+        "all(map(eq, _dots(m.rows, prev_u), nxt_u))",
+        "all(map(eq, _dots(m.rows[:1], prev_u), nxt_u))",
+        (_acceptance("test_criterion_4_freivalds_bound"),),
+    ),
+    Mutant(
+        "audit-ignores-the-handback",
+        PROTOCOL,
+        "    if handbacks and reveals and handbacks[-1].payload != reveals[-1]:\n",
+        "    if False:\n",
+        (_protocol("test_audit_rejects_forged_handback"),),
+    ),
+    # -- recovery and the ratio analysis ------------------------------------
+    Mutant(
+        "recovery-returns-q-times-p",
+        PROTOCOL,
+        "    return mat_mul(p, q)\n",
+        "    return mat_mul(q, p)\n",
+        (_acceptance("test_criterion_1_round_trip_correctness"),),
+    ),
+    Mutant(
+        "ratio-solve-bounded-far-beyond-the-public-entries",
+        ATTACK,
+        "solve_integer(prev.payload, nxt.payload, bound)",
+        "solve_integer(prev.payload, nxt.payload, bound ** prev.payload.dim)",
+        (_attack("test_ratio_refuses_gaps_within_the_public_entry_bound"),),
+    ),
+)
+
+
+def _pytest(tests, src: Path) -> Optional[int]:
+    """pytest's exit status for the tests run against the package in `src`, or None after 300 s."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(
+            cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=300
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    return done.returncode
+
+
+def _mutated(mutant: Mutant, into: Path) -> bool:
+    """Copy src/ into `into` with the mutant applied; False if its old text does not match once."""
+    shutil.copytree(SRC, into, ignore=shutil.ignore_patterns("__pycache__"))
+    path = into / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return False
+    path.write_text(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def _verdict(mutant: Mutant) -> Tuple[bool, str]:
+    """(whether the mutant is accounted for, what happened to it)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        if not _mutated(mutant, src):
+            return False, "STALE: its old text does not occur exactly once"
+        if mutant.equivalent:
+            return True, f"equivalent: {mutant.equivalent}"
+        if not mutant.tests:
+            return False, "NAMES NO TEST"
+        status = _pytest(mutant.tests, src)
+    if status == TESTS_FAILED:
+        return True, "killed"
+    # a hang is not a kill: name a test that fails fast
+    return False, "TIMED OUT" if status is None else f"SURVIVED (pytest exit {status})"
+
+
+def main(argv) -> int:
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}")
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    started = time.perf_counter()
+    tests = list(dict.fromkeys(t for m in chosen if not m.equivalent for t in m.tests))
+    if tests and _pytest(tests, SRC) != 0:
+        print(f"the named tests do not all pass on the clean tree: {' '.join(tests)}")
+        return 1
+    bad = 0
+    for mutant in chosen:
+        ok, verdict = _verdict(mutant)
+        bad += not ok
+        print(f"{mutant.name}: {verdict}", flush=True)
+    print(f"{len(chosen)} mutant(s), {bad} not killed, in {time.perf_counter() - started:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

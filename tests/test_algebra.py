@@ -209,7 +209,7 @@ def test_inverse_singular_raises():
     assert _inverse_parts(singular) == (None, 0)
     assert fraction_inverse(mat_rows(singular)) is None
     with pytest.raises(SingularMatrix):
-        solve_integer(singular, Matrix.identity(2))
+        solve_integer(singular, Matrix.identity(2), 1)
 
 
 def test_inverse_two_sided_over_seeded_matrices():
@@ -330,18 +330,25 @@ def nonsingular_and_solution(draw, entries=st.integers(-9, 9), solution=st.integ
 @given(nonsingular_and_solution())
 def test_solve_integer_recovers_integer_solution(case):
     a, z = case
-    assert solve_integer(a, mat_mul(z, a)) == z
+    assert solve_integer(a, mat_mul(z, a), 1000) == z
+
+
+def rational_solution(a, rhs):
+    """rhs * a^-1 from the Bareiss inverse parts, or None when it is not integral."""
+    num, den = _inverse_parts(a)
+    scaled = mat_mul(rhs, Matrix(num))
+    integral = all(x % den == 0 for row in scaled.rows for x in row)
+    return Matrix([[x // den for x in row] for row in scaled.rows]) if integral else None
 
 
 @SEEDED
 @given(st.data())
 def test_solve_integer_matches_rational_inverse(data):
     a, rhs = data.draw(nonsingular_and_solution(solution=st.integers(-50, 50)))
-    num, den = _inverse_parts(a)
-    scaled = mat_mul(rhs, Matrix(num))
-    integral = all(x % den == 0 for row in scaled.rows for x in row)
-    expected = Matrix([[x // den for x in row] for row in scaled.rows]) if integral else None
-    assert solve_integer(a, rhs) == expected
+    expected = rational_solution(a, rhs)
+    # Z = rhs * num / den with den a nonzero integer, so no entry of Z exceeds max |rhs * num|
+    limit = max(abs(x) for row in mat_mul(rhs, Matrix(_inverse_parts(a)[0])).rows for x in row)
+    assert solve_integer(a, rhs, limit) == expected
 
 
 @SEEDED
@@ -353,7 +360,7 @@ def test_solve_integer_singular_raises(data):
     c = data.draw(st.integers(-3, 3))
     rows[i] = [c * x for x in rows[j]]
     with pytest.raises(SingularMatrix):
-        solve_integer(Matrix(rows), data.draw(square(r, st.integers(-9, 9))))
+        solve_integer(Matrix(rows), data.draw(square(r, st.integers(-9, 9))), 1)
 
 
 @SEEDED
@@ -371,7 +378,7 @@ def test_solve_integer_skips_primes_dividing_the_determinant(case):
 
     algebra.determinant = spy
     try:
-        assert solve_integer(a, mat_mul(z, a)) == z
+        assert solve_integer(a, mat_mul(z, a), 1000) == z
     finally:
         algebra.determinant = exact
     assert calls == [a]
@@ -385,14 +392,39 @@ def test_solve_integer_skips_primes_dividing_the_determinant(case):
 )
 def test_solve_integer_combines_many_primes_with_signs(case):
     a, z = case
-    assert solve_integer(a, mat_mul(z, a)) == z
+    assert solve_integer(a, mat_mul(z, a), 2**130) == z
 
 
 def test_solve_integer_certifies_what_the_screen_passes():
     # a*1 = (1, 0), so the screen sees only column 0 of Z = [[1, -1/2], [0, 0]],
-    # which is integral; only the exact check Z*a == rhs rejects the candidate
+    # which is integral; only the exact check Z*a == rhs rejects the candidate,
+    # whose -1/2 lifts to (p - 1) / 2, within a limit of 2^64
     a = Matrix([[1, 0], [2, -2]])
-    assert solve_integer(a, Matrix([[0, 1], [0, 0]])) is None
+    assert solve_integer(a, Matrix([[0, 1], [0, 0]]), 2**64) is None
+
+
+def test_probe_screen_leaves_one_certificate_per_solve(monkeypatch):
+    # the a*1 probe only saves work, so this counts what it saves: Z with
+    # 100-bit entries needs 4 primes, the probe turns away the wrong
+    # candidates of the first 3, and the exact certificate runs once; a
+    # tampered rhs is refused with no certificate at all
+    rng = Random(21)
+    a = Matrix([[rng.randrange(-(2**20), 2**20) for _ in range(6)] for _ in range(6)])
+    z = Matrix([[rng.randrange(-(2**100), 2**100) for _ in range(6)] for _ in range(6)])
+    rhs = mat_mul(z, a)
+    tampered = Matrix([[x + (i == 2 and j == 3) for j, x in enumerate(row)] for i, row in enumerate(rhs.rows)])
+    calls = []
+    certifies = algebra._certifies
+
+    def counting(z_rows, a, rhs):
+        calls.append(len(z_rows))
+        return certifies(z_rows, a, rhs)
+
+    monkeypatch.setattr(algebra, "_certifies", counting)
+    assert solve_integer(a, rhs, 2**100) == z
+    assert calls == [6]
+    assert solve_integer(a, tampered, 2**100) is None
+    assert calls == [6]
 
 
 def test_certificate_refuses_every_one_entry_change():
@@ -438,12 +470,6 @@ def test_certificate_slots_are_sized_for_rhs_too():
         assert not algebra._certifies(z, a, Matrix(rhs))
 
 
-def test_solve_integer_reaches_the_hadamard_bound():
-    # a = 1 attains the bound |Z| <= |rhs|, and |Z| > p/2 needs a second prime
-    for v in (_prime(0) - 1, 1 - _prime(0)):
-        assert solve_integer(Matrix([[1]]), Matrix([[v]])) == Matrix([[v]])
-
-
 BOUNDED_A = Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
 
 
@@ -463,7 +489,7 @@ def test_bounded_solve_finds_z_at_the_limit_and_refuses_limit_plus_one(limit):
     assert solve_integer(BOUNDED_A, mat_mul(z, BOUNDED_A), limit) == z
     beyond = z_at(limit + 1)
     assert solve_integer(BOUNDED_A, mat_mul(beyond, BOUNDED_A), limit) is None
-    assert solve_integer(BOUNDED_A, mat_mul(beyond, BOUNDED_A)) == beyond
+    assert solve_integer(BOUNDED_A, mat_mul(beyond, BOUNDED_A), limit + 1) == beyond
 
 
 def test_bounded_solve_refuses_a_negative_limit():
@@ -473,10 +499,10 @@ def test_bounded_solve_refuses_a_negative_limit():
 
 @SEEDED
 @given(st.data())
-def test_bounded_solve_matches_the_unbounded_solve(data):
-    # the bounded solve returns the unbounded answer when every entry is
-    # within the limit, and None otherwise; rhs is sometimes off by one
-    # entry, so that Z is not integral or lies elsewhere
+def test_bounded_solve_matches_the_rational_inverse(data):
+    # the bounded solve returns rhs * a^-1 when it is integral and every
+    # entry is within the limit, and None otherwise; rhs is sometimes off
+    # by one entry, so that Z is not integral or lies elsewhere
     a, z = data.draw(nonsingular_and_solution(solution=st.integers(-(2**70), 2**70)))
     rows = [list(row) for row in mat_mul(z, a).rows]
     if data.draw(st.booleans()):
@@ -486,15 +512,15 @@ def test_bounded_solve_matches_the_unbounded_solve(data):
     rhs = Matrix(rows)
     top = max(abs(x) for row in z.rows for x in row)
     limit = data.draw(st.sampled_from((top, top + 1, max(top - 1, 0), 2 * top, top // 2, 2**200)))
-    unbounded = solve_integer(a, rhs)
-    within = unbounded is not None and max(abs(x) for row in unbounded.rows for x in row) <= limit
-    assert solve_integer(a, rhs, limit) == (unbounded if within else None)
+    exact = rational_solution(a, rhs)
+    within = exact is not None and max(abs(x) for row in exact.rows for x in row) <= limit
+    assert solve_integer(a, rhs, limit) == (exact if within else None)
 
 
 def test_bounded_solve_stops_once_the_modulus_passes_twice_the_limit(monkeypatch):
-    # a tampered rhs at r=16 with 60-bit entries: the unbounded solve runs
-    # primes to the Hadamard bound, the bounded one until the modulus
-    # passes 2 * limit, and an honest Z costs the same primes either way
+    # a tampered rhs at r=16 with 60-bit entries: the solve runs primes
+    # until the modulus passes 2 * limit, for a tight limit and for 2^200,
+    # and an honest Z costs the same primes under either limit
     rng = Random(9)
     a = Matrix([[rng.randrange(-(2**60), 2**60) for _ in range(16)] for _ in range(16)])
     z = Matrix([[rng.randrange(-(2**40), 2**40) for _ in range(16)] for _ in range(16)])
@@ -510,17 +536,18 @@ def test_bounded_solve_stops_once_the_modulus_passes_twice_the_limit(monkeypatch
 
     monkeypatch.setattr(algebra, "_eliminate_mod", counting)
 
-    def used(rhs, bound=None):
+    def used(rhs, bound):
         primes.clear()
         result = solve_integer(a, rhs, bound)
         return result, list(primes)
 
-    assert used(honest, limit) == used(honest)
-    assert used(honest)[0] == z
-    refused, bounded = used(tampered, limit)
-    assert refused is None and used(tampered)[0] is None
-    assert math.prod(bounded[:-1]) <= 2 * limit < math.prod(bounded)
-    assert len(bounded) == 2 and len(used(tampered)[1]) > 20
+    assert used(honest, limit) == used(honest, 2**200)
+    assert used(honest, limit)[0] == z
+    for bound, primes_needed in ((limit, 2), (2**200, 7)):
+        refused, bounded = used(tampered, bound)
+        assert refused is None
+        assert math.prod(bounded[:-1]) <= 2 * bound < math.prod(bounded)
+        assert len(bounded) == primes_needed
 
 
 def test_solver_primes_are_the_largest_below_2_to_30():
@@ -540,7 +567,7 @@ def test_import_searches_no_primes():
 
 def test_solve_integer_validates_args():
     with pytest.raises(ValueError):
-        solve_integer(Matrix.identity(2), Matrix.identity(3))
+        solve_integer(Matrix.identity(2), Matrix.identity(3), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +787,37 @@ def test_elimination_keeps_dead_slots_within_the_word(p, reduce_above):
     assert _eliminate_mod(w, r, p, reduce_above)
     if reduce_above:
         assert w == expected
+
+
+@pytest.mark.parametrize("reduce_above", [True, False])
+def test_pivot_rows_are_masked_below_their_pivot_slot(monkeypatch, reduce_above):
+    # the mask only saves work, so this measures what it saves: with fewer
+    # columns than the budget the folds alternate, the masked pivot row in
+    # and the scaled pivot row out, and at column c both span at most the
+    # n - c - 1 slots below the pivot slot; an unmasked pivot row keeps its
+    # nonzero pivot slot and the consumed slots above it
+    p, r, n = _prime(0), 8, 16
+    rng = Random(20)
+    w = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+    spans = []
+    folder = algebra._folder
+
+    def recording(p, slots):
+        fold = folder(p, slots)
+
+        def measured(x):
+            y = fold(x)
+            spans.append((x.bit_length(), y.bit_length()))
+            return y
+
+        return measured
+
+    monkeypatch.setattr(algebra, "_folder", recording)
+    assert _eliminate_mod(w, r, p, reduce_above)
+    assert len(spans) == 2 * r
+    for c in range(r):
+        assert spans[2 * c][0] <= 64 * (n - c - 1)
+        assert spans[2 * c + 1][1] <= 64 * (n - c - 1)
 
 
 @pytest.mark.parametrize("p", [2**32 + 15, 2**61 - 1])

@@ -580,8 +580,8 @@ def test_ratio_reports_gap_for_non_integral_quotient():
 def test_ratio_refuses_gaps_within_the_public_entry_bound(monkeypatch):
     # r=32: one entry of the fourth reveal plus one makes the two pairs
     # around it gaps.  Each solve is bounded by the public entry bound, so
-    # a gap is refused after at most 2 solver primes, not after the primes
-    # of the Hadamard bound; the other pairs still name their shadows
+    # a gap is refused after at most 2 solver primes; the other pairs still
+    # name their shadows
     instance, bulletin, shares = dealt(4242, r=32, k=32, n=8)
     result = simulate_run(bulletin, shares, 3, Random(2))
     envelopes = list(result.transcript.envelopes)
@@ -597,7 +597,7 @@ def test_ratio_refuses_gaps_within_the_public_entry_bound(monkeypatch):
         primes.append(p)
         return eliminate(w, ncols, p, reduce_above)
 
-    def counted_solve(a, rhs, limit=None):
+    def counted_solve(a, rhs, limit):
         primes.clear()
         z = solve(a, rhs, limit)
         solves.append((z is not None, len(primes)))
