@@ -3,7 +3,12 @@
 Every matrix and vector entry is a Python int; any other entry type is
 refused with TypeError.  Determinant, rank and the scaled inverse
 ``_inverse_parts`` share one fraction-free (Bareiss) elimination kernel,
-so no step ever leaves the integers.
+so no step ever leaves the integers.  It and the mod-p kernel
+``_eliminate_mod`` share one contract: they read int rows as the caller
+holds them, coefficient columns first, and never write them; rows longer
+than the coefficient count carry right-hand columns and are solved by
+Gauss-Jordan, square rows are only cleared below each pivot; and each
+returns its result, the solved right-hand rows included.
 
 The hot loops run on packed rows (Kronecker substitution; von zur Gathen
 & Gerhard, *Modern Computer Algebra*, sec. 8.4): a row of entries is one
@@ -335,18 +340,21 @@ def mat_vec_mul(a: Matrix, v: Vector) -> Vector:
     return Vector(_dots(a.rows, v.entries))
 
 
-def _bareiss(w, ncols: int, reduce_above: bool = False):
-    """In-place fraction-free (Bareiss) elimination of integer rows w.
+def _bareiss(rows, ncols: int):
+    """Fraction-free (Bareiss) elimination of integer rows: (rank, sign, last pivot, solved rows).
 
-    Pivots are taken from the first ncols columns; a column with no
-    nonzero entry at or below the current row is skipped.  Every interior
-    division is exact, so entries stay integer.  With reduce_above each
-    pivot column is cleared above the pivot as well (Gauss-Jordan), so a
-    nonsingular square block ends as (last pivot) * I.  Returns (rank,
-    sign of the row swaps, last pivot); for a nonsingular square block the
-    determinant is sign * last pivot.
+    The rows are read as the caller holds them and never written.  Pivots
+    are taken from the first ncols columns; a column with no nonzero entry
+    at or below the current row is skipped.  Every interior division is
+    exact, so entries stay integer.  Rows longer than ncols carry
+    right-hand columns, and then each pivot column is cleared above the
+    pivot as well (Gauss-Jordan), so a nonsingular square block ends as
+    (last pivot) * I; the solved rows are each row's columns past ncols.
+    For a nonsingular square block the determinant is sign * last pivot.
     """
+    w = list(rows)
     m = len(w)
+    above = len(w[0]) > ncols
     rank, sign, prev = 0, 1, 1
     for col in range(ncols):
         pivot_row = rank
@@ -359,7 +367,7 @@ def _bareiss(w, ncols: int, reduce_above: bool = False):
             sign = -sign
         row_k = w[rank]
         pivot = row_k[col]
-        for i in range(0 if reduce_above else rank + 1, m):
+        for i in range(0 if above else rank + 1, m):
             if i == rank:
                 continue
             row_i = w[i]
@@ -367,12 +375,12 @@ def _bareiss(w, ncols: int, reduce_above: bool = False):
             w[i] = [(pivot * x - f * y) // prev for x, y in zip(row_i, row_k)]
         prev = pivot
         rank += 1
-    return rank, sign, prev
+    return rank, sign, prev, [row[ncols:] for row in w]
 
 
 def determinant(a: Matrix) -> int:
     """Exact determinant by fraction-free elimination."""
-    rank, sign, last = _bareiss([list(row) for row in a.rows], a.dim)
+    rank, sign, last, _ = _bareiss(a.rows, a.dim)
     return sign * last if rank == a.dim else 0
 
 
@@ -385,11 +393,11 @@ def _inverse_parts(a: Matrix):
     perfbench/tracing.py traces it by name.
     """
     n = a.dim
-    w = [[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(a.rows)]
-    rank, _, den = _bareiss(w, n, reduce_above=True)
+    augmented = [[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(a.rows)]
+    rank, _, den, num = _bareiss(augmented, n)
     if rank < n:
         return None, 0
-    return [row[n:] for row in w], den
+    return num, den
 
 
 def is_invertible(a: Matrix) -> bool:
@@ -398,9 +406,7 @@ def is_invertible(a: Matrix) -> bool:
     A nonzero determinant residue modulo a prime proves invertibility, so
     the exact Bareiss determinant runs only when that residue is zero.
     """
-    p = _prime(0)
-    w = [list(map(p.__rmod__, reversed(row))) for row in a.rows]
-    return _eliminate_mod(w, a.dim, p, reduce_above=False) or determinant(a) != 0
+    return _eliminate_mod(a.rows, a.dim, _prime(0)) is not None or determinant(a) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +460,14 @@ def _prime(i: int) -> int:
 
 
 def _to_words(values, n: int) -> int:
-    """One int of n 64-bit slots holding the values, the first in the lowest slot."""
-    return int.from_bytes(struct.pack(f"<{n}Q", *values), "little")
+    """One int of n 64-bit slots holding the sequence of values, the first in the top slot."""
+    # little-endian from the last value: struct packs that order natively on little-endian hosts
+    return int.from_bytes(struct.pack(f"<{n}Q", *values[::-1]), "little")
 
 
 def _from_words(packed: int, n: int) -> tuple:
-    """The n 64-bit slots of packed, lowest first."""
-    return struct.unpack(f"<{n}Q", packed.to_bytes(8 * n, "little"))
+    """The n 64-bit slots of packed, top first."""
+    return struct.unpack(f">{n}Q", packed.to_bytes(8 * n, "big"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -516,64 +523,66 @@ def _folder(p: int, n: int):
     return fold
 
 
-def _eliminate_mod(w, ncols: int, p: int, reduce_above: bool) -> bool:
-    """Gauss-Jordan elimination mod p of rows w, in place; False if singular mod p.
+def _eliminate_mod(rows, ncols: int, p: int):
+    """Elimination mod p of integer rows: None if singular mod p, else the solved right-hand rows.
 
-    Each row keeps its ncols coefficient columns reversed at its end, so
-    the column being pivoted is always the last entry.  With reduce_above,
-    rows above the pivot are cleared as well, and afterwards row i holds
-    the remaining (right-hand side) columns solved for unknown i; without
-    it, w ends unspecified.  Entries must lie in [0, p).
+    The rows are read as the caller holds them, ncols coefficient columns
+    first, and never written.  Rows longer than ncols carry right-hand
+    columns, and then rows above each pivot are cleared as well
+    (Gauss-Jordan): row i of the result is the right-hand side solved for
+    unknown i, in [0, p).  Square rows are only reduced below each pivot,
+    which decides invertibility mod p, and solve nothing: the result is [].
 
-    A row is packed into one int of 64-bit slots, its first entry in the
-    lowest slot, so the pivot column is the top live slot of every row
-    and its residue f is read by one shift whose result is short.  Entries
-    are touched one by one only when the rows are packed in and when they
-    are unpacked and reduced mod p at the end; every step in between acts
-    on whole rows.  The pivot row is masked below its pivot slot, folded
-    (``_folder``: each slot kept congruent mod p and brought to at most
-    B(p)), multiplied by the pivot's inverse as one big int and folded
-    again.  Every other row with pivot-column residue f becomes
-    row + (p - f) * pivot: one big-int multiply-add in C per row update.
-    The pivot row is zero from its pivot slot up, so the slots of columns
-    already pivoted are dead: no update reaches them, a fold keeps them
-    within 64 bits, and they are never read again.  A live slot starts at
-    most B and an update adds at most p * B, so the plan's budget of
-    (2^64 - 1 - B) // (p * B) updates fits in a slot (16 at the solver's
-    primes); after that many columns the rows still to be updated are
-    folded.  A prime of 2^32 or more leaves no room for one update and
-    raises ValueError.  The slots are packed and unpacked by ``struct`` in
-    explicit little-endian order, so the layout does not depend on the
-    machine's byte order.
+    Each row is reduced mod p and packed into one int of 64-bit slots,
+    its first entry in the top slot, so the pivot column is the top live
+    slot of every row and its residue f is read by one shift whose result
+    is short.  Entries are touched one by one only when the rows are
+    packed in and when they are unpacked and reduced mod p at the end;
+    every step in between acts on whole rows.  The pivot row is masked
+    below its pivot slot, folded (``_folder``: each slot kept congruent
+    mod p and brought to at most B(p)), multiplied by the pivot's inverse
+    as one big int and folded again.  Every other row with pivot-column
+    residue f becomes row + (p - f) * pivot: one big-int multiply-add in
+    C per row update.  The pivot row is zero from its pivot slot up, so
+    the slots of columns already pivoted are dead: no update reaches
+    them, a fold keeps them within 64 bits, and they are never read
+    again.  A live slot starts at most B and an update adds at most
+    p * B, so the plan's budget of (2^64 - 1 - B) // (p * B) updates fits
+    in a slot (16 at the solver's primes); after that many columns the
+    rows still to be updated are folded.  A prime of 2^32 or more leaves
+    no room for one update and raises ValueError.  The slots are packed
+    and unpacked by ``struct`` in an explicit byte order, so the layout
+    does not depend on the machine's.
     """
     budget = _fold_plan(p)[2]
-    m = len(w)
-    live = len(w[0])
+    m = len(rows)
+    live = len(rows[0])
+    above = live > ncols
     fold = _folder(p, live)
-    rows = [_to_words(row, live) for row in w]
+    w = [_to_words(list(map(p.__rmod__, row)), live) for row in rows]
     for col in range(ncols):
         # rows from `first` on are updated: every row, or those not yet pivots
-        first = 0 if reduce_above else col
+        first = 0 if above else col
         if col and not col % budget:
-            rows[first:] = map(fold, rows[first:])
+            w[first:] = map(fold, w[first:])
         live -= 1
         shift = 64 * live
-        fs = list(map(p.__rmod__, map(_WORD.__and__, map(rshift, rows[first:], repeat(shift)))))
+        fs = list(map(p.__rmod__, map(_WORD.__and__, map(rshift, w[first:], repeat(shift)))))
         k = col - first
         while k < m - first and not fs[k]:
             k += 1
         if k == m - first:
-            return False
-        rows[col], rows[first + k] = rows[first + k], rows[col]
+            return None
+        w[col], w[first + k] = w[first + k], w[col]
         f, fs[k] = fs[k], fs[col - first]
-        pivot = fold(pow(f, -1, p) * fold(rows[col] & (1 << shift) - 1))
+        pivot = fold(pow(f, -1, p) * fold(w[col] & (1 << shift) - 1))
         fs[col - first] = p  # p - p = 0: the pivot row, replaced below, takes no update
-        rows[first:] = map(add, rows[first:], map(mul, map(p.__sub__, fs), repeat(pivot)))
-        rows[col] = pivot
-    if reduce_above:
-        low = (1 << 64 * live) - 1
-        w[:] = [list(map(p.__rmod__, _from_words(row & low, live))) for row in rows]
-    return True
+        w[first:] = map(add, w[first:], map(mul, map(p.__sub__, fs), repeat(pivot)))
+        w[col] = pivot
+    if not above:
+        return []
+    low = (1 << 64 * live) - 1
+    return [list(map(p.__rmod__, _from_words(row & low, live))) for row in w]
 
 
 def _certifies(z_rows, a: Matrix, rhs: Matrix) -> bool:
@@ -613,18 +622,15 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     r = a.dim
-    # equation j of a^T Z^T == rhs^T: column j of rhs, then column j of a reversed
-    equations = [
-        list(rhs_col) + list(reversed(a_col))
-        for rhs_col, a_col in zip(zip(*rhs.rows), zip(*a.rows))
-    ]
+    # equation j of a^T Z^T == rhs^T: column j of a, then column j of rhs
+    equations = [a_col + rhs_col for a_col, rhs_col in zip(zip(*a.rows), zip(*rhs.rows))]
     probe_in = [sum(row) for row in a.rows]
     probe_out = [sum(row) for row in rhs.rows]
     det = None
     residues, modulus = None, 1
     for p in map(_prime, count()):
-        w = [list(map(p.__rmod__, eq)) for eq in equations]
-        if not _eliminate_mod(w, r, p, reduce_above=True):
+        w = _eliminate_mod(equations, r, p)
+        if w is None:
             if det is None:
                 det = determinant(a)
             if det == 0:
@@ -659,7 +665,7 @@ def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
     _require_ints(rows)
-    return _bareiss([list(row) for row in rows], len(rows[0]))[0]
+    return _bareiss(rows, len(rows[0]))[0]
 
 
 def chain_product(factors: Iterable[Matrix]) -> Matrix:

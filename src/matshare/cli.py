@@ -393,15 +393,18 @@ def cmd_run(workspace: Path, start: int, cheat: Optional[str], t: int, seed: int
     if t < 1:
         raise ValueError("t must be >= 1")
     cheater = None if cheat is None else _parse_cheat(cheat, bulletin.r)
+    # one generator for the round and then the audit, so the audit's vector
+    # is not a replay of the draws that made the blinding matrix
+    rng = Random(seed)
     # the protocol checks start and the cheater's position before it sends anything
-    result = simulate_run(bulletin, shares, start, Random(seed), cheater)
+    result = simulate_run(bulletin, shares, start, rng, cheater)
     _write(workspace / "transcript.json", transcript_to_json(result.transcript))
 
     if not result.verdict:
         print("FORGERY DETECTED at verification")
         return EXIT_FORGERY
 
-    audit_ok = freivalds_audit(result.transcript, bulletin, t, seed)
+    audit_ok = freivalds_audit(result.transcript, bulletin, t, rng)
     print(f"verification passed (start={start})")
     print(f"freivalds audit: {'ok' if audit_ok else 'FAILED'} (t={t})")
     if not audit_ok:
@@ -410,13 +413,7 @@ def cmd_run(workspace: Path, start: int, cheat: Optional[str], t: int, seed: int
     return EXIT_OK
 
 
-def cmd_attack(
-    workspace: Path,
-    mode: str = attack_mod.ORDERED_DISTINCT,
-    limit: Optional[int] = None,
-    count_only: bool = False,
-    force: bool = False,
-) -> int:
+def cmd_attack(workspace: Path, mode: str, limit: Optional[int], count_only: bool, force: bool) -> int:
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     bulletin, _ = load_workspace(workspace)
@@ -543,19 +540,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             seed = args.seed if args.seed is not None else _default_seed()
             return cmd_run(args.workspace, args.start, args.cheat, args.t, seed)
-        return cmd_attack(
-            args.workspace,
-            mode=args.mode,
-            limit=args.limit,
-            count_only=args.count_only,
-            force=args.force,
-        )
+        return cmd_attack(args.workspace, args.mode, args.limit, args.count_only, args.force)
     except (IntegrityFailure, SingularMatrix) as err:
         print(f"integrity failure: {err}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except GuardrailExceeded as err:
-        print(f"guardrail: {err}", file=sys.stderr)
-        return EXIT_GUARDRAIL
     except GenerationFailure as err:
         print(f"generation failure: {err}", file=sys.stderr)
         return EXIT_GENERATION

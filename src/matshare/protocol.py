@@ -195,7 +195,10 @@ def freivalds_audit(transcript: Transcript, bulletin: Bulletin, t: int, seed) ->
     imaged once.  A forged pair slips through with probability at most
     k * 2^-t (union bound over the candidates), not 2^-t.  The hand-back
     must equal the final reveal exactly.  Returns the conjunction of all
-    checks; a false return signals inconsistent reveals.
+    checks; a false return signals inconsistent reveals.  The seed (an int
+    or a ``random.Random``) must draw independently of the round's: the
+    first reveal gives X to an observer who knows the starter's shadow, so
+    a vector replaying X's draws voids the bound.
     """
     reveals = [e.payload for e in broadcast_matrices(transcript.envelopes)]
     if not freivalds_screen(reveals, bulletin.matrices, t, seed):

@@ -43,6 +43,7 @@ TESTS_FAILED = 1
 ALGEBRA = "matshare/algebra.py"
 ATTACK = "matshare/attack.py"
 PROTOCOL = "matshare/protocol.py"
+CLI = "matshare/cli.py"
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,10 @@ def _acceptance(name):
     return f"tests/test_acceptance.py::{name}"
 
 
+def _cli(name):
+    return f"tests/test_cli.py::{name}"
+
+
 MUTANTS = (
     # -- the mod-p elimination kernel ---------------------------------------
     Mutant(
@@ -78,7 +83,10 @@ MUTANTS = (
         ALGEBRA,
         "    return tuple(folds), top, budget\n",
         "    return tuple(folds[:-1]), top, budget\n",
-        (_algebra("test_solver_primes_fold_three_times_for_a_budget_of_16"),),
+        (
+            _algebra("test_solver_primes_fold_three_times_for_a_budget_of_16"),
+            _algebra("test_elimination_stays_within_the_word_at_the_fold_bound"),
+        ),
     ),
     Mutant(
         "fold-budget-one-too-high",
@@ -90,30 +98,44 @@ MUTANTS = (
     Mutant(
         "pivot-row-left-unfolded-after-scaling",
         ALGEBRA,
-        "pivot = fold(pow(f, -1, p) * fold(rows[col] & (1 << shift) - 1))",
-        "pivot = pow(f, -1, p) * fold(rows[col] & (1 << shift) - 1)",
+        "pivot = fold(pow(f, -1, p) * fold(w[col] & (1 << shift) - 1))",
+        "pivot = pow(f, -1, p) * fold(w[col] & (1 << shift) - 1)",
         (_algebra("test_elimination_renormalises_at_the_word_budget[True]"),),
     ),
     Mutant(
         "pivot-residue-read-one-slot-low",
         ALGEBRA,
-        "map(rshift, rows[first:], repeat(shift))",
-        "map(rshift, rows[first:], repeat(shift - 64))",
+        "map(rshift, w[first:], repeat(shift))",
+        "map(rshift, w[first:], repeat(shift - 64))",
         (_algebra("test_elimination_renormalises_at_the_word_budget[True]"),),
     ),
     Mutant(
         "pivot-row-not-masked-below-its-pivot-slot",
         ALGEBRA,
-        "fold(rows[col] & (1 << shift) - 1)",
-        "fold(rows[col])",
+        "fold(w[col] & (1 << shift) - 1)",
+        "fold(w[col])",
         (_algebra("test_pivot_rows_are_masked_below_their_pivot_slot[True]"),),
     ),
     Mutant(
         "invertibility-without-its-determinant-fallback",
         ALGEBRA,
-        "reduce_above=False) or determinant(a) != 0",
-        "reduce_above=False)",
+        "is not None or determinant(a) != 0",
+        "is not None",
         (_algebra("test_is_invertible_trivials"),),
+    ),
+    Mutant(
+        "square-elimination-mod-p-clears-above-the-pivot-too",
+        ALGEBRA,
+        "    above = live > ncols\n",
+        "    above = True\n",
+        (_algebra("test_square_systems_update_only_the_rows_below_each_pivot[is_invertible]"),),
+    ),
+    Mutant(
+        "square-bareiss-clears-above-the-pivot-too",
+        ALGEBRA,
+        "    above = len(w[0]) > ncols\n",
+        "    above = True\n",
+        (_algebra("test_square_systems_update_only_the_rows_below_each_pivot[determinant]"),),
     ),
     # -- packing: one slot codec for mat_mul, the certificate and the attack --
     Mutant(
@@ -221,6 +243,13 @@ MUTANTS = (
         "    if handbacks and reveals and handbacks[-1].payload != reveals[-1]:\n",
         "    if False:\n",
         (_protocol("test_audit_rejects_forged_handback"),),
+    ),
+    Mutant(
+        "audit-draws-from-a-fresh-random-seed-again",
+        CLI,
+        "freivalds_audit(result.transcript, bulletin, t, rng)",
+        "freivalds_audit(result.transcript, bulletin, t, seed)",
+        (_cli("test_run_audit_vector_does_not_replay_the_blinding_draws"),),
     ),
     # -- recovery and the ratio analysis ------------------------------------
     Mutant(

@@ -131,28 +131,30 @@ def mat_rows(m):
     return [list(row) for row in m.rows]
 
 
-def eliminate_mod(w, ncols, p, reduce_above):
-    """Per-entry Gauss-Jordan mod p with the contract of algebra._eliminate_mod.
+def eliminate_mod(rows, ncols, p):
+    """Per-entry elimination mod p with the contract of algebra._eliminate_mod.
 
-    The coefficient columns sit reversed at the end of each row, so the
-    column being pivoted is the last entry; it is popped from the scaled
-    pivot row and from every eliminated row.  With reduce_above, row i
-    ends as the right-hand side solved for unknown i.  False if singular
-    mod p.
+    The int rows hold ncols coefficient columns first; they are reduced
+    mod p into a copy.  None if singular mod p.  Rows longer than ncols
+    are cleared above each pivot as well (Gauss-Jordan), and row i of the
+    result is the right-hand side solved for unknown i; square rows are
+    cleared below each pivot only and give [].
     """
+    w = [[x % p for x in row] for row in rows]
     m = len(w)
+    above = len(w[0]) > ncols
     for col in range(ncols):
-        pivot_row = next((i for i in range(col, m) if w[i][-1] % p), None)
+        pivot_row = next((i for i in range(col, m) if w[i][col]), None)
         if pivot_row is None:
-            return False
+            return None
         w[col], w[pivot_row] = w[pivot_row], w[col]
-        inv = pow(w[col].pop(), -1, p)
+        inv = pow(w[col][col], -1, p)
         w[col] = [y * inv % p for y in w[col]]
-        for i in range(0 if reduce_above else col + 1, m):
+        for i in range(0 if above else col + 1, m):
             if i != col:
-                f = w[i].pop()
+                f = w[i][col]
                 w[i] = [(x - f * y) % p for x, y in zip(w[i], w[col])]
-    return True
+    return [row[ncols:] for row in w] if above else []
 
 
 def freivalds_trials(a, b, c, t, rng):

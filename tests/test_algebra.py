@@ -530,9 +530,9 @@ def test_bounded_solve_stops_once_the_modulus_passes_twice_the_limit(monkeypatch
     primes = []
     original = algebra._eliminate_mod
 
-    def counting(w, ncols, p, reduce_above):
+    def counting(rows, ncols, p):
         primes.append(p)
-        return original(w, ncols, p, reduce_above)
+        return original(rows, ncols, p)
 
     monkeypatch.setattr(algebra, "_eliminate_mod", counting)
 
@@ -667,35 +667,34 @@ MOD_P_PRIMES = (2, 3, 257, _prime(0), _prime(4), 2**32 - 5)
 
 @st.composite
 def mod_p_system(draw):
-    """Rows for _eliminate_mod: r equations, ncols = r coefficients reversed at
-    the end, 0 or r right-hand columns first, often singular mod p.  At
+    """Rows for _eliminate_mod: r equations of ints, ncols = r coefficients
+    first, then 0 or r right-hand columns, often singular mod p.  At
     2^32 - 5 a 64-bit slot takes a single update, so every column renormalises."""
     r = draw(st.integers(1, 40))
     p = draw(st.sampled_from(MOD_P_PRIMES))
     rhs = draw(st.sampled_from((0, r)))
     rng = Random(draw(st.integers(0, 2**32)))
-    w = [[rng.randrange(p) for _ in range(rhs + r)] for _ in range(r)]
+    top = draw(st.sampled_from((p, 2**70)))
+    rows = [[rng.randrange(-top, top) for _ in range(r + rhs)] for _ in range(r)]
     shape = draw(st.sampled_from(("random", "repeated row", "zero column")))
     if shape == "repeated row" and r > 1:
         i, j = rng.sample(range(r), 2)
         scale = rng.randrange(p)
-        w[j] = [scale * x % p for x in w[i]]
+        rows[j] = [scale * x for x in rows[i]]
     if shape == "zero column":
-        col = rhs + rng.randrange(r)
-        for row in w:
-            row[col] = 0
-    return w, r, p
+        col = rng.randrange(r)
+        for row in rows:
+            row[col] = p * rng.randrange(-2, 3)
+    return rows, r, p
 
 
 @PACKED
-@given(mod_p_system(), st.booleans())
-def test_packed_elimination_matches_schoolbook(system, reduce_above):
-    w, ncols, p = system
-    expected = [list(row) for row in w]
-    solvable = eliminate_mod(expected, ncols, p, reduce_above)
-    assert _eliminate_mod(w, ncols, p, reduce_above) is solvable
-    if solvable and reduce_above:
-        assert w == expected
+@given(mod_p_system())
+def test_packed_elimination_matches_schoolbook(system):
+    rows, ncols, p = system
+    held = [list(row) for row in rows]
+    assert _eliminate_mod(rows, ncols, p) == eliminate_mod(rows, ncols, p)
+    assert rows == held
 
 
 def _is_small_prime(m):
@@ -743,62 +742,123 @@ def test_solver_primes_fold_three_times_for_a_budget_of_16():
         assert budget == 16
 
 
-# every case at the solver's prime keeps its plain id
+# every case at the solver's prime keeps its plain id; True marks the
+# systems with right-hand columns (Gauss-Jordan), False the square ones
 WORD_BUDGET_CASES = [
-    pytest.param(p, reduce_above, id=str(reduce_above) if p == _prime(0) else f"{p}-{reduce_above}")
+    pytest.param(p, rhs, id=str(rhs) if p == _prime(0) else f"{p}-{rhs}")
     for p in (_prime(0), _prime(300), 2**31 - 1, 2**32 - 5)
-    for reduce_above in (True, False)
+    for rhs in (True, False)
 ]
 
 
-@pytest.mark.parametrize("p, reduce_above", WORD_BUDGET_CASES)
-def test_elimination_renormalises_at_the_word_budget(p, reduce_above):
+@pytest.mark.parametrize("p, rhs", WORD_BUDGET_CASES)
+def test_elimination_renormalises_at_the_word_budget(p, rhs):
     # 40 columns pass the solver's prime's budget of 16 updates per slot
-    # twice (2^31 - 1 has 4, 2^32 - 5 has 1).  The coefficients form a
-    # permuted diagonal, so every update multiplies the pivot row by p,
-    # the largest factor an update uses: a missed fold overflows a slot.
-    # A diagonal of p - 1 scales each pivot row by p - 1 as well, so a
+    # twice (2^31 - 1 has 4, 2^32 - 5 has 1).  With right-hand columns of
+    # p - 1 the coefficients form a permuted diagonal; a square system is
+    # a row-permuted upper triangle of p - 1.  Either way every row takes
+    # each update with residue 0, so it adds p times the pivot row, the
+    # largest factor an update uses: a missed fold overflows a slot.  A
+    # diagonal of p - 1 scales each pivot row by p - 1 as well, so a
     # pivot row left unfolded after scaling overflows at the next update.
     r = 40
     perm = Random(11).sample(range(r), r)
     for scale in (1, p - 1):
-        w = [[p - 1] * r + [scale * (j == perm[i]) for j in range(r)] for i in range(r)]
-        expected = [list(row) for row in w]
-        assert eliminate_mod(expected, r, p, reduce_above)
-        assert _eliminate_mod(w, r, p, reduce_above)
-        if reduce_above:
-            assert w == expected
+        if rhs:
+            rows = [[scale * (c == perm[i]) for c in range(r)] + [p - 1] * r for i in range(r)]
+        else:
+            rows = [[scale if c == perm[i] else (p - 1) * (c > perm[i]) for c in range(r)] for i in range(r)]
+        assert eliminate_mod(rows, r, p) is not None
+        assert _eliminate_mod(rows, r, p) == eliminate_mod(rows, r, p)
 
 
-@pytest.mark.parametrize("reduce_above", [True, False])
+@pytest.mark.parametrize("rhs", [True, False])
 @pytest.mark.parametrize("p", FOLD_PRIMES)
-def test_elimination_keeps_dead_slots_within_the_word(p, reduce_above):
+def test_elimination_keeps_dead_slots_within_the_word(p, rhs):
     # every nonzero entry is p - 1, the largest residue, so every slot
     # takes the largest updates; 2 * budget + 1 columns (at most 33, the
-    # solver primes' count) cross the fold twice.  The coefficients are
-    # lower triangular, so each column's pivot updates every row below it.
-    # A slot that passed 64 bits would carry into the slot above it, a
-    # live one into the next pivot's residue and the top live one into
-    # the consumed slots, and the result would differ from the oracle's.
+    # solver primes' count) cross the fold twice.  With two right-hand
+    # columns the coefficients are lower triangular, so each column's
+    # pivot updates every row below it; a square system is triangular
+    # the other way round (row i from column r - 1 - i on), so each pivot
+    # row carries p - 1 in its live slots into the rows below.  A slot
+    # that passed 64 bits would carry into the slot above it, a live one
+    # into the next pivot's residue and the top live one into the
+    # consumed slots, and the result would differ from the oracle's.
     r = min(2 * _fold_plan(p)[2] + 1, 33)
-    w = [[p - 1] * 2 + [p - 1 if j >= r - 1 - i else 0 for j in range(r)] for i in range(r)]
-    expected = [list(row) for row in w]
-    assert eliminate_mod(expected, r, p, reduce_above)
-    assert _eliminate_mod(w, r, p, reduce_above)
-    if reduce_above:
-        assert w == expected
+    if rhs:
+        rows = [[p - 1 if c <= i else 0 for c in range(r)] + [p - 1] * 2 for i in range(r)]
+    else:
+        rows = [[p - 1 if c >= r - 1 - i else 0 for c in range(r)] for i in range(r)]
+    assert eliminate_mod(rows, r, p) is not None
+    assert _eliminate_mod(rows, r, p) == eliminate_mod(rows, r, p)
 
 
-@pytest.mark.parametrize("reduce_above", [True, False])
-def test_pivot_rows_are_masked_below_their_pivot_slot(monkeypatch, reduce_above):
+def test_elimination_stays_within_the_word_at_the_fold_bound():
+    # at _prime(0) = 2^30 - 35 the plan's three folds bring a slot to at
+    # most B = 2^30 + 34, and 16 updates of p times a pivot slot pass 2^64
+    # once those pivot slots average more than 2^30 + 35: the budget of 16
+    # holds only at B.  The first two folds alone let a scaled pivot slot
+    # reach 2^30 + 1364.  The first 16 equations are a diagonal d with
+    # right-hand side v, found by search so that each scaled pivot row's
+    # right-hand slot ends above 2^30 + 100 after those two folds; the
+    # 17th equation takes all 16 updates with residue 0, so each adds p
+    # times that slot, and a plan one fold short carries out of the slot
+    # and returns a wrong solution.
+    p = _prime(0)
+    d = [
+        497122774, 258749126, 431587737, 624773472, 459266669, 241785909, 297647287, 768889723,
+        656099621, 662324790, 316471938, 295085187, 374853800, 760678692, 718476207, 698191479, 1,
+    ]
+    v = [
+        144272509, 909925047, 820096753, 273878287, 817077201, 407608741, 846885253, 225437259,
+        100780963, 959191865, 418554019, 464680097, 652231581, 818492001, 2261353, 478230859, 1,
+    ]
+    r = len(d)
+    rows = [[d[i] * (c == i) for c in range(r)] + [v[i]] for i in range(r)]
+    assert _eliminate_mod(rows, r, p) == eliminate_mod(rows, r, p)
+
+
+@pytest.mark.parametrize("count_of", ["is_invertible", "determinant"])
+def test_square_systems_update_only_the_rows_below_each_pivot(monkeypatch, count_of):
+    # on a square system Gauss-Jordan would give the same verdict and
+    # determinant, so only counting tells the two apart: each kernel
+    # updates the r - 1 - c rows below the pivot of column c, r(r - 1) / 2
+    # rows in all.  A mod-p row update multiplies the pivot row by a
+    # nonzero factor p - f (the pivot row's own factor is p - p = 0); a
+    # Bareiss row update zips the row with the pivot row.
+    r = 32
+    a = sample_invertible_matrix(r, 2**8, Random(5))
+    updates = []
+
+    def counting_mul(x, y):
+        updates.append(x != 0)
+        return x * y
+
+    def counting_zip(*rows):
+        updates.append(True)
+        return zip(*rows)
+
+    if count_of == "is_invertible":
+        monkeypatch.setattr(algebra, "mul", counting_mul)
+        assert is_invertible(a)
+    else:
+        monkeypatch.setattr(algebra, "zip", counting_zip, raising=False)
+        assert determinant(a) != 0
+    assert sum(updates) == r * (r - 1) // 2
+
+
+@pytest.mark.parametrize("rhs", [True, False])
+def test_pivot_rows_are_masked_below_their_pivot_slot(monkeypatch, rhs):
     # the mask only saves work, so this measures what it saves: with fewer
     # columns than the budget the folds alternate, the masked pivot row in
     # and the scaled pivot row out, and at column c both span at most the
     # n - c - 1 slots below the pivot slot; an unmasked pivot row keeps its
     # nonzero pivot slot and the consumed slots above it
-    p, r, n = _prime(0), 8, 16
+    p, r = _prime(0), 8
+    n = 2 * r if rhs else r
     rng = Random(20)
-    w = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
     spans = []
     folder = algebra._folder
 
@@ -813,7 +873,7 @@ def test_pivot_rows_are_masked_below_their_pivot_slot(monkeypatch, reduce_above)
         return measured
 
     monkeypatch.setattr(algebra, "_folder", recording)
-    assert _eliminate_mod(w, r, p, reduce_above)
+    assert _eliminate_mod(rows, r, p) is not None
     assert len(spans) == 2 * r
     for c in range(r):
         assert spans[2 * c][0] <= 64 * (n - c - 1)
@@ -824,7 +884,7 @@ def test_pivot_rows_are_masked_below_their_pivot_slot(monkeypatch, reduce_above)
 def test_elimination_refuses_primes_beyond_the_word(p):
     # from 2^32 on, p^2 exceeds a 64-bit slot: not even one update fits
     with pytest.raises(ValueError):
-        _eliminate_mod([[1, 1]], 1, p, reduce_above=True)
+        _eliminate_mod([[1, 1]], 1, p)
 
 
 #: a one-entry change to a product: +-1 four times in five, else one far wider than 2^t

@@ -593,9 +593,9 @@ def test_ratio_refuses_gaps_within_the_public_entry_bound(monkeypatch):
     primes, solves = [], []
     eliminate, solve = algebra._eliminate_mod, attack.solve_integer
 
-    def counting(w, ncols, p, reduce_above):
+    def counting(rows, ncols, p):
         primes.append(p)
-        return eliminate(w, ncols, p, reduce_above)
+        return eliminate(rows, ncols, p)
 
     def counted_solve(a, rhs, limit):
         primes.clear()

@@ -6,10 +6,12 @@ import json
 import re
 import shutil
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from matshare import cli, protocol
 from matshare.cli import (
     EXIT_FORGERY,
     EXIT_GUARDRAIL,
@@ -102,6 +104,39 @@ def test_run_honest_recovers_secret(tmp_path, capsys):
     recovered = matrix_from_json(secure_matrices[-1]["payload"], 4)
     secret = matrix_from_json(read_json(ws / "instance.json")["secret"], 4)
     assert recovered == secret
+
+
+def test_run_audit_vector_does_not_replay_the_blinding_draws(tmp_path, capsys, monkeypatch):
+    # X's entries are getrandbits(9) draws below 256, so at t = 9 an audit
+    # vector drawn from a fresh Random(seed) would hold X's first entries,
+    # in row-major order, wherever it is below 256: an observer who learns
+    # X from the first reveal would know the vector.  The audit draws from
+    # the run's generator after the round instead.
+    ws = deal(tmp_path, r=8, k=10, n=4)
+    blinds, vectors = [], []
+    sample, audit = protocol.sample_invertible_matrix, cli.freivalds_audit
+
+    def recording_sample(r, bound, rng):
+        blinds.append(sample(r, bound, rng))
+        return blinds[-1]
+
+    def recording_audit(transcript, bulletin, t, seed):
+        rng = seed if isinstance(seed, Random) else Random(seed)
+        twin = Random()
+        twin.setstate(rng.getstate())
+        vectors.append([twin.getrandbits(t) for _ in range(bulletin.r)])
+        return audit(transcript, bulletin, t, rng)
+
+    monkeypatch.setattr(protocol, "sample_invertible_matrix", recording_sample)
+    monkeypatch.setattr(cli, "freivalds_audit", recording_audit)
+    replays = 0
+    for seed in range(20):
+        assert main(["run", "--workspace", str(ws), "--t", "9", "--seed", str(seed)]) == EXIT_OK
+        assert "freivalds audit: ok (t=9)" in capsys.readouterr().out
+        low = [x for x in vectors[-1] if x < 256]
+        replays += bool(low) and low == [x for row in blinds[-1].rows for x in row][: len(low)]
+    assert len(vectors) == len(blinds) == 20
+    assert replays == 0
 
 
 def test_main_carries_no_option_between_calls(tmp_path, capsys):

@@ -348,9 +348,9 @@ def test_reconstruction_refuses_a_tampered_chain_within_its_limit(monkeypatch):
     primes = []
     original = algebra._eliminate_mod
 
-    def counting(w, ncols, p, reduce_above):
+    def counting(rows, ncols, p):
         primes.append(p)
-        return original(w, ncols, p, reduce_above)
+        return original(rows, ncols, p)
 
     monkeypatch.setattr(algebra, "_eliminate_mod", counting)
     widest = max(m.rows[i][j].bit_length() for m in bulletin.matrices for i in range(32) for j in range(32))
