@@ -39,16 +39,7 @@ from .errors import (
     SingularMatrix,
 )
 from .protocol import CheaterSpec, freivalds_audit, simulate_run
-from .transport import (
-    BROADCAST,
-    DEALER,
-    PUBLIC,
-    SECURE,
-    Envelope,
-    IndexPointer,
-    Transcript,
-    participant_name,
-)
+from .transport import IndexPointer, Transcript, fresh_network
 
 EXIT_OK = 0
 EXIT_GENERATION = 1
@@ -270,39 +261,29 @@ def transcript_to_json(t: Transcript) -> dict:
 def transcript_from_json(doc, r: int, n: int) -> Transcript:
     """A run's transcript, every payload shaped for the bulletin's r and n.
 
-    A sender is ``Dealer`` or one of the bulletin's n participants, spelt
-    exactly as the protocol writes them (``P1`` to ``Pn``), and a
-    recipient is one of those or ``Broadcast``: the attack reads a
-    participant's position from its name.  A visibility is ``public`` or
-    ``secure``, and a broadcast is public: the eavesdropper's view keeps
-    only public events, so any other tag would hide an event from the
-    attack.
+    Each event is recorded through a network of the bulletin's n
+    participants, so a file holds only what a run can send (see
+    ``Network.record``): the attack reads a participant's position from
+    its name, and the eavesdropper's view keeps only public events.  An
+    event's step must be its place in the file, so that encoding the
+    transcript again writes the same steps.
     """
-    senders = {DEALER, *map(participant_name, range(1, n + 1))}
-    envelopes = []
+    net = fresh_network(n)
     for i, event in enumerate(_entries(_fields(doc, "events")[0], None, dict, "events")):
         try:
             step, sender, recipient, visibility, kind, payload = _fields(
                 event, "step", "from", "to", "visibility", "kind", "payload"
             )
-            strings = (sender, recipient, visibility, kind)
-            if type(step) is not int or not {str}.issuperset(map(type, strings)):
-                raise ValueError("step must be an integer and from, to, visibility and kind strings")
-            if sender not in senders:
-                raise ValueError(f"unknown sender {sender!r}")
-            if recipient not in senders and recipient != BROADCAST:
-                raise ValueError(f"unknown recipient {recipient!r}")
-            if visibility not in (PUBLIC, SECURE):
-                raise ValueError(f"unknown visibility {visibility!r}")
-            if recipient == BROADCAST and visibility != PUBLIC:
-                raise ValueError(f"a broadcast must be {PUBLIC!r}, not {visibility!r}")
+            if not {str}.issuperset(map(type, (sender, recipient, visibility, kind))):
+                raise ValueError("from, to, visibility and kind must be strings")
+            if step != i or type(step) is not int:
+                raise ValueError(f"step must be {i}, its place, not {step!r}")
             if kind not in _DECODERS:
                 raise ValueError(f"unknown payload kind {kind!r}")
-            payload = _DECODERS[kind](payload, r)
-            envelopes.append(Envelope(step, sender, recipient, visibility, payload))
+            net.record(sender, recipient, visibility, _DECODERS[kind](payload, r))
         except ValueError as err:
             raise ValueError(f"event {i}: {err}") from None
-    return Transcript(envelopes=envelopes)
+    return net.transcript
 
 
 def _write(path: Path, doc) -> None:

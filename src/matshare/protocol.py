@@ -37,6 +37,7 @@ from .transport import (
     Network,
     Transcript,
     broadcast_matrices,
+    fresh_network,
     participant_name,
 )
 
@@ -50,10 +51,6 @@ class CheaterSpec:
 
     position: int
     forged: Matrix
-
-
-def _fresh_network(n: int) -> Network:
-    return Network([participant_name(j) for j in range(1, n + 1)])
 
 
 def _effective_shadow(bulletin: Bulletin, share: Share, cheater) -> Matrix:
@@ -85,7 +82,7 @@ def run_verification(
         raise ValueError(f"cheater position must be in [1, {bulletin.n}]")
     held = {share.participant: share for share in shares}
     if net is None:
-        net = _fresh_network(bulletin.n)
+        net = fresh_network(bulletin.n)
     u = held[start].u
     v = None
     for idx, pos in enumerate(walk):
@@ -121,7 +118,7 @@ def run_reconstruction(
     walk = ring_walk(start, bulletin.n)
     held = {share.participant: share for share in shares}
     if net is None:
-        net = _fresh_network(bulletin.n)
+        net = fresh_network(bulletin.n)
     x = sample_invertible_matrix(bulletin.r, X_ENTRY_BOUND, rng)
 
     v = c = None
@@ -230,7 +227,7 @@ def simulate_run(
     cheater: Optional[CheaterSpec] = None,
 ) -> RunResult:
     """Drive one complete round; reconstruction only happens on a true verdict."""
-    net = _fresh_network(bulletin.n)
+    net = fresh_network(bulletin.n)
     deliver_shares(net, shares)
     verdict, _ = run_verification(bulletin, shares, start, cheater, net)
     recovered = None

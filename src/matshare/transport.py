@@ -26,9 +26,11 @@ def participant_name(position: int) -> str:
 
 
 def participant_position(name: str) -> int:
-    if not name.startswith("P"):
+    """The position that ``participant_name`` writes as `name`; any other name raises ValueError."""
+    digits = name[1:]
+    if name[:1] != "P" or not (digits.isascii() and digits.isdigit()) or participant_name(int(digits)) != name:
         raise ValueError(f"not a participant name: {name!r}")
-    return int(name[1:])
+    return int(digits)
 
 
 @dataclass(frozen=True)
@@ -67,45 +69,54 @@ class Transcript:
 
 
 class Network:
-    """A single run's message fabric: known recipients plus the transcript."""
+    """A single run's message fabric: its members plus the transcript."""
 
     def __init__(self, participants: Sequence[str]):
-        self._known = set(participants) | {DEALER, BROADCAST}
+        self._members = {DEALER, *participants}
         self.transcript = Transcript()
         self._open = True
 
     def close(self) -> None:
         self._open = False
 
-    def _next_step(self) -> int:
-        return len(self.transcript.envelopes)
-
-    def _append(
+    def record(
         self, sender: str, recipient: str, visibility: str, payload: Matrix | Vector | bool | IndexPointer
     ) -> int:
+        """Append one envelope and return its step, its place in the transcript.
+
+        This is the one rule for every envelope, sent or read from a file:
+        the run is open, the sender is the dealer or a participant, the
+        recipient is one of those or ``BROADCAST``, the visibility is
+        ``PUBLIC`` or ``SECURE``, and a broadcast is public.
+        """
         if not self._open:
             raise ValueError("run is closed")
-        if sender not in self._known:
-            raise ValueError(f"unknown sender: {sender!r}")
-        step = self._next_step()
-        self.transcript.envelopes.append(
-            Envelope(step, sender, recipient, visibility, payload)
-        )
-        return step
+        if sender not in self._members:
+            raise ValueError(f"unknown sender {sender!r}")
+        if recipient not in self._members and recipient != BROADCAST:
+            raise ValueError(f"unknown recipient {recipient!r}")
+        if visibility not in (PUBLIC, SECURE):
+            raise ValueError(f"unknown visibility {visibility!r}")
+        if recipient == BROADCAST and visibility != PUBLIC:
+            raise ValueError(f"a broadcast must be {PUBLIC!r}, not {visibility!r}")
+        envelopes = self.transcript.envelopes
+        envelopes.append(Envelope(len(envelopes), sender, recipient, visibility, payload))
+        return len(envelopes) - 1
 
     def send(
         self, sender: str, recipient: str, visibility: str, payload: Matrix | Vector | bool | IndexPointer
     ) -> int:
-        """Point-to-point delivery; returns the envelope's step number."""
-        if recipient not in self._known or recipient == BROADCAST:
-            raise ValueError(f"unknown recipient: {recipient!r}")
-        if visibility not in (PUBLIC, SECURE):
-            raise ValueError(f"unknown visibility: {visibility!r}")
-        return self._append(sender, recipient, visibility, payload)
+        """Deliver one envelope; returns its step number."""
+        return self.record(sender, recipient, visibility, payload)
 
     def broadcast(self, sender: str, payload: Matrix | Vector | bool | IndexPointer) -> int:
         """One public envelope delivered to every participant and the eavesdropper."""
-        return self._append(sender, BROADCAST, PUBLIC, payload)
+        return self.record(sender, BROADCAST, PUBLIC, payload)
+
+
+def fresh_network(n: int) -> Network:
+    """An open network of the participants ``P1`` to ``Pn``."""
+    return Network([participant_name(j) for j in range(1, n + 1)])
 
 
 def broadcast_matrices(view: Sequence[Envelope]) -> List[Envelope]:

@@ -44,6 +44,7 @@ ALGEBRA = "matshare/algebra.py"
 ATTACK = "matshare/attack.py"
 PROTOCOL = "matshare/protocol.py"
 CLI = "matshare/cli.py"
+TRANSPORT = "matshare/transport.py"
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,10 @@ def _acceptance(name):
 
 def _cli(name):
     return f"tests/test_cli.py::{name}"
+
+
+def _transport(name):
+    return f"tests/test_transport.py::{name}"
 
 
 MUTANTS = (
@@ -265,6 +270,141 @@ MUTANTS = (
         "solve_integer(prev.payload, nxt.payload, bound)",
         "solve_integer(prev.payload, nxt.payload, bound ** prev.payload.dim)",
         (_attack("test_ratio_refuses_gaps_within_the_public_entry_bound"),),
+    ),
+    # -- the corner search --------------------------------------------------
+    Mutant(
+        "search-takes-unaligned-corner-bytes-for-a-slot",
+        ATTACK,
+        "                    not skew\n                    and (not distinct",
+        "                    (not distinct",
+        (_attack("test_search_ignores_corner_bytes_at_unaligned_offsets"),),
+    ),
+    Mutant(
+        "distinct-search-keeps-suffixes-sharing-a-prefix-index",
+        ATTACK,
+        "                    and (not distinct or fresh(suffixes[slot]))\n",
+        "",
+        (_attack("test_search_respects_limit"),),
+    ),
+    Mutant(
+        "column-table-read-by-the-unreversed-tail",
+        ATTACK,
+        "columns[tail[::-1]]",
+        "columns[tail]",
+        (_attack("test_search_finds_dealer_sigma"),),
+    ),
+    Mutant(
+        "distinct-tested-count-stops-before-the-solution",
+        ATTACK,
+        "sum(map(fresh, suffixes[: slot + 1]))",
+        "sum(map(fresh, suffixes[:slot]))",
+        (_attack("test_search_respects_limit"),),
+    ),
+    Mutant(
+        "rep-tested-count-stops-before-the-solution",
+        ATTACK,
+        " if distinct else slot + 1)",
+        " if distinct else slot)",
+        (_attack("test_search_matches_reference_enumeration[ordered-rep-2-1]"),),
+    ),
+    Mutant(
+        "column-table-keeps-the-head-slots",
+        ATTACK,
+        "        level = _drop_slots(level, sorted(head), size)\n",
+        "        pass\n",
+        (_attack("test_search_walks_prefix_heads_past_the_table_cap[5]"),),
+    ),
+    Mutant(
+        "distinct-level-keeps-repeated-indices",
+        ATTACK,
+        "            level = _drop_slots(level, list(compress(count(), map(contains, keys * k, firsts))), size)\n",
+        "            pass\n",
+        (_attack("test_levels_match_per_sequence_mat_vecs[signed-True]"),),
+    ),
+    Mutant(
+        "distinct-prefix-counts-every-suffix",
+        ATTACK,
+        "    per_prefix = math.perm(k - d, h) if distinct else len(suffixes)\n",
+        "    per_prefix = len(suffixes)\n",
+        (_attack("test_search_matches_reference_enumeration[ordered-distinct-2-2]"),),
+    ),
+    Mutant(
+        "distinct-tails-drawn-from-every-index",
+        ATTACK,
+        "[i for i in range(k) if i not in head] if distinct and head else range(k)",
+        "range(k)",
+        (_attack("test_search_walks_prefix_heads_past_the_table_cap[5]"),),
+    ),
+    Mutant(
+        "prefix-tables-allowed-twice-the-cap",
+        ATTACK,
+        "    while e < d and (math.perm(k - e, d - e) if distinct else k ** (d - e)) > _SUFFIX_ROWS:\n",
+        "    while e < d and (math.perm(k - e, d - e) if distinct else k ** (d - e)) > 2 * _SUFFIX_ROWS:\n",
+        (_attack("test_search_walks_prefix_heads_past_the_table_cap[2]"),),
+    ),
+    Mutant(
+        "column-words-sized-for-one-factor-fewer",
+        ATTACK,
+        "    width = 8 * (_product_bound(r, top, d).bit_length() // 64 + 1)\n",
+        "    width = 8 * (_product_bound(r, top, d - 1).bit_length() // 64 + 1)\n",
+        (_attack("test_search_packs_corners_at_the_entry_bound[4-3-40]"),),
+    ),
+    Mutant(
+        "corner-product-offset-by-half-its-slots",
+        ATTACK,
+        "sum(map(mul, columns[tail[::-1]], packed), offset)",
+        "sum(map(mul, columns[tail[::-1]], packed), offset // 2)",
+        (_attack("test_search_finds_dealer_sigma"),),
+    ),
+    Mutant(
+        "corner-match-taken-for-a-solution",
+        ATTACK,
+        "\n                    and chain_product(matrices[i] for i in seq) == target",
+        "",
+        (_attack("test_search_rejects_corner_match_that_is_not_a_solution[1]"),),
+    ),
+    Mutant(
+        "next-find-skips-a-slot-past-an-unaligned-hit",
+        ATTACK,
+        "pos = found.find(key, (slot + 1) * size)",
+        "pos = found.find(key, pos + size)",
+        (_attack("test_search_finds_an_aligned_match_right_after_an_unaligned_one"),),
+    ),
+    Mutant(
+        "slots-sized-without-the-target-corner",
+        ATTACK,
+        "max(_product_bound(r, top, n).bit_length(), abs(corner).bit_length()) // 8 + 1",
+        "_product_bound(r, top, n).bit_length() // 8 + 1",
+        (_attack("test_search_target_corner_beyond_every_product[1]"),),
+    ),
+    Mutant(
+        "suffix-table-not-lowered-to-the-cap",
+        ATTACK,
+        "    while h > 1 and count_search_space(k, h, mode) > _SUFFIX_ROWS:\n        h -= 1\n",
+        "",
+        (_attack("test_search_keeps_every_table_level_within_the_cap[4-ordered-distinct]"),),
+    ),
+    # -- the envelope rule and the transcript decoder -----------------------
+    Mutant(
+        "network-takes-broadcast-for-a-sender",
+        TRANSPORT,
+        "        self._members = {DEALER, *participants}\n",
+        "        self._members = {DEALER, BROADCAST, *participants}\n",
+        (_transport("test_broadcast_is_no_sender"),),
+    ),
+    Mutant(
+        "decoder-ignores-the-step",
+        CLI,
+        "            if step != i or type(step) is not int:\n",
+        "            if type(step) is not int:\n",
+        (_cli("test_transcript_step_other_than_its_place_is_usage_error[two steps swapped]"),),
+    ),
+    Mutant(
+        "participant-position-reads-any-decimal",
+        TRANSPORT,
+        " or participant_name(int(digits)) != name",
+        "",
+        (_transport("test_participant_position_refuses_names_participant_name_never_writes[P03]"),),
     ),
 )
 

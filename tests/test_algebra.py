@@ -758,9 +758,14 @@ def test_elimination_renormalises_at_the_word_budget(p, rhs):
     # p - 1 the coefficients form a permuted diagonal; a square system is
     # a row-permuted upper triangle of p - 1.  Either way every row takes
     # each update with residue 0, so it adds p times the pivot row, the
-    # largest factor an update uses: a missed fold overflows a slot.  A
-    # diagonal of p - 1 scales each pivot row by p - 1 as well, so a
-    # pivot row left unfolded after scaling overflows at the next update.
+    # largest factor an update uses.  With right-hand columns a missed
+    # fold overflows a slot, and since a diagonal of p - 1 scales each
+    # pivot row by p - 1 as well, so does a pivot row left unfolded after
+    # scaling, at the next update.  The square cases catch neither: their
+    # scaled pivot slots are congruent to 1 or p - 1 and stay below 2^30,
+    # too small for 17 updates to pass 2^64, and a square system's result
+    # is only its verdict.  Only the [True] cases, here and in
+    # test_elimination_keeps_dead_slots_within_the_word, catch those two.
     r = 40
     perm = Random(11).sample(range(r), r)
     for scale in (1, p - 1):

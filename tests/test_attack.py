@@ -331,6 +331,59 @@ def test_search_ignores_corner_bytes_at_unaligned_offsets(monkeypatch):
         assert len(calls) == 2
 
 
+def test_search_finds_an_aligned_match_right_after_an_unaligned_one():
+    # r = 1 and n = 2 in 2-byte slots (offset 0x8000).  For the prefix (0,)
+    # the suffixes 1 and 2 give the corners -128 and 128, packed side by
+    # side as 7f 80 | 80 80.  The target's corner 128 is 80 80, so the first
+    # find straddles that slot boundary, one byte before the solution's own
+    # slot; the next find must start at that slot, not a slot past the hit.
+    matrices = tuple(Matrix([[x]]) for x in (8, -16, 16))
+    problem = SearchProblem(matrices, 2, Matrix([[128]]))
+    assert attack._slot_size(1, algebra._entry_bound(matrices), 2, 128) == 2
+    for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+        result = exhaustive_search(problem, mode)
+        assert result.solutions == ((0, 2), (2, 0))
+        assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_search_target_corner_beyond_every_product(n):
+    # the slots are sized for the target's corner too: one wider than any
+    # product of n public matrices matches no slot, and every sequence is
+    # still tested
+    rng = Random(n)
+    matrices = tuple(Matrix([[rng.randrange(4) for _ in range(2)] for _ in range(2)]) for _ in range(4))
+    for corner in (10**6, -(10**6), 1 << 200):
+        problem = SearchProblem(matrices, n, Matrix([[corner, 0], [0, 1]]))
+        for mode in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
+            result = exhaustive_search(problem, mode)
+            assert (result.solutions, result.nodes_explored) == ((), count_search_space(4, n, mode))
+
+
+@pytest.mark.parametrize("mode", [ORDERED_DISTINCT, ORDERED_WITH_REPETITION])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_keeps_every_table_level_within_the_cap(monkeypatch, mode, n):
+    # with the cap at k, n // 2 suffix indices would give the suffix table
+    # k^2 or k(k - 1) rows; the search lowers h until its suffixes fit, and
+    # walks prefix heads until each column table's tails fit as well
+    monkeypatch.setattr(attack, "_SUFFIX_ROWS", 5)
+    widths = []
+    original = attack._levels
+
+    def recording(level, factors, depth, distinct, size):
+        for built in original(level, factors, depth, distinct, size):
+            widths.append(len(built[0]) // size)
+            yield built
+
+    monkeypatch.setattr(attack, "_levels", recording)
+    rng = Random(300 + n)
+    raw = [[[rng.randrange(-9, 10) for _ in range(2)] for _ in range(2)] for _ in range(5)]
+    problem = SearchProblem(tuple(map(Matrix, raw)), n, Matrix(ordered_seq_product(raw, range(n))))
+    result = exhaustive_search(problem, mode)
+    assert (result.solutions, result.nodes_explored) == reference_search(problem, mode, None)
+    assert widths and max(widths) <= 5
+
+
 @pytest.mark.parametrize("bits", [4, 8, 12, 40])
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

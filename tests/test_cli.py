@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matshare import cli, protocol
+from matshare.algebra import BinaryVector, Matrix, Vector
 from matshare.cli import (
     EXIT_FORGERY,
     EXIT_GUARDRAIL,
@@ -25,6 +26,7 @@ from matshare.cli import (
     transcript_to_json,
     canonical_json,
 )
+from matshare.transport import DEALER, PUBLIC, SECURE, IndexPointer, fresh_network, participant_name
 
 
 def deal(tmp_path, r=4, k=6, n=3, seed=7, sub="ws"):
@@ -524,7 +526,7 @@ def test_transcript_visibility_outside_the_channel_tags_is_usage_error(tmp_path,
 
 @pytest.mark.parametrize(
     "field, name",
-    [("from", "P9"), ("from", "P+3"), ("from", "Mallory"), ("to", "P4")],
+    [("from", "P9"), ("from", "P+3"), ("from", "Mallory"), ("from", "Broadcast"), ("to", "P4")],
 )
 def test_transcript_names_outside_the_ring_are_usage_errors(tmp_path, capsys, field, name):
     # ratio analysis reads a reveal's position from its sender's name, so a
@@ -544,6 +546,72 @@ def test_transcript_names_outside_the_ring_are_usage_errors(tmp_path, capsys, fi
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert str(path) in err and f"event {second}: " in err and repr(name) in err
     assert not (ws / "attack_report.json").exists()
+
+
+def _swap_steps(doc, i, j):
+    events = doc["events"]
+    events[i]["step"], events[j]["step"] = events[j]["step"], events[i]["step"]
+
+
+# an edit of the steps, and the first event whose step it makes wrong
+STEP_EDITS = {
+    "two steps swapped": (lambda d: _swap_steps(d, 1, 2), 1),
+    "first step 99": (lambda d: d["events"][0].update(step=99), 0),
+    "second step true": (lambda d: d["events"][1].update(step=True), 1),
+    "last step repeated": (lambda d: d["events"][-1].update(step=len(d["events"]) - 2), -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_EDITS))
+def test_transcript_step_other_than_its_place_is_usage_error(tmp_path, capsys, name):
+    # re-encoding writes each event's place as its step, so a file whose
+    # steps differ would not be the file it decodes to
+    edit, first = STEP_EDITS[name]
+    ws = deal(tmp_path, r=5, k=6, n=3)
+    assert main(["run", "--workspace", str(ws), "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    path = ws / "transcript.json"
+    doc = read_json(path)
+    first %= len(doc["events"])
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["attack", "--workspace", str(ws), "--count-only"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert str(path) in err and f"event {first}: step must be {first}" in err
+    assert not (ws / "attack_report.json").exists()
+
+
+def _envelopes(n):
+    """Strategy: the envelopes of one network of P1..Pn, sent or broadcast in any order, r = 2."""
+    members = [DEALER] + [participant_name(j) for j in range(1, n + 1)]
+    entry = st.integers(-(1 << 70), 1 << 70)
+    payload = st.one_of(
+        st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2).map(Matrix),
+        st.lists(entry, min_size=2, max_size=2).map(Vector),
+        st.lists(st.integers(0, 1), min_size=2, max_size=2).map(BinaryVector),
+        st.booleans(),
+        st.builds(IndexPointer, st.integers(0, 40), st.lists(st.integers(1, n), max_size=n)),
+    )
+    send = st.tuples(st.sampled_from(members), st.sampled_from(members), st.sampled_from([PUBLIC, SECURE]), payload)
+    broadcast = st.tuples(st.sampled_from(members), payload)
+    return st.lists(send | broadcast, max_size=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), _envelopes(n))))
+def test_every_recorded_transcript_decodes_to_itself(case):
+    n, messages = case
+    net = fresh_network(n)
+    for message in messages:
+        if len(message) == 4:
+            net.send(*message)
+        else:
+            net.broadcast(*message)
+    text = canonical_json(transcript_to_json(net.transcript))
+    decoded = transcript_from_json(json.loads(text), 2, n)
+    assert decoded.envelopes == net.transcript.envelopes
+    assert canonical_json(transcript_to_json(decoded)) == text
 
 
 def _json_paths(doc, prefix=()):

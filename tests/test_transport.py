@@ -88,11 +88,29 @@ def test_closed_run_rejects_sends():
         net.send("P1", "P2", PUBLIC, Vector([1]))
 
 
+def test_broadcast_is_no_sender():
+    # "Broadcast" names the public channel, not a member of the run
+    net = two_party_net()
+    with pytest.raises(ValueError, match="unknown sender 'Broadcast'"):
+        net.broadcast(BROADCAST, Matrix([[1]]))
+    with pytest.raises(ValueError, match="unknown sender 'Broadcast'"):
+        net.send(BROADCAST, "P1", PUBLIC, Vector([1]))
+    assert net.transcript.envelopes == []
+
+
 def test_participant_names():
     assert participant_name(3) == "P3"
     assert participant_position("P12") == 12
+    for position in (1, 9, 10, 100):
+        assert participant_position(participant_name(position)) == position
     with pytest.raises(ValueError):
         participant_position("Dealer")
+
+
+@pytest.mark.parametrize("name", ["P+3", "P03", "P 3", "P3 ", "P-3", "P", "p3", "P\u0663", "P3_0", "", "Broadcast"])
+def test_participant_position_refuses_names_participant_name_never_writes(name):
+    with pytest.raises(ValueError, match="not a participant name"):
+        participant_position(name)
 
 
 def make_run(seed=5, start=2):
