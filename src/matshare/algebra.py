@@ -44,6 +44,10 @@ Z with Z*a == rhs by solving modulo word-size primes and combining the
 residues by the Chinese remainder theorem (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 5), and returns Z only after checking
 Z*a == rhs in exact integer arithmetic, or None when Z is not integral.
+Each mod-p system is packed with one ``struct.pack`` and its solution
+unpacked with one ``struct.unpack``, and no candidate is lifted while
+the modulus is too short to hold Z: |rhs| <= r * |Z| * |a| gives Z at
+least ``_width(rhs) - _width(a) - r.bit_length()`` bits.
 That certificate compares packed rows: those of Z*a, formed as in
 ``mat_mul``, with those of rhs, in slots wide enough for both, so no
 product matrix is built.  Every solve is bounded: the caller passes a
@@ -459,15 +463,24 @@ def _prime(i: int) -> int:
     return primes[i]
 
 
-def _to_words(values, n: int) -> int:
-    """One int of n 64-bit slots holding the sequence of values, the first in the top slot."""
-    # little-endian from the last value: struct packs that order natively on little-endian hosts
-    return int.from_bytes(struct.pack(f"<{n}Q", *values[::-1]), "little")
+def _to_words(values: list, n: int) -> list:
+    """The values, n to a row, as ints of n 64-bit slots, each row's first value in its top slot.
+
+    One ``struct.pack`` writes every row, and each row is one
+    ``int.from_bytes`` of its slice.  The values are packed little-endian
+    from the last one, the native order of little-endian hosts, where
+    ``struct`` packs about twice as fast as big-endian: row i is then the
+    i-th slice from the end.
+    """
+    data = struct.pack(f"<{len(values)}Q", *values[::-1])
+    step = 8 * n
+    return [int.from_bytes(data[i - step:i], "little") for i in range(len(data), 0, -step)]
 
 
-def _from_words(packed: int, n: int) -> tuple:
-    """The n 64-bit slots of packed, top first."""
-    return struct.unpack(f">{n}Q", packed.to_bytes(8 * n, "big"))
+def _from_words(rows: list, n: int) -> tuple:
+    """The n 64-bit slots of each packed row, top first, row after row: one ``struct.unpack``."""
+    data = b"".join(map(int.to_bytes, reversed(rows), repeat(8 * n), repeat("little")))
+    return struct.unpack(f"<{len(data) // 8}Q", data)[::-1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -533,11 +546,14 @@ def _eliminate_mod(rows, ncols: int, p: int):
     unknown i, in [0, p).  Square rows are only reduced below each pivot,
     which decides invertibility mod p, and solve nothing: the result is [].
 
-    Each row is reduced mod p and packed into one int of 64-bit slots,
-    its first entry in the top slot, so the pivot column is the top live
-    slot of every row and its residue f is read by one shift whose result
-    is short.  Entries are touched one by one only when the rows are
-    packed in and when they are unpacked and reduced mod p at the end;
+    The whole system is reduced mod p in one pass and packed by one
+    ``struct.pack`` (``_to_words``), each row one int of 64-bit slots read
+    by one ``int.from_bytes`` of its slice, its first entry in the top
+    slot: so the pivot column is the top live slot of every row and its
+    residue f is read by one shift whose result is short.  At the end one
+    ``struct.unpack`` (``_from_words``) reads every solved row, and one
+    pass reduces them mod p.  Those are the only steps that touch entries
+    one by one, each once for the whole system rather than once per row;
     every step in between acts on whole rows.  The pivot row is masked
     below its pivot slot, folded (``_folder``: each slot kept congruent
     mod p and brought to at most B(p)), multiplied by the pivot's inverse
@@ -559,7 +575,7 @@ def _eliminate_mod(rows, ncols: int, p: int):
     live = len(rows[0])
     above = live > ncols
     fold = _folder(p, live)
-    w = [_to_words(list(map(p.__rmod__, row)), live) for row in rows]
+    w = _to_words(list(map(p.__rmod__, chain.from_iterable(rows))), live)
     for col in range(ncols):
         # rows from `first` on are updated: every row, or those not yet pivots
         first = 0 if above else col
@@ -582,7 +598,8 @@ def _eliminate_mod(rows, ncols: int, p: int):
     if not above:
         return []
     low = (1 << 64 * live) - 1
-    return [list(map(p.__rmod__, _from_words(row & low, live))) for row in w]
+    solved = list(map(p.__rmod__, _from_words(list(map(low.__and__, w)), live)))
+    return [solved[i:i + live] for i in range(0, m * live, live)]
 
 
 def _certifies(z_rows, a: Matrix, rhs: Matrix) -> bool:
@@ -604,15 +621,27 @@ def _certifies(z_rows, a: Matrix, rhs: Matrix) -> bool:
 def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     """The integer matrix Z with Z*a == rhs and every |Z_ij| <= limit, or None.
 
-    Solves modulo primes just below 2^30 and lifts the residues by CRT to
-    symmetric residues.  After each prime the candidate is screened with
-    one O(r^2) product against a*1 and, if that passes, certified exactly
-    by Z*a == rhs (``_certifies``, on packed rows), so a returned Z is
-    always the true solution.  A certified Z with an entry beyond the
-    limit is refused, and once the modulus exceeds twice the limit an
-    uncertified candidate proves that no integral Z lies within it, so
-    the solve returns None.  A prime dividing det(a) is skipped; a
-    singular a raises SingularMatrix.
+    Solves modulo primes just below 2^30 and combines the residues by
+    CRT, keeping them in the kernel's order, column after column of Z, so
+    no prime transposes them.  A lift to symmetric residues, transposed
+    once into Z's rows, is screened with one O(r^2) product against a*1
+    and, if that passes, certified exactly by Z*a == rhs (``_certifies``,
+    on packed rows), so a returned Z is always the true solution.
+
+    No lift runs while the modulus has at most
+    ``_width(rhs) - _width(a) - r.bit_length()`` bits: every entry of rhs
+    is a sum of r products Z_il * a_lj, so |rhs| <= r * |Z| * |a|, and Z
+    has at least that many bits; a modulus that short is at most 2 * |Z|
+    and cannot hold Z, so no lift there could pass, and skipping it moves
+    no prime.  A lift that passes the screen is scanned once for its
+    largest entry, which refuses it if beyond the limit (a lift can only
+    pass the limit once the modulus exceeds twice the limit, where the
+    solve ends anyway, so this spares the certificate and changes no
+    result) and, on success, gives the returned quotient its cached
+    width, so a product with it does not scan it again.  Once the modulus
+    exceeds twice the limit an uncertified candidate proves that no
+    integral Z lies within it, so the solve returns None.  A prime
+    dividing det(a) is skipped; a singular a raises SingularMatrix.
 
     The cost follows the bit length of Z on success, and the bit length
     of the limit on failure.
@@ -626,6 +655,9 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     equations = [a_col + rhs_col for a_col, rhs_col in zip(zip(*a.rows), zip(*rhs.rows))]
     probe_in = [sum(row) for row in a.rows]
     probe_out = [sum(row) for row in rhs.rows]
+    # |rhs| <= r * |Z| * |a|, so Z has at least `floor` bits and no modulus
+    # of `floor` bits or fewer exceeds 2 * max|Z|
+    floor = _width(rhs) - _width(a) - r.bit_length()
     det = None
     residues, modulus = None, 1
     for p in map(_prime, count()):
@@ -636,8 +668,8 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
             if det == 0:
                 raise SingularMatrix(f"{r}x{r} matrix is singular")
             continue
-        # row l of w is column l of Z mod p
-        fresh = list(chain.from_iterable(zip(*w)))
+        # row l of w is column l of Z mod p: the residues stay column after column
+        fresh = list(chain.from_iterable(w))
         if residues is None:
             residues = fresh
         else:
@@ -646,16 +678,23 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
             steps = map(p.__rmod__, map(lift.__mul__, map(sub, fresh, residues)))
             residues = list(map(add, residues, map(modulus.__mul__, steps)))
         modulus *= p
-        # the symmetric residue: x - modulus where x > modulus // 2
-        z = list(map(sub, residues, map(modulus.__mul__, map((modulus // 2).__lt__, residues))))
-        rows = [z[i * r:(i + 1) * r] for i in range(r)]
-        if all(
-            sum(map(mul, row, probe_in)) == want
-            for row, want in zip(rows, probe_out)
-        ) and _certifies(rows, a, rhs):
-            if max(map(abs, z)) > limit:
-                return None
-            return Matrix._of(map(tuple, rows))
+        if modulus.bit_length() > floor:
+            # the symmetric residue, x - modulus where x > modulus // 2; r
+            # references to one iterator: zip cuts it into Z's columns, r
+            # entries each, and the outer zip turns those into Z's rows
+            z = map(sub, residues, map(modulus.__mul__, map((modulus // 2).__lt__, residues)))
+            rows = list(zip(*zip(*repeat(z, r))))
+            if all(
+                sum(map(mul, row, probe_in)) == want
+                for row, want in zip(rows, probe_out)
+            ):
+                top = max(map(abs, chain.from_iterable(rows)))
+                if top > limit:
+                    return None
+                if _certifies(rows, a, rhs):
+                    quotient = Matrix._of(rows)
+                    object.__setattr__(quotient, "_bits", top.bit_length())
+                    return quotient
         if modulus > 2 * limit:
             return None
 

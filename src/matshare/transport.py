@@ -87,7 +87,9 @@ class Network:
         This is the one rule for every envelope, sent or read from a file:
         the run is open, the sender is the dealer or a participant, the
         recipient is one of those or ``BROADCAST``, the visibility is
-        ``PUBLIC`` or ``SECURE``, and a broadcast is public.
+        ``PUBLIC`` or ``SECURE``, and a broadcast is public and comes from
+        a participant: the dealer only sends secure shares, so every
+        broadcast names a ring position.
         """
         if not self._open:
             raise ValueError("run is closed")
@@ -99,6 +101,8 @@ class Network:
             raise ValueError(f"unknown visibility {visibility!r}")
         if recipient == BROADCAST and visibility != PUBLIC:
             raise ValueError(f"a broadcast must be {PUBLIC!r}, not {visibility!r}")
+        if recipient == BROADCAST and sender == DEALER:
+            raise ValueError(f"a broadcast must come from a participant, not {DEALER!r}")
         envelopes = self.transcript.envelopes
         envelopes.append(Envelope(len(envelopes), sender, recipient, visibility, payload))
         return len(envelopes) - 1

@@ -142,6 +142,20 @@ MUTANTS = (
         "    above = True\n",
         (_algebra("test_square_systems_update_only_the_rows_below_each_pivot[determinant]"),),
     ),
+    Mutant(
+        "batched-pack-takes-the-rows-in-reverse-order",
+        ALGEBRA,
+        'for i in range(len(data), 0, -step)]',
+        'for i in range(step, len(data) + 1, step)]',
+        (_algebra("test_word_codec_keeps_rows_and_slots_in_order[4-6]"),),
+    ),
+    Mutant(
+        "batched-unpack-reads-each-slot-one-slot-off",
+        ALGEBRA,
+        'struct.unpack(f"<{len(data) // 8}Q", data)[::-1]',
+        'struct.unpack(f"<{len(data) // 8}Q", data[8:] + bytes(8))[::-1]',
+        (_algebra("test_packed_elimination_matches_schoolbook"),),
+    ),
     # -- packing: one slot codec for mat_mul, the certificate and the attack --
     Mutant(
         "slot-codec-offset-a-quarter-slot",
@@ -164,19 +178,19 @@ MUTANTS = (
     Mutant(
         "solver-without-its-exact-certificate",
         ALGEBRA,
-        "        ) and _certifies(rows, a, rhs):\n",
-        "        ):\n",
+        "                if _certifies(rows, a, rhs):\n",
+        "                if True:\n",
         (_algebra("test_solve_integer_certifies_what_the_screen_passes"),),
     ),
     Mutant(
         "solver-without-its-probe-screen",
         ALGEBRA,
-        "        if all(\n"
-        "            sum(map(mul, row, probe_in)) == want\n"
-        "            for row, want in zip(rows, probe_out)\n"
-        "        ) and _certifies(rows, a, rhs):\n",
-        "        if _certifies(rows, a, rhs):\n",
-        (_algebra("test_probe_screen_leaves_one_certificate_per_solve"),),
+        "            if all(\n"
+        "                sum(map(mul, row, probe_in)) == want\n"
+        "                for row, want in zip(rows, probe_out)\n"
+        "            ):\n",
+        "            if True:\n",
+        (_algebra("test_probe_screen_turns_away_the_lifts_the_floor_lets_through"),),
     ),
     Mutant(
         "certificate-compares-row-0-only",
@@ -202,9 +216,23 @@ MUTANTS = (
     Mutant(
         "certified-z-not-checked-against-the-limit",
         ALGEBRA,
-        "            if max(map(abs, z)) > limit:\n                return None\n",
+        "                if top > limit:\n                    return None\n",
         "",
         (_algebra("test_bounded_solve_finds_z_at_the_limit_and_refuses_limit_plus_one[7]"),),
+    ),
+    Mutant(
+        "lift-floor-one-bit-too-high",
+        ALGEBRA,
+        "    floor = _width(rhs) - _width(a) - r.bit_length()\n",
+        "    floor = _width(rhs) - _width(a) - r.bit_length() + 1\n",
+        (_algebra("test_solve_runs_the_fewest_primes_and_caches_the_quotient_width"),),
+    ),
+    Mutant(
+        "quotient-width-one-bit-low",
+        ALGEBRA,
+        'object.__setattr__(quotient, "_bits", top.bit_length())',
+        'object.__setattr__(quotient, "_bits", top.bit_length() - 1)',
+        (_algebra("test_solve_runs_the_fewest_primes_and_caches_the_quotient_width"),),
     ),
     # -- the Freivalds screen and the audit ---------------------------------
     Mutant(
@@ -391,6 +419,13 @@ MUTANTS = (
         "        self._members = {DEALER, *participants}\n",
         "        self._members = {DEALER, BROADCAST, *participants}\n",
         (_transport("test_broadcast_is_no_sender"),),
+    ),
+    Mutant(
+        "network-lets-the-dealer-broadcast",
+        TRANSPORT,
+        "        if recipient == BROADCAST and sender == DEALER:\n",
+        "        if False:\n",
+        (_transport("test_dealer_broadcasts_nothing"),),
     ),
     Mutant(
         "decoder-ignores-the-step",

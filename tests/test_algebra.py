@@ -10,7 +10,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from matshare import algebra
 from matshare.algebra import (
@@ -427,6 +427,31 @@ def test_probe_screen_leaves_one_certificate_per_solve(monkeypatch):
     assert calls == [6]
 
 
+def test_probe_screen_turns_away_the_lifts_the_floor_lets_through(monkeypatch):
+    # a's last column is 2^90 times a unit column and Z's last column is
+    # zero, so |a| is 91 bits wider than any term that reaches rhs: the
+    # lift floor (|rhs|'s bits less |a|'s and r's) is below the first
+    # modulus, and every prime lifts.  Z's 100-bit entries need 4 primes;
+    # the probe turns away the candidates of the first 3, all within the
+    # limit of 2^100, and the exact certificate runs once.
+    rng = Random(22)
+    r = 4
+    a = Matrix([[int(i == j) << 90 * (j == r - 1) for j in range(r)] for i in range(r)])
+    z = Matrix([[rng.randrange(-(2**100), 2**100) * (j < r - 1) for j in range(r)] for _ in range(r)])
+    rhs = mat_mul(z, a)
+    assert algebra._width(rhs) - algebra._width(a) - r.bit_length() < _prime(0).bit_length()
+    calls = []
+    certifies = algebra._certifies
+
+    def counting(z_rows, a, rhs):
+        calls.append(len(z_rows))
+        return certifies(z_rows, a, rhs)
+
+    monkeypatch.setattr(algebra, "_certifies", counting)
+    assert solve_integer(a, rhs, 2**100) == z
+    assert calls == [r]
+
+
 def test_certificate_refuses_every_one_entry_change():
     # Z*a == rhs is compared on packed rows: a change of +-1 in any entry
     # of any row, or of half a slot, is refused, and the true rhs passes
@@ -548,6 +573,96 @@ def test_bounded_solve_stops_once_the_modulus_passes_twice_the_limit(monkeypatch
         assert refused is None
         assert math.prod(bounded[:-1]) <= 2 * bound < math.prod(bounded)
         assert len(bounded) == primes_needed
+
+
+def _equal_magnitude_system(r, c, z, signs):
+    """(a, Z) with every |a_ij| == c and every |Z_ij| == z, and |rhs[0][0]| == r * z * c.
+
+    a is c times the matrix of 1 on and below the diagonal and -1 above
+    it (determinant 2^(r-1)), with rows and columns negated by the signs;
+    row 0 of Z takes the signs of column 0 of a, so the r terms of
+    rhs[0][0] = sum_l Z[0][l] * a[l][0] all add up.
+    """
+    flips = [1 - 2 * next(signs) for _ in range(2 * r)]
+    a = [[c * (1 if i >= j else -1) * flips[i] * flips[r + j] for j in range(r)] for i in range(r)]
+    z_rows = [[z * (1 if a[l][0] > 0 else -1) for l in range(r)]]
+    z_rows += [[z * (1 - 2 * next(signs)) for _ in range(r)] for _ in range(r - 1)]
+    return Matrix(a), Matrix(z_rows)
+
+
+def _widest(k):
+    """The widest |Z| the first k solver primes lift: (product - 1) / 2."""
+    return (math.prod(map(_prime, range(k))) - 1) // 2
+
+
+@st.composite
+def quotient_widths(draw):
+    r = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        # near the widest Z of k primes, where one prime more or less decides
+        k = draw(st.integers(1, 4))
+        top = max(0, _widest(k) + draw(st.integers(-3, 3)))
+    else:
+        top = draw(st.integers(0, 2**130)) >> draw(st.integers(0, 130))
+    if draw(st.booleans()):
+        c = draw(st.integers(1, 2**40))
+        signs = draw(st.lists(st.booleans(), min_size=r * r + 2 * r, max_size=r * r + 2 * r))
+        return _equal_magnitude_system(r, c, top, iter(signs))
+    bound = 2 ** draw(st.integers(1, 40))
+    a = draw(square(r, st.integers(-bound, bound)))
+    assume(determinant(a) != 0)
+    rows = [list(row) for row in draw(square(r, st.integers(-top, top))).rows]
+    rows[draw(st.integers(0, r - 1))][draw(st.integers(0, r - 1))] = draw(st.sampled_from((top, -top)))
+    return a, Matrix(rows)
+
+
+def _primes_to_lift(a, top):
+    """The solver primes a solve runs: up to the first at which those not dividing det(a) pass 2 * top."""
+    det, modulus = determinant(a), 1
+    for i in count():
+        if det % _prime(i):
+            modulus *= _prime(i)
+            if modulus > 2 * top:
+                return [_prime(j) for j in range(i + 1)]
+
+
+# |rhs| = r * |Z| * |a| with each factor's leading bits all ones, so Z has
+# exactly the lift floor's bits, 30k - 1, and the k-th prime is the first
+# whose modulus has more
+TIGHT_FLOOR_SYSTEMS = [
+    _equal_magnitude_system(7, 2**m - 1, _widest(k), iter([0, 1] * 40)) for k, m in ((1, 8), (2, 40), (3, 2))
+]
+
+
+@SEEDED
+@given(quotient_widths())
+@example(TIGHT_FLOOR_SYSTEMS[0])
+@example(TIGHT_FLOOR_SYSTEMS[1])
+@example(TIGHT_FLOOR_SYSTEMS[2])
+def test_solve_runs_the_fewest_primes_and_caches_the_quotient_width(case):
+    # a prime whose modulus has at most |rhs|'s bits less |a|'s and r's
+    # skips the lift: that must never move the prime that certifies Z,
+    # the first at which the primes not dividing det(a) pass 2 * max|Z|
+    a, z = case
+    rhs = mat_mul(z, a)
+    top = max(abs(x) for row in z.rows for x in row)
+    primes = []
+    original = algebra._eliminate_mod
+
+    def counting(rows, ncols, p):
+        primes.append(p)
+        return original(rows, ncols, p)
+
+    algebra._eliminate_mod = counting
+    try:
+        for limit in (top, 2**200):
+            primes.clear()
+            quotient = solve_integer(a, rhs, limit)
+            assert quotient == z
+            assert primes == _primes_to_lift(a, top)
+            assert quotient._bits == algebra._max_bits(quotient.rows)
+    finally:
+        algebra._eliminate_mod = original
 
 
 def test_solver_primes_are_the_largest_below_2_to_30():
@@ -697,6 +812,19 @@ def test_packed_elimination_matches_schoolbook(system):
     assert rows == held
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (3, 1), (4, 6), (32, 64)])
+def test_word_codec_keeps_rows_and_slots_in_order(m, n):
+    # an elimination's result does not depend on the order of its
+    # equations, so only the codec itself shows rows packed out of order
+    rng = Random(m * 100 + n)
+    values = [rng.choice((0, 1, (1 << 64) - 1, rng.getrandbits(64))) for _ in range(m * n)]
+    rows = _to_words(values, n)
+    assert rows == [
+        sum(x << 64 * (n - 1 - j) for j, x in enumerate(values[i * n:(i + 1) * n])) for i in range(m)
+    ]
+    assert _from_words(rows, n) == tuple(values)
+
+
 def _is_small_prime(m):
     return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
@@ -723,11 +851,12 @@ def test_fold_keeps_each_slot_congruent_and_within_the_budget_bound(p):
     n = len(slots)
     fold = _folder(p, n)
     _, bound, budget = _fold_plan(p)
-    folded = _from_words(fold(_to_words(slots, n)), n)
+    (row,) = _to_words(slots, n)
+    folded = _from_words([fold(row)], n)
     assert all((y - x) % p == 0 for x, y in zip(slots, folded))
     assert max(folded) <= bound
     # the pivot row is scaled by an inverse below p and folded again
-    scaled = _from_words(fold((p - 1) * _to_words(folded, n)), n)
+    scaled = _from_words([fold((p - 1) * _to_words(list(folded), n)[0])], n)
     assert all((y - x * (p - 1)) % p == 0 for x, y in zip(folded, scaled))
     assert max(scaled) <= bound
     # budget updates of at most p * bound fit in a 64-bit slot; one more may not

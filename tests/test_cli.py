@@ -526,12 +526,13 @@ def test_transcript_visibility_outside_the_channel_tags_is_usage_error(tmp_path,
 
 @pytest.mark.parametrize(
     "field, name",
-    [("from", "P9"), ("from", "P+3"), ("from", "Mallory"), ("from", "Broadcast"), ("to", "P4")],
+    [("from", "P9"), ("from", "P+3"), ("from", "Mallory"), ("from", "Broadcast"), ("from", "Dealer"), ("to", "P4")],
 )
 def test_transcript_names_outside_the_ring_are_usage_errors(tmp_path, capsys, field, name):
     # ratio analysis reads a reveal's position from its sender's name, so a
-    # name beyond n, a non-canonical spelling or a stranger must be refused
-    # when the transcript is read, with the file and the event named
+    # name beyond n, a non-canonical spelling, a stranger or the dealer
+    # (who broadcasts nothing) must be refused when the transcript is read,
+    # with the file and the event named
     ws = deal(tmp_path, r=5, k=6, n=3)
     assert main(["run", "--workspace", str(ws), "--seed", "1"]) == EXIT_OK
     capsys.readouterr()
@@ -606,6 +607,10 @@ def test_every_recorded_transcript_decodes_to_itself(case):
     for message in messages:
         if len(message) == 4:
             net.send(*message)
+        elif message[0] == DEALER:
+            # the dealer broadcasts nothing: the rule refuses it and records nothing
+            with pytest.raises(ValueError, match="must come from a participant"):
+                net.broadcast(*message)
         else:
             net.broadcast(*message)
     text = canonical_json(transcript_to_json(net.transcript))

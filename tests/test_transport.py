@@ -98,6 +98,20 @@ def test_broadcast_is_no_sender():
     assert net.transcript.envelopes == []
 
 
+def test_dealer_broadcasts_nothing():
+    # the dealer only sends secure shares, so a broadcast always names a
+    # ring position; a public send to "Broadcast" is a broadcast too
+    net = two_party_net()
+    with pytest.raises(ValueError, match="must come from a participant, not 'Dealer'"):
+        net.broadcast(DEALER, Matrix([[1]]))
+    with pytest.raises(ValueError, match="must come from a participant, not 'Dealer'"):
+        net.send(DEALER, BROADCAST, PUBLIC, Matrix([[1]]))
+    assert net.transcript.envelopes == []
+    net.send(DEALER, "P1", PUBLIC, Matrix([[1]]))
+    net.broadcast("P1", Matrix([[1]]))
+    assert [e.sender for e in net.transcript.envelopes] == [DEALER, "P1"]
+
+
 def test_participant_names():
     assert participant_name(3) == "P3"
     assert participant_position("P12") == 12
