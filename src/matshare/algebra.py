@@ -202,8 +202,10 @@ class Matrix(_Frozen):
     def _of(cls, rows: Iterable[Tuple[int, ...]]) -> "Matrix":
         """A matrix of rows already known to be int tuples forming a nonempty square.
 
-        Skips ``__init__``'s checks, for results the package computed
-        itself from checked matrices (products and certified quotients).
+        Skips ``__init__``'s checks, for rows that are such by construction:
+        results the package computed itself from checked matrices (products
+        and certified quotients), sampled draws, and the rows of a file
+        whose shape and entry types the decoder has checked.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "rows", tuple(rows))
@@ -516,13 +518,15 @@ def _fold_plan(p: int):
     return tuple(folds), top, budget
 
 
+@functools.lru_cache(maxsize=None)
 def _folder(p: int, n: int):
     """A function that applies p's fold plan to every slot of a row of n 64-bit slots.
 
     Per-slot masks keep each fold's low k bits and the 64 - k bits above
     them, so a fold is two masks, a shift, a multiply and an add on the
     whole row.  Each slot of the result is congruent mod p to the same
-    slot of the row and at most B(p); see _fold_plan.
+    slot of the row and at most B(p); see _fold_plan.  Each folder, masks
+    included, is made once per (p, n).
     """
     folds = _fold_plan(p)[0]
     ones = ((1 << 64 * n) - 1) // _WORD
@@ -602,19 +606,20 @@ def _eliminate_mod(rows, ncols: int, p: int):
     return [solved[i:i + live] for i in range(0, m * live, live)]
 
 
-def _certifies(z_rows, a: Matrix, rhs: Matrix) -> bool:
+def _certifies(z_rows, z_bits: int, a: Matrix, rhs: Matrix) -> bool:
     """Whether z * a == rhs exactly, compared on signed packed rows.
 
-    Row i of z * a packs to sum_l z[i][l] * packed(a[l]), r big-int
-    multiples as in ``mat_mul``, and is compared with rhs's packed row i
-    (``_packed_rows``, from the slot caches of a and rhs where they fit).
-    The slots are sized for both the entry bound r * max|z| * max|a| and
-    rhs's widest entry, so every entry of either side lies below half a
-    slot, where a packed row determines its entries: equal ints mean
-    equal rows.  No product matrix is formed.
+    z_bits is the bit length of z's largest absolute entry, which the
+    caller has measured.  Row i of z * a packs to sum_l z[i][l] *
+    packed(a[l]), r big-int multiples as in ``mat_mul``, and is compared
+    with rhs's packed row i (``_packed_rows``, from the slot caches of a
+    and rhs where they fit).  The slots are sized for both the entry bound
+    r * max|z| * max|a| and rhs's widest entry, so every entry of either
+    side lies below half a slot, where a packed row determines its
+    entries: equal ints mean equal rows.  No product matrix is formed.
     """
     r = a.dim
-    size = max(_max_bits(z_rows) + _width(a) + r.bit_length(), _width(rhs)) // 8 + 1
+    size = max(z_bits + _width(a) + r.bit_length(), _width(rhs)) // 8 + 1
     return all(map(eq, _dots(z_rows, _packed_rows(a, size)), _packed_rows(rhs, size)))
 
 
@@ -637,8 +642,9 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     largest entry, which refuses it if beyond the limit (a lift can only
     pass the limit once the modulus exceeds twice the limit, where the
     solve ends anyway, so this spares the certificate and changes no
-    result) and, on success, gives the returned quotient its cached
-    width, so a product with it does not scan it again.  Once the modulus
+    result), sizes the certificate's slots and, on success, gives the
+    returned quotient its cached width, so neither the certificate nor a
+    product with the quotient scans it again.  Once the modulus
     exceeds twice the limit an uncertified candidate proves that no
     integral Z lies within it, so the solve returns None.  A prime
     dividing det(a) is skipped; a singular a raises SingularMatrix.
@@ -691,9 +697,10 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
                 top = max(map(abs, chain.from_iterable(rows)))
                 if top > limit:
                     return None
-                if _certifies(rows, a, rhs):
+                bits = top.bit_length()
+                if _certifies(rows, bits, a, rhs):
                     quotient = Matrix._of(rows)
-                    object.__setattr__(quotient, "_bits", top.bit_length())
+                    object.__setattr__(quotient, "_bits", bits)
                     return quotient
         if modulus > 2 * limit:
             return None
@@ -789,13 +796,18 @@ def _uniform(rng: random.Random, bound: int, count: int) -> list:
 
 
 def sample_matrix(r: int, entry_bound: int, rng) -> Matrix:
-    """Matrix with entries drawn independently and uniformly from {0..entry_bound-1}."""
+    """Matrix with entries drawn independently and uniformly from {0..entry_bound-1}.
+
+    The draws are ints in an r x r square by construction, so the matrix
+    is built by the trusted ``Matrix._of``.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
     if entry_bound < 2:
         raise ValueError("entry_bound must be >= 2")
-    entries = _uniform(_as_rng(rng), entry_bound, r * r)
-    return Matrix(entries[i:i + r] for i in range(0, r * r, r))
+    entries = iter(_uniform(_as_rng(rng), entry_bound, r * r))
+    # r references to one iterator: zip takes its entries r at a time, one row each
+    return Matrix._of(zip(*repeat(entries, r)))
 
 
 def sample_invertible_matrix(r: int, entry_bound: int, rng) -> Matrix:

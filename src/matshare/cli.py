@@ -5,10 +5,14 @@ lose precision; all files are UTF-8 JSON written canonically, making
 identical inputs produce byte-identical outputs.  ``canonical_json``
 writes the same bytes as ``json.dumps(obj, indent=2)`` plus a newline,
 but through its own emitter, not the standard library's pure-Python
-indenting encoder.  Each file format has
-one encoder and one decoder, and the decoder checks what it decodes:
-any wrong shape or entry type raises ValueError, so a malformed
-workspace file is a usage error naming the file.
+indenting encoder.  The file encoders hand it ``Matrix`` and ``Vector``
+values, which it writes itself, each row of decimal strings in one
+``str.join``.  Each file format has one encoder and one decoder, and the
+decoder checks what it decodes: any wrong shape or entry type raises
+ValueError, so a malformed workspace file is a usage error naming the
+file.  A matrix is checked all rows at once, in C-level passes (r >= 1,
+r rows of exactly r entries each, every entry exactly a str), before its
+entries are read by one ``map(int, ...)``.
 
 Exit codes: 0 success, 1 generation failure (the dealer found no
 admissible instance within its retry budget), 2 forgery detected,
@@ -23,7 +27,7 @@ import hashlib
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from random import Random
@@ -77,18 +81,26 @@ def _entries(doc, length: Optional[int], kind: type, what: str) -> list:
     return doc
 
 
-def matrix_to_json(m: Matrix) -> list:
-    return [list(map(str, row)) for row in m.rows]
-
-
 def matrix_from_json(rows, r: int) -> Matrix:
-    """An r x r matrix from r rows of r decimal strings."""
-    rows = _entries(rows, r, list, "a matrix")
-    return Matrix([map(int, _entries(row, r, str, "a matrix row")) for row in rows])
+    """An r x r matrix from r rows of r decimal strings.
 
-
-def vector_to_json(v: Vector) -> list:
-    return list(map(str, v.entries))
+    Every row is checked at once, one C-level pass per condition: r >= 1,
+    r rows that are lists, each of exactly r entries, and every entry
+    exactly a str.  The entries are then read by one ``map(int, ...)``
+    into the trusted ``Matrix._of``, since they are ints in a nonempty
+    square by construction.
+    """
+    if (
+        type(rows) is not list
+        or r < 1
+        or len(rows) != r
+        or not {list}.issuperset(map(type, rows))
+        or not {r}.issuperset(map(len, rows))
+        or not {str}.issuperset(map(type, chain.from_iterable(rows)))
+    ):
+        raise ValueError(f"a matrix must be a list of r lists of r str values, with r >= 1 (r = {r})")
+    # r references to one iterator: zip takes its entries r at a time, one row each
+    return Matrix._of(zip(*repeat(map(int, chain.from_iterable(rows)), r)))
 
 
 def vector_from_json(entries, r: int) -> Vector:
@@ -106,16 +118,26 @@ def bits_from_json(bits, r: int) -> BinaryVector:
 
 
 def canonical_json(obj) -> str:
-    """obj as the text ``json.dumps(obj, indent=2)`` writes, plus a newline.
+    """obj as the text ``json.dumps`` writes with ``indent=2``, plus a newline.
 
     The standard library encodes with an indent in pure Python, one call
     per value; this emitter builds each list and object with one
-    ``str.join``, and a list of strings (a matrix row) in a single call
-    over the C string quoter.  It encodes str, int, bool, list and dict,
-    which is all the file encoders produce, and raises TypeError on
-    anything else.
+    ``str.join``.  It encodes str, int, bool, list and dict, which is what
+    the file encoders produce, and writes a ``Matrix`` as its list of rows
+    and a ``Vector`` as its list of entries, each entry as its decimal
+    string: the text ``json.dumps`` writes for ``[[str(x) for x in row]
+    for row in m.rows]``.  A decimal needs no escaping, so a row is one
+    ``str.join`` over ``map(str, row)``.  Types are matched exactly, so a
+    ``BinaryVector`` is refused here; its file encoder writes it as bits.
+    Anything else raises TypeError.
     """
     return _json_text(obj, "\n") + "\n"
+
+
+def _decimals_text(values, newline: str) -> str:
+    """The indented JSON text of a list of the ints' decimal strings, in one join."""
+    inner = newline + "  "
+    return f'[{inner}"' + ('",' + inner + '"').join(map(str, values)) + f'"{newline}]'
 
 
 def _json_text(obj, newline: str) -> str:
@@ -128,14 +150,14 @@ def _json_text(obj, newline: str) -> str:
     if kind is int:
         return int.__repr__(obj)
     inner = newline + "  "
+    if kind is Matrix:
+        return f"[{inner}{(',' + inner).join(map(_decimals_text, obj.rows, repeat(inner)))}{newline}]"
+    if kind is Vector:
+        return _decimals_text(obj.entries, newline)
     if kind is list:
         if not obj:
             return "[]"
-        if {str}.issuperset(map(type, obj)):
-            items = map(_quote, obj)
-        else:
-            items = map(_json_text, obj, repeat(inner))
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+        return f"[{inner}{(',' + inner).join(map(_json_text, obj, repeat(inner)))}{newline}]"
     if kind is dict:
         if not obj:
             return "{}"
@@ -147,7 +169,7 @@ def _json_text(obj, newline: str) -> str:
 
 
 def matrix_digest(m: Matrix) -> str:
-    return hashlib.sha256(canonical_json(matrix_to_json(m)).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(m).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +182,8 @@ def bulletin_to_json(b: Bulletin) -> dict:
         "r": b.r,
         "k": b.k,
         "n": b.n,
-        "matrices": [matrix_to_json(m) for m in b.matrices],
-        "u_prime": [vector_to_json(v) for v in b.u_prime],
+        "matrices": list(b.matrices),
+        "u_prime": list(b.u_prime),
     }
 
 
@@ -203,7 +225,7 @@ def share_from_json(doc, j: int, bulletin: Bulletin) -> Share:
 def instance_to_json(inst: Instance) -> dict:
     return {
         "sigma": list(inst.sigma),
-        "secret": matrix_to_json(inst.secret),
+        "secret": inst.secret,
     }
 
 
@@ -229,12 +251,17 @@ def _verdict_from_json(doc, r: int) -> bool:
     return doc
 
 
+def _as_is(value):
+    """A payload that canonical_json writes itself: a Matrix or a Vector."""
+    return value
+
+
 # the one payload table: exact payload type -> (transcript kind, encoder,
 # decoder given the bulletin's r).  Looked up by type(payload), never by
 # isinstance, since a BinaryVector is also a Vector.
 _PAYLOADS = {
-    Matrix: ("matrix", matrix_to_json, matrix_from_json),
-    Vector: ("vector", vector_to_json, vector_from_json),
+    Matrix: ("matrix", _as_is, matrix_from_json),
+    Vector: ("vector", _as_is, vector_from_json),
     BinaryVector: ("binary_vector", bits_to_json, bits_from_json),
     bool: ("verdict", bool, _verdict_from_json),
     IndexPointer: ("index_pointer", _pointer_to_json, _pointer_from_json),

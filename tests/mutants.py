@@ -178,7 +178,7 @@ MUTANTS = (
     Mutant(
         "solver-without-its-exact-certificate",
         ALGEBRA,
-        "                if _certifies(rows, a, rhs):\n",
+        "                if _certifies(rows, bits, a, rhs):\n",
         "                if True:\n",
         (_algebra("test_solve_integer_certifies_what_the_screen_passes"),),
     ),
@@ -202,8 +202,8 @@ MUTANTS = (
     Mutant(
         "certificate-slots-sized-without-rhs",
         ALGEBRA,
-        "size = max(_max_bits(z_rows) + _width(a) + r.bit_length(), _width(rhs)) // 8 + 1",
-        "size = (_max_bits(z_rows) + _width(a) + r.bit_length()) // 8 + 1",
+        "size = max(z_bits + _width(a) + r.bit_length(), _width(rhs)) // 8 + 1",
+        "size = (z_bits + _width(a) + r.bit_length()) // 8 + 1",
         (_algebra("test_certificate_slots_are_sized_for_rhs_too"),),
     ),
     Mutant(
@@ -230,8 +230,8 @@ MUTANTS = (
     Mutant(
         "quotient-width-one-bit-low",
         ALGEBRA,
-        'object.__setattr__(quotient, "_bits", top.bit_length())',
-        'object.__setattr__(quotient, "_bits", top.bit_length() - 1)',
+        'object.__setattr__(quotient, "_bits", bits)',
+        'object.__setattr__(quotient, "_bits", bits - 1)',
         (_algebra("test_solve_runs_the_fewest_primes_and_caches_the_quotient_width"),),
     ),
     # -- the Freivalds screen and the audit ---------------------------------
@@ -411,6 +411,28 @@ MUTANTS = (
         "    while h > 1 and count_search_space(k, h, mode) > _SUFFIX_ROWS:\n        h -= 1\n",
         "",
         (_attack("test_search_keeps_every_table_level_within_the_cap[4-ordered-distinct]"),),
+    ),
+    # -- the matrix file codec ----------------------------------------------
+    Mutant(
+        "matrix-decoder-without-its-per-row-length-check",
+        CLI,
+        "        or not {r}.issuperset(map(len, rows))\n",
+        "",
+        (_cli("test_malformed_matrix_is_usage_error_naming_the_file[ragged rows]"),),
+    ),
+    Mutant(
+        "matrix-decoder-without-r-at-least-1",
+        CLI,
+        "        or r < 1\n",
+        "",
+        (_cli("test_malformed_matrix_is_usage_error_naming_the_file[r of 0]"),),
+    ),
+    Mutant(
+        "matrix-emitter-indents-entries-at-the-row-depth",
+        CLI,
+        "map(_decimals_text, obj.rows, repeat(inner))",
+        "map(_decimals_text, obj.rows, repeat(newline))",
+        (_cli("test_canonical_json_writes_matrices_as_json_dumps_writes_their_decimals"),),
     ),
     # -- the envelope rule and the transcript decoder -----------------------
     Mutant(

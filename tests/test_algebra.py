@@ -416,9 +416,10 @@ def test_probe_screen_leaves_one_certificate_per_solve(monkeypatch):
     calls = []
     certifies = algebra._certifies
 
-    def counting(z_rows, a, rhs):
+    def counting(z_rows, z_bits, a, rhs):
         calls.append(len(z_rows))
-        return certifies(z_rows, a, rhs)
+        assert z_bits == algebra._max_bits(z_rows)
+        return certifies(z_rows, z_bits, a, rhs)
 
     monkeypatch.setattr(algebra, "_certifies", counting)
     assert solve_integer(a, rhs, 2**100) == z
@@ -443,13 +444,37 @@ def test_probe_screen_turns_away_the_lifts_the_floor_lets_through(monkeypatch):
     calls = []
     certifies = algebra._certifies
 
-    def counting(z_rows, a, rhs):
+    def counting(z_rows, z_bits, a, rhs):
         calls.append(len(z_rows))
-        return certifies(z_rows, a, rhs)
+        assert z_bits == algebra._max_bits(z_rows)
+        return certifies(z_rows, z_bits, a, rhs)
 
     monkeypatch.setattr(algebra, "_certifies", counting)
     assert solve_integer(a, rhs, 2**100) == z
     assert calls == [r]
+
+
+def test_certified_lift_is_measured_once(monkeypatch):
+    # the solve scans a lift once, for the limit, and hands that width to
+    # the certificate and the quotient's cache: with a's and rhs's widths
+    # already cached, a certified solve makes no _max_bits call at all
+    rng = Random(23)
+    a = Matrix([[rng.randrange(-(2**20), 2**20) for _ in range(6)] for _ in range(6)])
+    z = Matrix([[rng.randrange(-(2**100), 2**100) for _ in range(6)] for _ in range(6)])
+    rhs = mat_mul(z, a)
+    algebra._width(a), algebra._width(rhs)
+    measured = []
+    max_bits = algebra._max_bits
+    monkeypatch.setattr(algebra, "_max_bits", lambda rows: measured.append(rows) or max_bits(rows))
+    quotient = solve_integer(a, rhs, 2**100)
+    assert quotient == z
+    assert measured == []
+    assert quotient._bits == max_bits(z.rows)
+
+
+def _certifies(z, a, rhs):
+    """The certificate on z's rows, given their width as solve_integer gives it."""
+    return algebra._certifies(z, algebra._max_bits(z), a, rhs)
 
 
 def test_certificate_refuses_every_one_entry_change():
@@ -460,14 +485,14 @@ def test_certificate_refuses_every_one_entry_change():
     a = Matrix([[rng.randrange(-(2**40), 2**40) for _ in range(r)] for _ in range(r)])
     z = [[rng.randrange(-(2**20), 2**20) for _ in range(r)] for _ in range(r)]
     rhs = naive_mul(z, mat_rows(a))
-    assert algebra._certifies(z, a, Matrix(rhs))
+    assert _certifies(z, a, Matrix(rhs))
     size = (max(map(abs, sum(z, []))).bit_length() + algebra._width(a) + r.bit_length()) // 8 + 1
     for i in range(r):
         for j in range(r):
             for change in (1, -1, 1 << (8 * size - 1), -(1 << (8 * size - 1))):
                 rows = [list(row) for row in rhs]
                 rows[i][j] += change
-                assert not algebra._certifies(z, a, Matrix(rows))
+                assert not _certifies(z, a, Matrix(rows))
 
 
 @pytest.mark.parametrize("size", [1, 2, 9])
@@ -482,8 +507,8 @@ def test_certificate_slots_cover_the_widest_rhs_entry(size):
         ([[0, -1], [0, 0]], [[0, top], [0, 0]]),
         ([[0, 0], [-1, 0]], [[0, 0], [top, 0]]),
     ):
-        assert not algebra._certifies(z, a, Matrix(rhs))
-        assert algebra._certifies(rhs, a, Matrix(rhs))
+        assert not _certifies(z, a, Matrix(rhs))
+        assert _certifies(rhs, a, Matrix(rhs))
 
 
 def test_certificate_slots_are_sized_for_rhs_too():
@@ -492,7 +517,7 @@ def test_certificate_slots_are_sized_for_rhs_too():
     # certify them
     z, a = [[5, 7], [0, 0]], Matrix.identity(2)
     for rhs in ([[4, 7 + 256], [0, 0]], [[6, 7 - 256], [0, 0]]):
-        assert not algebra._certifies(z, a, Matrix(rhs))
+        assert not _certifies(z, a, Matrix(rhs))
 
 
 BOUNDED_A = Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
@@ -861,6 +886,13 @@ def test_fold_keeps_each_slot_congruent_and_within_the_budget_bound(p):
     assert max(scaled) <= bound
     # budget updates of at most p * bound fit in a 64-bit slot; one more may not
     assert bound + budget * p * bound < 2**64 <= bound + (budget + 1) * p * bound
+
+
+def test_folder_is_made_once_per_prime_and_width():
+    p = _prime(0)
+    assert _folder(p, 8) is _folder(p, 8)
+    assert _folder(p, 8) is not _folder(p, 9)
+    assert _folder(p, 8) is not _folder(_prime(1), 8)
 
 
 def test_solver_primes_fold_three_times_for_a_budget_of_16():

@@ -238,7 +238,53 @@ def test_canonical_json_writes_what_json_dumps_writes(doc):
     assert canonical_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("doc", [1.5, [["1"], [0.0]], {"a": None}])
+def _matrices(r):
+    entry = st.integers(-(1 << 200), 1 << 200)
+    return st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r).map(Matrix)
+
+
+def _vectors(r):
+    return st.lists(st.integers(-(1 << 200), 1 << 200), min_size=r, max_size=r).map(Vector)
+
+
+def _nested(values):
+    """values alone, or in lists and dicts one or two deep."""
+    one = st.lists(values, max_size=3) | st.dictionaries(st.text(max_size=3), values, max_size=3)
+    two = st.lists(one, max_size=3) | st.dictionaries(st.text(max_size=3), one, max_size=3)
+    return values | one | two
+
+
+def _decimal_form(doc):
+    """doc with each Matrix and Vector spelled as lists of decimal strings."""
+    if type(doc) is Matrix:
+        return [[str(x) for x in row] for row in doc.rows]
+    if type(doc) is Vector:
+        return [str(x) for x in doc.entries]
+    if type(doc) is list:
+        return [_decimal_form(x) for x in doc]
+    if type(doc) is dict:
+        return {key: _decimal_form(value) for key, value in doc.items()}
+    return doc
+
+
+MATRIX_DOCS = st.integers(1, 6).flatmap(lambda r: _nested(_matrices(r) | _vectors(r) | st.integers(-3, 3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(Matrix([[1]]))
+@example({"m": [Matrix([[-(1 << 200), 0], [7, 1 << 200]]), Vector([5, -5])], "": []})
+@given(MATRIX_DOCS)
+def test_canonical_json_writes_matrices_as_json_dumps_writes_their_decimals(doc):
+    assert canonical_json(doc) == json.dumps(_decimal_form(doc), indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(_matrices))
+def test_matrix_file_round_trip(m):
+    assert matrix_from_json(json.loads(canonical_json(m)), m.dim) == m
+
+
+@pytest.mark.parametrize("doc", [1.5, [["1"], [0.0]], {"a": None}, BinaryVector([1, 0]), (1, 2)])
 def test_canonical_json_refuses_other_types(doc):
     with pytest.raises(TypeError):
         canonical_json(doc)
@@ -459,6 +505,48 @@ def test_malformed_workspace_is_usage_error(tmp_path, capsys, name):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def _rows_shifted(rows):
+    # row 0 takes row 1's first entry: lengths r + 1 and r - 1, r^2 in all,
+    # and the same entries in the same order
+    rows[0].append(rows[1].pop(0))
+
+
+def _r_zero(doc):
+    # 0 x 0 matrices and empty vectors fit r = 0 in every shape check, so
+    # only r >= 1 refuses the matrices, before any vector is read
+    doc.update(r=0, matrices=[[] for _ in doc["matrices"]], u_prime=[[] for _ in doc["u_prime"]])
+
+
+MALFORMED_MATRICES = {
+    "ragged rows": ("bulletin.json", lambda d: _rows_shifted(d["matrices"][0]), "run"),
+    "ragged secret rows": ("instance.json", lambda d: _rows_shifted(d["secret"]), "attack"),
+    "ragged reveal rows": (
+        "transcript.json",
+        lambda d: _rows_shifted(next(e["payload"] for e in d["events"] if e["kind"] == "matrix")),
+        "attack",
+    ),
+    "r of 0": ("bulletin.json", _r_zero, "run"),
+    "int entry": ("bulletin.json", lambda d: d["matrices"][1][2].__setitem__(3, 7), "run"),
+    "bool entry": ("bulletin.json", lambda d: d["matrices"][1][2].__setitem__(3, True), "run"),
+    "null entry": ("bulletin.json", lambda d: d["matrices"][1][2].__setitem__(3, None), "run"),
+    "list entry": ("bulletin.json", lambda d: d["matrices"][1][2].__setitem__(3, ["7"]), "run"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MATRICES))
+def test_malformed_matrix_is_usage_error_naming_the_file(tmp_path, capsys, name):
+    target, edit, command = MALFORMED_MATRICES[name]
+    ws = deal(tmp_path, r=6, k=6, n=3)
+    assert main(["run", "--workspace", str(ws), "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    _edit_json(ws / target, edit)
+    argv = ["run", "--workspace", str(ws)] if command == "run" else ["attack", "--workspace", str(ws), "--count-only"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert target in err and "a matrix must be" in err
 
 
 def _first_event_without_sender(doc):
