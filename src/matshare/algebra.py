@@ -1,69 +1,43 @@
 """Exact square-matrix arithmetic over arbitrary-precision integers.
 
 Every matrix and vector entry is a Python int; any other entry type is
-refused with TypeError.  Determinant, rank and the scaled inverse
-``_inverse_parts`` share one fraction-free (Bareiss) elimination kernel,
-so no step ever leaves the integers.  It and the mod-p kernel
-``_eliminate_mod`` share one contract: they read int rows as the caller
-holds them, coefficient columns first, and never write them; rows longer
-than the coefficient count carry right-hand columns and are solved by
-Gauss-Jordan, square rows are only cleared below each pivot; and each
-returns its result, the solved right-hand rows included.
+refused with TypeError.  No result leaves the integers: every modular or
+probabilistic step ends in an exact integer check or carries a stated
+error bound.
 
-The hot loops run on packed rows (Kronecker substitution; von zur Gathen
-& Gerhard, *Modern Computer Algebra*, sec. 8.4): a row of entries is one
-Python int of fixed-width slots, so a row update is one big-int
-multiply-add in C instead of one interpreter step per entry.  Entries
-are touched one by one only where rows are packed in and unpacked out;
-every step in between acts on whole rows.  The mod-p elimination under
-the solver and ``is_invertible`` is one kernel, ``_eliminate_mod``,
-whose residues sit in 64-bit word slots with the pivot column in each
-row's top live slot: instead of unpacking a row to reduce it, it folds
-all of the row's slots at once with masks, shifts and one multiply
-(``_fold_plan``, found once per prime), which keeps each slot congruent
-mod p and small enough for the next updates.  ``mat_mul`` packs the rows
-of its right factor with one ``bytes.join`` and reads the product back
-with one ``struct`` pass.  Its byte slots are sized from a bound on
-the entries they will hold, so packing is exact at any dimension, and
-``mat_mul`` packs at every size (there is no schoolbook branch).  That
-bound comes from each factor's entry width, which a ``Matrix`` measures
-once and caches, so a matrix used in many products is scanned once.  A
-second cache keeps the byte slots a matrix was packed into as a right
-factor, or produced from as a product: a product that becomes the next
-right factor, as at every hop of the blinded chain, is re-padded to its
-wider slots with one ``struct`` pass and one ``bytes.join`` instead of
-being packed one entry at a time.  A Freivalds screen checks on one
-vector of t-bit entries, which keeps the 2^-t bound of t binary trials
-(Schwartz 1980, Zippel 1979) with narrow products and no packing.  It
-takes a chain of matrices and forms each element's image once, shared by
-the two pairs it belongs to, and turns most wrong candidates away on one
-row's residue modulo a word-size prime before any wide product.
+How the work is done, stated once here:
 
-Quotients of matrices come from ``solve_integer``: it finds the integer
-Z with Z*a == rhs by solving modulo word-size primes and combining the
-residues by the Chinese remainder theorem (von zur Gathen & Gerhard,
-*Modern Computer Algebra*, ch. 5), and returns Z only after checking
-Z*a == rhs in exact integer arithmetic, or None when Z is not integral.
-Each mod-p system is packed with one ``struct.pack`` and its solution
-unpacked with one ``struct.unpack``, and no candidate is lifted while
-the modulus is too short to hold Z: |rhs| <= r * |Z| * |a| gives Z at
-least ``_width(rhs) - _width(a) - r.bit_length()`` bits.
-That certificate compares packed rows: those of Z*a, formed as in
-``mat_mul``, with those of rhs, in slots wide enough for both, so no
-product matrix is built.  Every solve is bounded: the caller passes a
-limit on Z's entries, and the solve gives up once the modulus passes
-twice the limit, so a refusal costs about the limit's bits.
-``is_invertible`` accepts on a nonzero determinant residue and
-asks Bareiss only on a zero one.  A modular result is never returned
-without that exact certificate.
+- Elimination.  Determinant, rank and the reference inverse share one
+  fraction-free (Bareiss) kernel, ``_bareiss``; the solver and
+  ``is_invertible`` share one mod-p kernel, ``_eliminate_mod``.  Both
+  read int rows as the caller holds them, coefficient columns first, and
+  never write them.  Rows longer than the coefficient count carry
+  right-hand columns and are solved by Gauss-Jordan; square rows are
+  only cleared below each pivot.
+- Packed rows (Kronecker substitution; von zur Gathen & Gerhard,
+  *Modern Computer Algebra*, sec. 8.4).  A row of entries is one Python
+  int of fixed-width slots, so a row update is one big-int multiply-add
+  in C.  ``mat_mul`` packs its right factor into byte slots wider than
+  any product entry, each offset by half a slot so that it reads
+  nonnegative, and reads the product back with one ``struct`` pass.  A
+  matrix caches its entry width (``_bits``) and the slots it was last
+  packed into or produced in (``_slots``), so a product that becomes the
+  next right factor is re-padded, not packed entry by entry.
+  ``_eliminate_mod`` keeps residues in 64-bit word slots, the pivot
+  column in each row's top live slot, and folds all of a row's slots at
+  once with masks, shifts and one multiply (``_fold_plan``), which keeps
+  each slot congruent mod p and within the word.
+- Quotients (ibid., ch. 5).  ``solve_integer`` solves modulo primes just
+  below 2^30, combines the residues by the Chinese remainder theorem and
+  returns a candidate only once ``mat_mul`` shows Z*a == rhs exactly.
+- Product checks (Schwartz 1980, Zippel 1979).  ``freivalds_screen``
+  compares exact images of one vector of t-bit entries, row by row.
 
-Everything here is deterministic and pure: samplers take an explicit
+Everything is deterministic and pure: samplers take an explicit
 ``random.Random`` (or an int seed) and draw exactly the values its
 ``randrange`` would, and all values are immutable once constructed, so
 concurrent use is safe.  A matrix's two caches are the only writes after
-construction.  The width cache always stores the same value, so two
-threads that fill it at once only measure it twice.  The slot cache can
-be replaced by another packing of the same rows, in narrower slots; each
+construction: the width cache always stores the same value, and a
 packing is stored and read as one ``(size, bytes)`` tuple, so a reader
 always gets a whole, consistent packing, whichever thread wrote it.
 """
@@ -171,16 +145,12 @@ class _Frozen:
 class Matrix(_Frozen):
     """An immutable square matrix with int entries.
 
-    Its value is ``rows``.  Two slots cache work on it.  ``_bits`` holds
-    the bit length of the largest absolute entry: it stays unset until
-    ``mat_mul`` or the attack first needs it, and is then written once, so
-    a matrix used in many products is scanned once.  ``_slots`` holds
-    ``(size, bytes)``: the rows as offset big-endian slots of `size` bytes,
-    as ``mat_mul`` produced the matrix or last packed it as a right
-    factor, so a product that becomes the next right factor is re-padded
-    rather than packed entry by entry (``_packed_rows``).  Neither cache
-    is part of the value: ``==``, ``hash``, ``repr``, copies and pickles
-    see only the rows, and a rebuilt matrix measures and packs again.
+    ``Matrix(rows)`` takes r >= 1 rows of r ints each and raises
+    ValueError for no rows or a shape that is not square, TypeError for an
+    entry that is not exactly an int (a bool included).  The value is
+    ``rows``, a tuple of r int tuples.  The ``_bits`` and ``_slots`` caches
+    (see the module docstring) are not part of it: ``==``, ``hash``,
+    ``repr``, copies and pickles see only the rows.
     """
 
     __slots__ = ("rows", "_bits", "_slots")
@@ -279,16 +249,12 @@ class BinaryVector(Vector):
 
 
 def _packed_rows(m: Matrix, size: int) -> list:
-    """m's rows as signed packed ints of `size`-byte slots, entry j of row i in slot j from the top.
+    """m's rows as ints of `size`-byte slots: row i is sum_j m[i][j] * 2^(8 * size * (r - 1 - j)).
 
-    The rows come from offset big-endian bytes: each slot holds its entry
-    plus half its own slot, so it is nonnegative, and the offset is taken
-    off each row int.  Those bytes are m's ``_slots`` cache when it holds
-    slots of at most `size` bytes: a narrower cache is re-padded to `size`
-    with one ``struct`` pass and one ``bytes.join``, and its slots keep
-    their own (smaller) offset, which is the one taken off.  Otherwise m
-    is packed one entry at a time and the cache is set to that packing.
-    Every entry must be below half a slot in absolute value.
+    Every entry must lie below half a slot, 2^(8 * size - 1), in absolute
+    value.  The rows come from m's ``_slots`` cache when its slots are at
+    most `size` bytes; otherwise m is packed entry by entry and the cache
+    is set to that packing.
     """
     r = m.dim
     step = r * size
@@ -306,22 +272,14 @@ def _packed_rows(m: Matrix, size: int) -> list:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product a*b.
+    """Exact product a*b of two r x r matrices; ValueError if their dimensions differ.
 
-    At every dimension each row of b is packed into one int, so row i of
-    the product is the single sum of r big-int multiples
-    sum_l a[i][l] * packed(b[l]), computed in C.  The slots are wider than
-    any entry bound r * max|a| * max|b|, and an offset of half a slot
-    turns each signed entry into a nonnegative slot that unpacks exactly.
-    b's rows come from ``_packed_rows``: from b's slot cache when b was
-    packed or produced at this slot size or a narrower one, else one
-    ``bytes.join`` of all its entries.  The product rows are joined the
-    same way and read back by one ``struct`` pass, one format of r
-    byte-string fields per row (a format per row, not per matrix, keeps
-    ``struct``'s cache of compiled formats small), and those bytes become
-    the product's slot cache, so a product used as the next right factor
-    is re-padded, not packed again.  No step of the packing or unpacking
-    loops over entries in Python.
+    The product caches the byte slots it was read from (``_slots``), so
+    that it can serve as the next right factor without being packed again.
+    Row i is sum_l a[i][l] * packed(b[l]) in slots wider than r * max|a| *
+    max|b|; the product rows are read back by one ``struct`` pass, one
+    format of r fields per row, which keeps ``struct``'s cache of compiled
+    formats small.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -606,51 +564,16 @@ def _eliminate_mod(rows, ncols: int, p: int):
     return [solved[i:i + live] for i in range(0, m * live, live)]
 
 
-def _certifies(z_rows, z_bits: int, a: Matrix, rhs: Matrix) -> bool:
-    """Whether z * a == rhs exactly, compared on signed packed rows.
-
-    z_bits is the bit length of z's largest absolute entry, which the
-    caller has measured.  Row i of z * a packs to sum_l z[i][l] *
-    packed(a[l]), r big-int multiples as in ``mat_mul``, and is compared
-    with rhs's packed row i (``_packed_rows``, from the slot caches of a
-    and rhs where they fit).  The slots are sized for both the entry bound
-    r * max|z| * max|a| and rhs's widest entry, so every entry of either
-    side lies below half a slot, where a packed row determines its
-    entries: equal ints mean equal rows.  No product matrix is formed.
-    """
-    r = a.dim
-    size = max(z_bits + _width(a) + r.bit_length(), _width(rhs)) // 8 + 1
-    return all(map(eq, _dots(z_rows, _packed_rows(a, size)), _packed_rows(rhs, size)))
-
-
 def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     """The integer matrix Z with Z*a == rhs and every |Z_ij| <= limit, or None.
 
-    Solves modulo primes just below 2^30 and combines the residues by
-    CRT, keeping them in the kernel's order, column after column of Z, so
-    no prime transposes them.  A lift to symmetric residues, transposed
-    once into Z's rows, is screened with one O(r^2) product against a*1
-    and, if that passes, certified exactly by Z*a == rhs (``_certifies``,
-    on packed rows), so a returned Z is always the true solution.
-
-    No lift runs while the modulus has at most
-    ``_width(rhs) - _width(a) - r.bit_length()`` bits: every entry of rhs
-    is a sum of r products Z_il * a_lj, so |rhs| <= r * |Z| * |a|, and Z
-    has at least that many bits; a modulus that short is at most 2 * |Z|
-    and cannot hold Z, so no lift there could pass, and skipping it moves
-    no prime.  A lift that passes the screen is scanned once for its
-    largest entry, which refuses it if beyond the limit (a lift can only
-    pass the limit once the modulus exceeds twice the limit, where the
-    solve ends anyway, so this spares the certificate and changes no
-    result), sizes the certificate's slots and, on success, gives the
-    returned quotient its cached width, so neither the certificate nor a
-    product with the quotient scans it again.  Once the modulus
-    exceeds twice the limit an uncertified candidate proves that no
-    integral Z lies within it, so the solve returns None.  A prime
-    dividing det(a) is skipped; a singular a raises SingularMatrix.
-
-    The cost follows the bit length of Z on success, and the bit length
-    of the limit on failure.
+    a and rhs are r x r.  Z is returned only once ``mat_mul(Z, a) == rhs``
+    holds exactly, with its width cached in ``_bits``; None means that
+    rhs * a^-1 is not integral or has an entry beyond the limit.  The solve
+    stops once the modulus exceeds 2 * limit, so its cost follows the bit
+    length of Z on success and of the limit on failure.  Raises ValueError
+    for a dimension mismatch or a negative limit, and SingularMatrix when a
+    is singular.
     """
     if a.dim != rhs.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
@@ -659,8 +582,6 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     r = a.dim
     # equation j of a^T Z^T == rhs^T: column j of a, then column j of rhs
     equations = [a_col + rhs_col for a_col, rhs_col in zip(zip(*a.rows), zip(*rhs.rows))]
-    probe_in = [sum(row) for row in a.rows]
-    probe_out = [sum(row) for row in rhs.rows]
     # |rhs| <= r * |Z| * |a|, so Z has at least `floor` bits and no modulus
     # of `floor` bits or fewer exceeds 2 * max|Z|
     floor = _width(rhs) - _width(a) - r.bit_length()
@@ -689,27 +610,28 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
             # references to one iterator: zip cuts it into Z's columns, r
             # entries each, and the outer zip turns those into Z's rows
             z = map(sub, residues, map(modulus.__mul__, map((modulus // 2).__lt__, residues)))
-            rows = list(zip(*zip(*repeat(z, r))))
-            if all(
-                sum(map(mul, row, probe_in)) == want
-                for row, want in zip(rows, probe_out)
-            ):
-                top = max(map(abs, chain.from_iterable(rows)))
-                if top > limit:
-                    return None
-                bits = top.bit_length()
-                if _certifies(rows, bits, a, rhs):
-                    quotient = Matrix._of(rows)
-                    object.__setattr__(quotient, "_bits", bits)
-                    return quotient
+            quotient = Matrix._of(zip(*zip(*repeat(z, r))))
+            top = max(map(abs, chain.from_iterable(quotient.rows)))
+            # a symmetric residue passes the limit only once modulus > 2 * limit
+            if top > limit:
+                return None
+            object.__setattr__(quotient, "_bits", top.bit_length())
+            if mat_mul(quotient, a) == rhs:
+                return quotient
         if modulus > 2 * limit:
             return None
 
 
 def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of a rectangular system of int rows."""
+    """Rank over the rationals of a rectangular system of int rows; 0 for no rows.
+
+    Raises ValueError when the rows differ in length and TypeError for an
+    entry that is not exactly an int.
+    """
     if not rows:
         return 0
+    if not {len(rows[0])}.issuperset(map(len, rows)):
+        raise ValueError("rows must all have the same length")
     _require_ints(rows)
     return _bareiss(rows, len(rows[0]))[0]
 
@@ -723,13 +645,10 @@ def chain_product(factors: Iterable[Matrix]) -> Matrix:
 
 
 def freivalds_verify(a: Matrix, b: Matrix, c: Matrix, t: int, seed) -> bool:
-    """Probabilistic check that a*b == c without forming the product.
+    """Whether a*b == c, checked on one random vector of t-bit entries.
 
-    Compares a*(b*u) with c*u for one random vector u whose entries are
-    uniform t-bit integers (O(r^2) products of t-bit factors).  Exact
-    products are always accepted; a wrong c is accepted with probability
-    at most 2^-t, as with t binary trials.  This is ``freivalds_screen``
-    on the chain (b, c) with the one candidate a.
+    This is ``freivalds_screen((b, c), (a,), t, seed)``: a true product
+    always passes, and a wrong c passes with probability at most 2^-t.
     """
     return freivalds_screen((b, c), (a,), t, seed)
 
@@ -737,28 +656,16 @@ def freivalds_verify(a: Matrix, b: Matrix, c: Matrix, t: int, seed) -> bool:
 def freivalds_screen(
     matrices: Sequence[Matrix], candidates: Sequence[Matrix], t: int, seed
 ) -> bool:
-    """Whether each consecutive pair (prev, nxt) of the chain has a c*prev == nxt.
+    """Whether each consecutive pair (prev, nxt) of the chain has a candidate c with c*prev == nxt.
 
-    Here c is any of the candidates, and each pair is checked on one
-    vector u of r entries drawn uniformly from [0, 2^t), one
-    ``getrandbits(t)`` per coordinate; u is drawn once and shared by every
-    pair and candidate.  Each chain element's image M*u is formed once,
-    when its pair is first screened, and serves as nxt for one pair and
-    as prev for the next; the screen returns on the first pair no
-    candidate explains, before any later element is imaged.
-    A candidate is screened row by row against the images, stopping at
-    its first mismatching row.  Its first row is checked modulo the
-    word-size prime _prime(0) before any exact product: a residue
-    mismatch proves the exact rows differ, so this turns most wrong
-    candidates away after r word-size products and never changes a
-    verdict.  True products always pass.  If c*prev != nxt, some row d of
-    their difference is nonzero, and d.u == 0 holds for at most one value
-    of u at a coordinate where d is nonzero, whatever the others are
-    (Schwartz-Zippel): so a pair that no candidate explains passes a
-    given candidate with probability at most 2^-t, as with t binary
-    trials, and passes the screen with probability at most k * 2^-t for
-    k candidates (union bound), not 2^-t.  A chain of fewer than two
-    matrices has no pair: it draws nothing and passes.
+    Every pair is checked on one vector u of r entries drawn once from
+    [0, 2^t), one ``getrandbits(t)`` per coordinate of `seed` (an int or a
+    ``random.Random``): a pair passes when c*(prev*u) == nxt*u exactly for
+    some candidate.  True products always pass.  A pair that none of k
+    candidates explains passes with probability at most k * 2^-t
+    (Schwartz-Zippel and the union bound).  Returns False at the first
+    pair that fails; a chain of fewer than two matrices draws nothing and
+    passes.  Raises ValueError for t < 1 or a matrix that is not r x r.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -768,19 +675,12 @@ def freivalds_screen(
     if any(m.dim != r for m in (*candidates, *matrices)):
         raise ValueError(f"dimension mismatch: a chain matrix or candidate is not {r}x{r}")
     u = list(map(_as_rng(seed).getrandbits, repeat(t, r)))
-    q = _prime(0)
     prev_u = list(_dots(matrices[0].rows, u))
-    prev_q = list(map(q.__rmod__, prev_u))
     for nxt in matrices[1:]:
         nxt_u = list(_dots(nxt.rows, u))
-        first_q = nxt_u[0] % q
-        if not any(
-            sum(map(mul, m.rows[0], prev_q)) % q == first_q
-            and all(map(eq, _dots(m.rows, prev_u), nxt_u))
-            for m in candidates
-        ):
+        if not any(all(map(eq, _dots(m.rows, prev_u), nxt_u)) for m in candidates):
             return False
-        prev_u, prev_q = nxt_u, list(map(q.__rmod__, nxt_u))
+        prev_u = nxt_u
     return True
 
 

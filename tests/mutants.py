@@ -6,11 +6,12 @@ Run from the repository root, with pytest and hypothesis installed:
     python tests/mutants.py NAME ...   # only the named mutants
 
 The runner first runs every named test on the clean tree and requires
-them all to pass.  Then, for each mutant, it copies ``src/`` to a
-temporary directory, replaces the mutant's old text, which must occur
-exactly once in its file, with the new text, and runs the mutant's tests
-against that copy; the mutant is killed when pytest reports a failed
-test.  An entry marked ``equivalent`` is not run, because no test can
+them all to pass.  Then it runs the mutants on ``os.cpu_count()``
+workers.  For each mutant it copies ``src/`` to a temporary directory of
+its own, replaces the mutant's old text, which must occur exactly once
+in its file, with the new text, and runs the mutant's tests against that
+copy; the mutant is killed when pytest reports a failed test.  Verdicts
+are printed in table order.  An entry marked ``equivalent`` is not run, because no test can
 tell it from the clean tree, but its old text must still match, so a
 change that removes or rewrites that text fails here as well.  The exit
 status is 1 when the clean run fails, a text is stale or a mutant
@@ -30,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -156,7 +158,7 @@ MUTANTS = (
         'struct.unpack(f"<{len(data) // 8}Q", data[8:] + bytes(8))[::-1]',
         (_algebra("test_packed_elimination_matches_schoolbook"),),
     ),
-    # -- packing: one slot codec for mat_mul, the certificate and the attack --
+    # -- packing: one slot codec for mat_mul and the attack ----------------
     Mutant(
         "slot-codec-offset-a-quarter-slot",
         ALGEBRA,
@@ -178,33 +180,9 @@ MUTANTS = (
     Mutant(
         "solver-without-its-exact-certificate",
         ALGEBRA,
-        "                if _certifies(rows, bits, a, rhs):\n",
-        "                if True:\n",
-        (_algebra("test_solve_integer_certifies_what_the_screen_passes"),),
-    ),
-    Mutant(
-        "solver-without-its-probe-screen",
-        ALGEBRA,
-        "            if all(\n"
-        "                sum(map(mul, row, probe_in)) == want\n"
-        "                for row, want in zip(rows, probe_out)\n"
-        "            ):\n",
+        "            if mat_mul(quotient, a) == rhs:\n",
         "            if True:\n",
-        (_algebra("test_probe_screen_turns_away_the_lifts_the_floor_lets_through"),),
-    ),
-    Mutant(
-        "certificate-compares-row-0-only",
-        ALGEBRA,
-        "_dots(z_rows, _packed_rows(a, size))",
-        "_dots(z_rows[:1], _packed_rows(a, size))",
-        (_algebra("test_certificate_refuses_every_one_entry_change"),),
-    ),
-    Mutant(
-        "certificate-slots-sized-without-rhs",
-        ALGEBRA,
-        "size = max(z_bits + _width(a) + r.bit_length(), _width(rhs)) // 8 + 1",
-        "size = (z_bits + _width(a) + r.bit_length()) // 8 + 1",
-        (_algebra("test_certificate_slots_are_sized_for_rhs_too"),),
+        (_algebra("test_solve_integer_refuses_a_wrong_lift_within_the_limit"),),
     ),
     Mutant(
         "solve-stops-once-the-modulus-passes-the-limit",
@@ -216,7 +194,7 @@ MUTANTS = (
     Mutant(
         "certified-z-not-checked-against-the-limit",
         ALGEBRA,
-        "                if top > limit:\n                    return None\n",
+        "            if top > limit:\n                return None\n",
         "",
         (_algebra("test_bounded_solve_finds_z_at_the_limit_and_refuses_limit_plus_one[7]"),),
     ),
@@ -230,8 +208,8 @@ MUTANTS = (
     Mutant(
         "quotient-width-one-bit-low",
         ALGEBRA,
-        'object.__setattr__(quotient, "_bits", bits)',
-        'object.__setattr__(quotient, "_bits", bits - 1)',
+        'object.__setattr__(quotient, "_bits", top.bit_length())',
+        'object.__setattr__(quotient, "_bits", top.bit_length() - 1)',
         (_algebra("test_solve_runs_the_fewest_primes_and_caches_the_quotient_width"),),
     ),
     # -- the Freivalds screen and the audit ---------------------------------
@@ -252,16 +230,9 @@ MUTANTS = (
     Mutant(
         "chain-screen-prev-image-never-advances",
         ALGEBRA,
-        "        prev_u, prev_q = nxt_u, list(map(q.__rmod__, nxt_u))\n",
-        "        prev_q = list(map(q.__rmod__, nxt_u))\n",
-        (_protocol("test_audit_accepts_honest_transcript"),),
-    ),
-    Mutant(
-        "screen-trusts-the-residue-alone",
-        ALGEBRA,
-        "\n            and all(map(eq, _dots(m.rows, prev_u), nxt_u))",
+        "        prev_u = nxt_u\n",
         "",
-        (_acceptance("test_criterion_4_freivalds_bound"),),
+        (_protocol("test_audit_accepts_honest_transcript"),),
     ),
     Mutant(
         "screen-checks-row-0-exactly-and-trusts-the-rest",
@@ -519,10 +490,11 @@ def main(argv) -> int:
         print(f"the named tests do not all pass on the clean tree: {' '.join(tests)}")
         return 1
     bad = 0
-    for mutant in chosen:
-        ok, verdict = _verdict(mutant)
-        bad += not ok
-        print(f"{mutant.name}: {verdict}", flush=True)
+    # each worker thread waits on its own pytest process and its own copy of src/
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for mutant, (ok, verdict) in zip(chosen, pool.map(_verdict, chosen)):
+            bad += not ok
+            print(f"{mutant.name}: {verdict}", flush=True)
     print(f"{len(chosen)} mutant(s), {bad} not killed, in {time.perf_counter() - started:.1f} s")
     return 1 if bad else 0
 
