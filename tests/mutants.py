@@ -11,12 +11,12 @@ workers.  For each mutant it copies ``src/`` to a temporary directory of
 its own, replaces the mutant's old text, which must occur exactly once
 in its file, with the new text, and runs the mutant's tests against that
 copy; the mutant is killed when pytest reports a failed test.  Verdicts
-are printed in table order.  An entry marked ``equivalent`` is not run, because no test can
-tell it from the clean tree, but its old text must still match, so a
-change that removes or rewrites that text fails here as well.  The exit
-status is 1 when the clean run fails, a text is stale or a mutant
-survives.  pytest does not collect this file: it is not named
-``test_*.py``.
+are printed in table order.  An entry marked ``equivalent`` is not run,
+because no test can tell it from the clean tree, but its old text must
+still match, so a change that removes or rewrites that text fails here
+as well.  The exit status is 1 when the clean run fails, a text is
+stale or a mutant survives.  pytest does not collect this file: it is
+not named ``test_*.py``.
 
 A fast path added to ``src/`` should add its mutant here: a shortcut
 that only saves time needs a test that counts what it saves, or an
@@ -158,7 +158,7 @@ MUTANTS = (
         'struct.unpack(f"<{len(data) // 8}Q", data[8:] + bytes(8))[::-1]',
         (_algebra("test_packed_elimination_matches_schoolbook"),),
     ),
-    # -- packing: one slot codec for mat_mul and the attack ----------------
+    # -- packing: one slot codec for mat_mul and the attack -----------------
     Mutant(
         "slot-codec-offset-a-quarter-slot",
         ALGEBRA,
