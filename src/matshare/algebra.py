@@ -28,8 +28,12 @@ How the work is done, stated once here:
   once with masks, shifts and one multiply (``_fold_plan``), which keeps
   each slot congruent mod p and within the word.
 - Quotients (ibid., ch. 5).  ``solve_integer`` solves modulo primes just
-  below 2^30, combines the residues by the Chinese remainder theorem and
-  returns a candidate only once ``mat_mul`` shows Z*a == rhs exactly.
+  below 2^30 and keeps each prime's solution in the elimination's 64-bit
+  word slots: ``_garner`` turns it into that prime's balanced mixed-radix
+  digit, d in (-p/2, p/2] held as d + 2^63 in every slot at once, and
+  ``_lift`` makes ints only once the modulus can hold Z, reading two
+  digits per signed word.  A candidate is returned only once ``mat_mul``
+  shows Z*a == rhs exactly.
 - Product checks (Schwartz 1980, Zippel 1979).  ``freivalds_screen``
   compares exact images of one vector of t-bit entries, row by row.
 
@@ -47,7 +51,7 @@ from __future__ import annotations
 import functools
 import random
 import struct
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice, repeat, takewhile
 from operator import add, eq, mul, rshift, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -437,10 +441,10 @@ def _to_words(values: list, n: int) -> list:
     return [int.from_bytes(data[i - step:i], "little") for i in range(len(data), 0, -step)]
 
 
-def _from_words(rows: list, n: int) -> tuple:
-    """The n 64-bit slots of each packed row, top first, row after row: one ``struct.unpack``."""
-    data = b"".join(map(int.to_bytes, reversed(rows), repeat(8 * n), repeat("little")))
-    return struct.unpack(f"<{len(data) // 8}Q", data)[::-1]
+@functools.lru_cache(maxsize=None)
+def _ones(n: int) -> int:
+    """n 64-bit slots each holding 1: times a constant below 2^64, that constant in every slot."""
+    return ((1 << 64 * n) - 1) // _WORD
 
 
 @functools.lru_cache(maxsize=None)
@@ -487,7 +491,7 @@ def _folder(p: int, n: int):
     included, is made once per (p, n).
     """
     folds = _fold_plan(p)[0]
-    ones = ((1 << 64 * n) - 1) // _WORD
+    ones = _ones(n)
     steps = [(k, ones * ((1 << k) - 1), ones * ((1 << 64 - k) - 1), c) for k, c in folds]
 
     def fold(x):
@@ -505,32 +509,34 @@ def _eliminate_mod(rows, ncols: int, p: int):
     first, and never written.  Rows longer than ncols carry right-hand
     columns, and then rows above each pivot are cleared as well
     (Gauss-Jordan): row i of the result is the right-hand side solved for
-    unknown i, in [0, p).  Square rows are only reduced below each pivot,
-    which decides invertibility mod p, and solve nothing: the result is [].
+    unknown i, as the raw word int the elimination holds, one 64-bit slot
+    per right-hand column, its first in the top slot.  Each slot is below
+    2^64 and congruent mod p to the solution, not reduced: the caller
+    reduces.  Square rows are only reduced below each pivot, which
+    decides invertibility mod p, and solve nothing: the result is [].
 
     The whole system is reduced mod p in one pass and packed by one
     ``struct.pack`` (``_to_words``), each row one int of 64-bit slots read
     by one ``int.from_bytes`` of its slice, its first entry in the top
     slot: so the pivot column is the top live slot of every row and its
-    residue f is read by one shift whose result is short.  At the end one
-    ``struct.unpack`` (``_from_words``) reads every solved row, and one
-    pass reduces them mod p.  Those are the only steps that touch entries
-    one by one, each once for the whole system rather than once per row;
-    every step in between acts on whole rows.  The pivot row is masked
-    below its pivot slot, folded (``_folder``: each slot kept congruent
-    mod p and brought to at most B(p)), multiplied by the pivot's inverse
-    as one big int and folded again.  Every other row with pivot-column
-    residue f becomes row + (p - f) * pivot: one big-int multiply-add in
-    C per row update.  The pivot row is zero from its pivot slot up, so
-    the slots of columns already pivoted are dead: no update reaches
-    them, a fold keeps them within 64 bits, and they are never read
-    again.  A live slot starts at most B and an update adds at most
-    p * B, so the plan's budget of (2^64 - 1 - B) // (p * B) updates fits
-    in a slot (16 at the solver's primes); after that many columns the
-    rows still to be updated are folded.  A prime of 2^32 or more leaves
-    no room for one update and raises ValueError.  The slots are packed
-    and unpacked by ``struct`` in an explicit byte order, so the layout
-    does not depend on the machine's.
+    residue f is read by one shift whose result is short.  That pass is
+    the only step that touches entries one by one, once for the whole
+    system rather than once per row; every step after it acts on whole
+    rows, and the solved rows are returned masked to their live slots, not
+    unpacked.  The pivot row is masked below its pivot slot, folded
+    (``_folder``: each slot kept congruent mod p and brought to at most
+    B(p)), multiplied by the pivot's inverse as one big int and folded
+    again.  Every other row with pivot-column residue f becomes
+    row + (p - f) * pivot: one big-int multiply-add in C per row update.
+    The pivot row is zero from its pivot slot up, so the slots of columns
+    already pivoted are dead: no update reaches them, a fold keeps them
+    within 64 bits, and they are never read again.  A live slot starts at
+    most B and an update adds at most p * B, so the plan's budget of
+    (2^64 - 1 - B) // (p * B) updates fits in a slot (16 at the solver's
+    primes); after that many columns the rows still to be updated are
+    folded.  A prime of 2^32 or more leaves no room for one update and
+    raises ValueError.  The slots are packed by ``struct`` in an explicit
+    byte order, so the layout does not depend on the machine's.
     """
     budget = _fold_plan(p)[2]
     m = len(rows)
@@ -559,9 +565,72 @@ def _eliminate_mod(rows, ncols: int, p: int):
         w[col] = pivot
     if not above:
         return []
-    low = (1 << 64 * live) - 1
-    solved = list(map(p.__rmod__, _from_words(list(map(low.__and__, w)), live)))
-    return [solved[i:i + live] for i in range(0, m * live, live)]
+    return list(map(((1 << 64 * live) - 1).__and__, w))
+
+
+@functools.lru_cache(maxsize=None)
+def _garner(p: int, n: int):
+    """A function that makes p's balanced mixed-radix digit of n 64-bit slots at once.
+
+    ``digit(t, digits)`` takes t, an int of n 64-bit slots each congruent
+    mod p to an entry of Z, and the digits of the earlier primes as
+    ``(q, D)`` pairs, oldest first.  It returns D, one int of n slots each
+    holding d + 2^63 with d in (-p/2, p/2], such that d_0 + q_0 * d_1 +
+    q_0 * q_1 * d_2 + ... + q_0 * ... * d is, slot by slot, the residue of
+    Z of least absolute value modulo the product of those primes and p
+    (Garner's algorithm; von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, sec. 5.6).  Every step acts on the whole int: t is folded
+    (``_folder``); each earlier digit takes one Garner step, x ->
+    (x - d_j) * q_j^-1 mod p, with p added so that no slot goes below 0,
+    and a fold; then adding a constant sets the top bit of each slot
+    above p // 2, and p is subtracted from those slots.  That one
+    subtraction balances a slot because a fold leaves it at most
+    B(p) <= p + p // 2.  p and the earlier primes are solver primes
+    (``_prime``), which lie within a factor of 2 of each other; a prime
+    whose B(p) exceeds p + p // 2, which no solver prime does, raises
+    ValueError.  Each function, constants and inverses included, is made
+    once per (p, n).
+    """
+    if _fold_plan(p)[1] > p + p // 2:
+        raise ValueError(f"prime {p} folds too loosely to balance in one step")
+    fold = _folder(p, n)
+    ones = _ones(n)
+    top = ones << 63
+    # x + p - d >= p - q / 2 > 0 for a digit slot d + 2^63 of an earlier prime q
+    over = ones * (p + (1 << 63))
+    # x + 2^63 - 1 - p // 2 sets a slot's top bit exactly when x > p // 2
+    half = ones * ((1 << 63) - 1 - p // 2)
+    # the solver primes run largest first: those above p are the ones before it
+    inverses = {q: pow(q, -1, p) for q in takewhile(p.__lt__, map(_prime, count()))}
+
+    def digit(t, digits):
+        x = fold(t)
+        for q, d in digits:
+            x = fold((x + over - d) * inverses[q])
+        return x + top - (x + half >> 63 & ones) * p
+
+    return digit
+
+
+def _lift(digits: list, n: int) -> Sequence[int]:
+    """The n ints sum_j d_j * q_0 * ... * q_(j-1) of the ``(q, D)`` digits of ``_garner``.
+
+    Each pair of digits d + q * d' is combined on the packed ints into one
+    signed 64-bit word per slot (|d + q * d'| < 2^60) and read by one
+    ``struct.unpack``; a lone last digit is read alone.  One or two digits
+    need no per-entry step; each further pair costs a multiply pass and
+    an add pass, by Horner's rule from the highest pair.
+    """
+    top = _ones(n) << 63
+    fmt = f">{n}q"
+    z = None
+    for i in range(len(digits) - 1 & ~1, -1, -2):
+        (q, low), *high = digits[i:i + 2]
+        # each slot d + 2^63 + q * d', or d + 2^63 alone; flipping bit 63 gives the signed word
+        word = low + q * (high[0][1] - top) if high else low
+        lower = struct.unpack(fmt, (word ^ top).to_bytes(8 * n, "big"))
+        z = lower if z is None else list(map(add, lower, map((q * high[0][0]).__mul__, z)))
+    return z
 
 
 def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
@@ -574,6 +643,12 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     length of Z on success and of the limit on failure.  Raises ValueError
     for a dimension mismatch or a negative limit, and SingularMatrix when a
     is singular.
+
+    Each prime's solved rows, raw 64-bit words from ``_eliminate_mod``,
+    are joined into one int of r^2 slots and become that prime's balanced
+    mixed-radix digit (``_garner``); no entry is touched one by one until
+    a lift, and a lift (``_lift``) is made only once the modulus has more
+    bits than the floor below which no modulus can hold Z.
     """
     if a.dim != rhs.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
@@ -586,7 +661,7 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     # of `floor` bits or fewer exceeds 2 * max|Z|
     floor = _width(rhs) - _width(a) - r.bit_length()
     det = None
-    residues, modulus = None, 1
+    digits, modulus = [], 1
     for p in map(_prime, count()):
         w = _eliminate_mod(equations, r, p)
         if w is None:
@@ -595,26 +670,19 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
             if det == 0:
                 raise SingularMatrix(f"{r}x{r} matrix is singular")
             continue
-        # row l of w is column l of Z mod p: the residues stay column after column
-        fresh = list(chain.from_iterable(w))
-        if residues is None:
-            residues = fresh
-        else:
-            # x + modulus * ((y - x) * lift % p) for each old x and fresh y
-            lift = pow(modulus, -1, p)
-            steps = map(p.__rmod__, map(lift.__mul__, map(sub, fresh, residues)))
-            residues = list(map(add, residues, map(modulus.__mul__, steps)))
+        # row l of w is column l of Z mod p: joined, the slots run column after column
+        t = int.from_bytes(b"".join(map(int.to_bytes, w, repeat(8 * r), repeat("big"))), "big")
+        digits.append((p, _garner(p, r * r)(t, digits)))
         modulus *= p
         if modulus.bit_length() > floor:
-            # the symmetric residue, x - modulus where x > modulus // 2; r
-            # references to one iterator: zip cuts it into Z's columns, r
-            # entries each, and the outer zip turns those into Z's rows
-            z = map(sub, residues, map(modulus.__mul__, map((modulus // 2).__lt__, residues)))
-            quotient = Matrix._of(zip(*zip(*repeat(z, r))))
-            top = max(map(abs, chain.from_iterable(quotient.rows)))
-            # a symmetric residue passes the limit only once modulus > 2 * limit
+            z = _lift(digits, r * r)
+            # a balanced residue passes the limit only once modulus > 2 * limit
+            top = max(max(z), -min(z))
             if top > limit:
                 return None
+            # r references to one iterator: zip cuts it into Z's columns, r
+            # entries each, and the outer zip turns those into Z's rows
+            quotient = Matrix._of(zip(*zip(*repeat(iter(z), r))))
             object.__setattr__(quotient, "_bits", top.bit_length())
             if mat_mul(quotient, a) == rhs:
                 return quotient

@@ -425,7 +425,6 @@ def cmd_attack(workspace: Path, mode: str, limit: Optional[int], count_only: boo
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     bulletin, _ = load_workspace(workspace)
-    target = _load(workspace / "instance.json", _secret_from_json, bulletin.r)
 
     k, n = bulletin.k, bulletin.n
     space = {
@@ -436,6 +435,8 @@ def cmd_attack(workspace: Path, mode: str, limit: Optional[int], count_only: boo
 
     solutions: List[Tuple[int, ...]] = []
     if not count_only:
+        # only the search reads the secret: an eavesdropper's workspace has no instance file
+        target = _load(workspace / "instance.json", _secret_from_json, bulletin.r)
         problem = attack_mod.SearchProblem(matrices=bulletin.matrices, n=n, target=target)
         try:
             result = attack_mod.exhaustive_search(problem, mode, limit=limit, allow_large=force)

@@ -151,12 +151,48 @@ MUTANTS = (
         'for i in range(step, len(data) + 1, step)]',
         (_algebra("test_word_codec_keeps_rows_and_slots_in_order[4-6]"),),
     ),
+    # -- balanced mixed-radix digits and the packed lift --------------------
     Mutant(
-        "batched-unpack-reads-each-slot-one-slot-off",
+        "lift-takes-the-raw-words-unfolded",
         ALGEBRA,
-        'struct.unpack(f"<{len(data) // 8}Q", data)[::-1]',
-        'struct.unpack(f"<{len(data) // 8}Q", data[8:] + bytes(8))[::-1]',
-        (_algebra("test_packed_elimination_matches_schoolbook"),),
+        "        x = fold(t)\n",
+        "        x = t\n",
+        (_algebra("test_lift_reads_the_balanced_residue_at_its_extremes[1]"),),
+    ),
+    Mutant(
+        "garner-step-left-unfolded",
+        ALGEBRA,
+        "x = fold((x + over - d) * inverses[q])",
+        "x = (x + over - d) * inverses[q]",
+        (_algebra("test_lift_reads_the_balanced_residue_at_its_extremes[2]"),),
+    ),
+    Mutant(
+        "lift-balances-at-one-below-half-p",
+        ALGEBRA,
+        "    half = ones * ((1 << 63) - 1 - p // 2)\n",
+        "    half = ones * ((1 << 63) - p // 2)\n",
+        (_algebra("test_lift_reads_the_balanced_residue_at_its_extremes[1]"),),
+    ),
+    Mutant(
+        "lift-keeps-p-in-slots-above-half-p",
+        ALGEBRA,
+        "        return x + top - (x + half >> 63 & ones) * p\n",
+        "        return x + top\n",
+        (_algebra("test_lift_reads_the_balanced_residue_at_its_extremes[1]"),),
+    ),
+    Mutant(
+        "lift-pair-combined-at-the-wrong-place-value",
+        ALGEBRA,
+        "word = low + q * (high[0][1] - top)",
+        "word = low + high[0][0] * (high[0][1] - top)",
+        (_algebra("test_lift_reads_the_balanced_residue_at_its_extremes[2]"),),
+    ),
+    Mutant(
+        "lift-pairs-joined-by-one-prime",
+        ALGEBRA,
+        "map((q * high[0][0]).__mul__, z)",
+        "map(q.__mul__, z)",
+        (_algebra("test_lift_reads_the_balanced_residue_at_its_extremes[3]"),),
     ),
     # -- packing: one slot codec for mat_mul and the attack -----------------
     Mutant(

@@ -137,7 +137,8 @@ def eliminate_mod(rows, ncols, p):
     The int rows hold ncols coefficient columns first; they are reduced
     mod p into a copy.  None if singular mod p.  Rows longer than ncols
     are cleared above each pivot as well (Gauss-Jordan), and row i of the
-    result is the right-hand side solved for unknown i; square rows are
+    result is the right-hand side solved for unknown i, as one int of
+    64-bit slots, its first residue in the top slot; square rows are
     cleared below each pivot only and give [].
     """
     w = [[x % p for x in row] for row in rows]
@@ -154,7 +155,24 @@ def eliminate_mod(rows, ncols, p):
             if i != col:
                 f = w[i][col]
                 w[i] = [(x - f * y) % p for x, y in zip(w[i], w[col])]
-    return [row[ncols:] for row in w] if above else []
+    if not above:
+        return []
+    return [sum(x << 64 * j for j, x in enumerate(reversed(row[ncols:]))) for row in w]
+
+
+def balanced_crt(residues, primes):
+    """The residue of least absolute value modulo the product of the primes, one per position.
+
+    residues[j][i] is position i's residue modulo primes[j]; the residues
+    are combined by the incremental Chinese remainder theorem, entry by
+    entry, and each x in [0, M) above M // 2 becomes x - M.
+    """
+    combined, modulus = [x % primes[0] for x in residues[0]], primes[0]
+    for ys, p in zip(residues[1:], primes[1:]):
+        lift = pow(modulus, -1, p)
+        combined = [x + modulus * ((y - x) * lift % p) for x, y in zip(combined, ys)]
+        modulus *= p
+    return [x - modulus if x > modulus // 2 else x for x in combined]
 
 
 def freivalds_trials(a, b, c, t, rng):

@@ -20,8 +20,9 @@ from matshare.algebra import (
     _eliminate_mod,
     _fold_plan,
     _folder,
-    _from_words,
+    _garner,
     _inverse_parts,
+    _lift,
     _prime,
     _to_words,
     _uniform,
@@ -40,6 +41,7 @@ from matshare.algebra import (
 from matshare.errors import SingularMatrix
 
 from oracles import (
+    balanced_crt,
     eliminate_mod,
     fraction_inverse,
     freivalds_chain_trials,
@@ -753,12 +755,37 @@ def mod_p_system(draw):
     return rows, r, p
 
 
+def _slots(row, n):
+    """The n 64-bit slots of a packed row, top first."""
+    return [row >> 64 * (n - 1 - j) & (1 << 64) - 1 for j in range(n)]
+
+
+def _residues(solved, rows, ncols, p):
+    """An elimination's solved word rows as lists of residues in [0, p); None and [] stay as they are.
+
+    Each solved row must fit the right-hand side's slots, one 64-bit slot
+    per column past ncols: no slot may carry past its word.
+    """
+    if solved is None:
+        return None
+    n = len(rows[0]) - ncols
+    assert all(0 <= row < 1 << 64 * n for row in solved)
+    return [[x % p for x in _slots(row, n)] for row in solved]
+
+
+def _same_solution(rows, ncols, p):
+    """Whether _eliminate_mod and the per-entry oracle solve the rows to the same residues."""
+    return _residues(_eliminate_mod(rows, ncols, p), rows, ncols, p) == _residues(
+        eliminate_mod(rows, ncols, p), rows, ncols, p
+    )
+
+
 @PACKED
 @given(mod_p_system())
 def test_packed_elimination_matches_schoolbook(system):
     rows, ncols, p = system
     held = [list(row) for row in rows]
-    assert _eliminate_mod(rows, ncols, p) == eliminate_mod(rows, ncols, p)
+    assert _same_solution(rows, ncols, p)
     assert rows == held
 
 
@@ -772,7 +799,7 @@ def test_word_codec_keeps_rows_and_slots_in_order(m, n):
     assert rows == [
         sum(x << 64 * (n - 1 - j) for j, x in enumerate(values[i * n:(i + 1) * n])) for i in range(m)
     ]
-    assert _from_words(rows, n) == tuple(values)
+    assert [x for row in rows for x in _slots(row, n)] == values
 
 
 def _is_small_prime(m):
@@ -802,11 +829,11 @@ def test_fold_keeps_each_slot_congruent_and_within_the_budget_bound(p):
     fold = _folder(p, n)
     _, bound, budget = _fold_plan(p)
     (row,) = _to_words(slots, n)
-    folded = _from_words([fold(row)], n)
+    folded = _slots(fold(row), n)
     assert all((y - x) % p == 0 for x, y in zip(slots, folded))
     assert max(folded) <= bound
     # the pivot row is scaled by an inverse below p and folded again
-    scaled = _from_words([fold((p - 1) * _to_words(list(folded), n)[0])], n)
+    scaled = _slots(fold((p - 1) * _to_words(folded, n)[0]), n)
     assert all((y - x * (p - 1)) % p == 0 for x, y in zip(folded, scaled))
     assert max(scaled) <= bound
     # budget updates of at most p * bound fit in a 64-bit slot; one more may not
@@ -860,7 +887,7 @@ def test_elimination_renormalises_at_the_word_budget(p, rhs):
         else:
             rows = [[scale if c == perm[i] else (p - 1) * (c > perm[i]) for c in range(r)] for i in range(r)]
         assert eliminate_mod(rows, r, p) is not None
-        assert _eliminate_mod(rows, r, p) == eliminate_mod(rows, r, p)
+        assert _same_solution(rows, r, p)
 
 
 @pytest.mark.parametrize("rhs", [True, False])
@@ -882,7 +909,7 @@ def test_elimination_keeps_dead_slots_within_the_word(p, rhs):
     else:
         rows = [[p - 1 if c >= r - 1 - i else 0 for c in range(r)] for i in range(r)]
     assert eliminate_mod(rows, r, p) is not None
-    assert _eliminate_mod(rows, r, p) == eliminate_mod(rows, r, p)
+    assert _same_solution(rows, r, p)
 
 
 def test_elimination_stays_within_the_word_at_the_fold_bound():
@@ -907,7 +934,7 @@ def test_elimination_stays_within_the_word_at_the_fold_bound():
     ]
     r = len(d)
     rows = [[d[i] * (c == i) for c in range(r)] + [v[i]] for i in range(r)]
-    assert _eliminate_mod(rows, r, p) == eliminate_mod(rows, r, p)
+    assert _same_solution(rows, r, p)
 
 
 @pytest.mark.parametrize("count_of", ["is_invertible", "determinant"])
@@ -976,6 +1003,91 @@ def test_elimination_refuses_primes_beyond_the_word(p):
     # from 2^32 on, p^2 exceeds a 64-bit slot: not even one update fits
     with pytest.raises(ValueError):
         _eliminate_mod([[1, 1]], 1, p)
+
+
+# ---------------------------------------------------------------------------
+# balanced mixed-radix digits and the packed lift
+# ---------------------------------------------------------------------------
+
+_TOP_SLOT = (1 << 64) - 1
+
+
+def _packed_lift(slots, primes):
+    """Each prime's raw slots as one word int, turned into digits by _garner and lifted by _lift."""
+    n = len(slots[0])
+    digits = []
+    for row, p in zip(slots, primes):
+        t = sum(x << 64 * (n - 1 - i) for i, x in enumerate(row))
+        digits.append((p, _garner(p, n)(t, digits)))
+    return list(_lift(digits, n))
+
+
+def _raw_slot(z, p, m):
+    """A 64-bit slot congruent to z mod p: z's residue plus m times p, m capped to fit the word."""
+    x = z % p
+    return x + p * min(m, (_TOP_SLOT - x) // p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_lift_reads_the_balanced_residue_at_its_extremes(k):
+    # Z's entries at 0, +-1 and +-(M - 1)/2, the widest Z k primes lift,
+    # where every digit is at the balancing threshold p // 2 or one past
+    # it; each entry's slots alternate between its residue and the
+    # largest slot congruent to it, and the last entry's slots are all
+    # 2^64 - 1, whose residues the reference combines entry by entry
+    primes = [_prime(i) for i in range(k)]
+    half = (math.prod(primes) - 1) // 2
+    z = [0, 1, -1, half, -half, half - 1, 1 - half, half // 3, -(half // 7)]
+    slots = [
+        [_raw_slot(x, p, (i + j) % 2 * _TOP_SLOT) for i, x in enumerate(z)] + [_TOP_SLOT]
+        for j, p in enumerate(primes)
+    ]
+    expected = z + balanced_crt([[_TOP_SLOT % p] for p in primes], primes)
+    assert _packed_lift(slots, primes) == expected
+
+
+@st.composite
+def raw_residue_words(draw):
+    """(slots, primes): k of the first 8 solver primes, in order, and r^2 raw slots for each.
+
+    Entries are either raw 64-bit slots (often 2^64 - 1) or made from a
+    Z entry at 0, +-(M - 1)/2 or anywhere between, as its residue plus a
+    multiple of p up to the largest that fits the word.
+    """
+    r = draw(st.integers(1, 8))
+    picked = draw(st.sets(st.integers(0, 7), min_size=1, max_size=5))
+    primes = [_prime(i) for i in sorted(picked)]
+    half = (math.prod(primes) - 1) // 2
+    raw = st.one_of(st.just(_TOP_SLOT), st.integers(0, _TOP_SLOT))
+    columns = []
+    for _ in range(r * r):
+        kind = draw(st.sampled_from(("raw", "zero", "top", "bottom", "any")))
+        if kind == "raw":
+            columns.append([draw(raw) for _ in primes])
+            continue
+        z = {"zero": 0, "top": half, "bottom": -half}.get(kind)
+        if z is None:
+            z = draw(st.integers(-half, half))
+        columns.append([_raw_slot(z, p, draw(st.sampled_from((0, 1, _TOP_SLOT)))) for p in primes])
+    return [list(row) for row in zip(*columns)], primes
+
+
+@PACKED
+@given(raw_residue_words())
+def test_packed_lift_matches_the_per_entry_crt(case):
+    slots, primes = case
+    expected = balanced_crt([[x % p for x in row] for row, p in zip(slots, primes)], primes)
+    assert _packed_lift(slots, primes) == expected
+
+
+def test_digits_are_made_once_per_prime_and_width_and_refuse_loose_folds():
+    p = _prime(0)
+    assert _garner(p, 8) is _garner(p, 8)
+    assert _garner(p, 8) is not _garner(p, 9)
+    # at 257 a fold leaves a slot at up to 766, past 257 + 128: one
+    # subtraction of p could not balance it
+    with pytest.raises(ValueError):
+        _garner(257, 1)
 
 
 #: a one-entry change to a product: +-1 four times in five, else one far wider than 2^t

@@ -329,6 +329,22 @@ def test_attack_count_only(tmp_path):
     assert report["space"]["ordered_rep"] == str(20**10)
 
 
+def test_count_only_attack_needs_no_instance_file(tmp_path):
+    # an eavesdropper holds the bulletin and a transcript but no dealer
+    # instance: the count-only attack never reads the secret, so it runs
+    # there and names the same shadows as in the dealer's workspace
+    ws = deal(tmp_path, r=6, k=6, n=3)
+    assert main(["run", "--workspace", str(ws), "--seed", "1"]) == EXIT_OK
+    assert main(["attack", "--workspace", str(ws), "--count-only"]) == EXIT_OK
+    dealt = read_json(ws / "attack_report.json")
+    (ws / "instance.json").unlink()
+    (ws / "attack_report.json").unlink()
+    assert main(["attack", "--workspace", str(ws), "--count-only"]) == EXIT_OK
+    report = read_json(ws / "attack_report.json")
+    assert report["ratio_hits"] == dealt["ratio_hits"]
+    assert len(report["ratio_hits"]) == 2
+
+
 def test_attack_limit(tmp_path):
     ws = deal(tmp_path)
     assert main(["attack", "--workspace", str(ws), "--mode", "ordered-rep", "--limit", "1"]) == EXIT_OK
@@ -482,13 +498,22 @@ MALFORMED = {
     "missing u_prime": ("bulletin.json", lambda d: d.pop("u_prime"), "run"),
     "check vector of wrong dimension": ("shares/P2.json", lambda d: d.update(u=[1, 1, 0]), "run"),
     "check vector with a float bit": ("shares/P2.json", lambda d: d.update(u=[1.0, 1, 0, 1, 0, 1]), "run"),
-    "empty instance": ("instance.json", lambda d: d.clear(), "attack"),
-    "secret of wrong dimension": ("instance.json", lambda d: d.update(secret=d["secret"][:5]), "attack"),
+    "empty instance": ("instance.json", lambda d: d.clear(), "search"),
+    "secret of wrong dimension": ("instance.json", lambda d: d.update(secret=d["secret"][:5]), "search"),
     "matrix entry as a JSON number": ("bulletin.json", lambda d: d["matrices"][0][0].__setitem__(0, 7), "run"),
     "float in u_prime": ("bulletin.json", lambda d: d["u_prime"][1].__setitem__(2, 1.5), "run"),
     "boolean r": ("bulletin.json", lambda d: d.update(r=True), "run"),
     "share nested 200000 deep": ("shares/P2.json", None, "run"),
 }
+
+
+def _command(command, ws):
+    """The arguments of a run, a count-only attack, or an attack that searches and so reads instance.json."""
+    return {
+        "run": ["run", "--workspace", str(ws)],
+        "attack": ["attack", "--workspace", str(ws), "--count-only"],
+        "search": ["attack", "--workspace", str(ws)],
+    }[command]
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -501,10 +526,10 @@ def test_malformed_workspace_is_usage_error(tmp_path, capsys, name):
         (ws / target).write_text("[" * 200_000)
     else:
         _edit_json(ws / target, edit)
-    argv = ["run", "--workspace", str(ws)] if command == "run" else ["attack", "--workspace", str(ws), "--count-only"]
-    assert main(argv) == EXIT_USAGE
+    assert main(_command(command, ws)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert target in err
 
 
 def _rows_shifted(rows):
@@ -521,7 +546,7 @@ def _r_zero(doc):
 
 MALFORMED_MATRICES = {
     "ragged rows": ("bulletin.json", lambda d: _rows_shifted(d["matrices"][0]), "run"),
-    "ragged secret rows": ("instance.json", lambda d: _rows_shifted(d["secret"]), "attack"),
+    "ragged secret rows": ("instance.json", lambda d: _rows_shifted(d["secret"]), "search"),
     "ragged reveal rows": (
         "transcript.json",
         lambda d: _rows_shifted(next(e["payload"] for e in d["events"] if e["kind"] == "matrix")),
@@ -542,8 +567,7 @@ def test_malformed_matrix_is_usage_error_naming_the_file(tmp_path, capsys, name)
     assert main(["run", "--workspace", str(ws), "--seed", "1"]) == EXIT_OK
     capsys.readouterr()
     _edit_json(ws / target, edit)
-    argv = ["run", "--workspace", str(ws)] if command == "run" else ["attack", "--workspace", str(ws), "--count-only"]
-    assert main(argv) == EXIT_USAGE
+    assert main(_command(command, ws)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert target in err and "a matrix must be" in err
