@@ -624,7 +624,7 @@ def _lift(digits: list, n: int) -> Sequence[int]:
     top = _ones(n) << 63
     fmt = f">{n}q"
     z = None
-    for i in range(len(digits) - 1 & ~1, -1, -2):
+    for i in reversed(range(0, len(digits), 2)):
         (q, low), *high = digits[i:i + 2]
         # each slot d + 2^63 + q * d', or d + 2^63 alone; flipping bit 63 gives the signed word
         word = low + q * (high[0][1] - top) if high else low
