@@ -11,9 +11,10 @@ How the work is done, stated once here:
   fraction-free (Bareiss) kernel, ``_bareiss``; the solver and
   ``is_invertible`` share one mod-p kernel, ``_eliminate_mod``.  Both
   read int rows as the caller holds them, coefficient columns first, and
-  never write them.  Rows longer than the coefficient count carry
-  right-hand columns and are solved by Gauss-Jordan; square rows are
-  only cleared below each pivot.
+  never write them.  Every elimination is Gauss-Jordan: each pivot column
+  is cleared above and below the pivot, so rows longer than the
+  coefficient count end solved, and the pivots give the verdict,
+  determinant and rank (Bareiss 1968).
 - Packed rows (Kronecker substitution; von zur Gathen & Gerhard,
   *Modern Computer Algebra*, sec. 8.4).  A row of entries is one Python
   int of fixed-width slots, so a row update is one big-int multiply-add
@@ -23,10 +24,17 @@ How the work is done, stated once here:
   matrix caches its entry width (``_bits``) and the slots it was last
   packed into or produced in (``_slots``), so a product that becomes the
   next right factor is re-padded, not packed entry by entry.
-  ``_eliminate_mod`` keeps residues in 64-bit word slots, the pivot
-  column in each row's top live slot, and folds all of a row's slots at
-  once with masks, shifts and one multiply (``_fold_plan``), which keeps
-  each slot congruent mod p and within the word.
+  ``_eliminate_mod`` reduces and packs the whole system once, by one
+  ``struct.pack``, into rows of 64-bit word slots, the pivot column in
+  each row's top live slot; every later step acts on whole rows.  A
+  fold (``_folder``) brings all of a row's slots to at most B(p) at once
+  with masks, shifts and one multiply, each slot still congruent mod p.
+  The pivot row is masked below its pivot slot, folded, scaled by the
+  pivot's inverse and folded again, and every other row takes it times
+  p - f, f its pivot-column residue: one big-int multiply-add per row.
+  Slots of columns already pivoted are dead: no update reaches them and
+  none is read again.  A slot holds ``_fold_plan``'s budget of updates,
+  so after that many columns every row is folded.
 - Quotients (ibid., ch. 5).  ``solve_integer`` solves modulo primes just
   below 2^30 and keeps each prime's solution in the elimination's 64-bit
   word slots: ``_garner`` turns it into that prime's balanced mixed-radix
@@ -309,20 +317,18 @@ def mat_vec_mul(a: Matrix, v: Vector) -> Vector:
 
 
 def _bareiss(rows, ncols: int):
-    """Fraction-free (Bareiss) elimination of integer rows: (rank, sign, last pivot, solved rows).
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of integer rows: (rank, sign, last pivot, solved rows).
 
     The rows are read as the caller holds them and never written.  Pivots
     are taken from the first ncols columns; a column with no nonzero entry
-    at or below the current row is skipped.  Every interior division is
-    exact, so entries stay integer.  Rows longer than ncols carry
-    right-hand columns, and then each pivot column is cleared above the
-    pivot as well (Gauss-Jordan), so a nonsingular square block ends as
-    (last pivot) * I; the solved rows are each row's columns past ncols.
-    For a nonsingular square block the determinant is sign * last pivot.
+    at or below the current row is skipped.  Each pivot column is cleared
+    above and below the pivot, and every division is exact, so entries
+    stay integer.  A nonsingular square block ends as (last pivot) * I,
+    and its determinant is sign * last pivot; the solved rows are each
+    row's columns past ncols.
     """
     w = list(rows)
     m = len(w)
-    above = len(w[0]) > ncols
     rank, sign, prev = 0, 1, 1
     for col in range(ncols):
         pivot_row = rank
@@ -335,12 +341,11 @@ def _bareiss(rows, ncols: int):
             sign = -sign
         row_k = w[rank]
         pivot = row_k[col]
-        for i in range(0 if above else rank + 1, m):
-            if i == rank:
-                continue
-            row_i = w[i]
-            f = row_i[col]
-            w[i] = [(pivot * x - f * y) // prev for x, y in zip(row_i, row_k)]
+        for i in range(m):
+            if i != rank:
+                row_i = w[i]
+                f = row_i[col]
+                w[i] = [(pivot * x - f * y) // prev for x, y in zip(row_i, row_k)]
         prev = pivot
         rank += 1
     return rank, sign, prev, [row[ncols:] for row in w]
@@ -503,68 +508,40 @@ def _folder(p: int, n: int):
 
 
 def _eliminate_mod(rows, ncols: int, p: int):
-    """Elimination mod p of integer rows: None if singular mod p, else the solved right-hand rows.
+    """Gauss-Jordan elimination mod p of integer rows: None if singular mod p, else the solved right-hand rows.
 
     The rows are read as the caller holds them, ncols coefficient columns
-    first, and never written.  Rows longer than ncols carry right-hand
-    columns, and then rows above each pivot are cleared as well
-    (Gauss-Jordan): row i of the result is the right-hand side solved for
-    unknown i, as the raw word int the elimination holds, one 64-bit slot
-    per right-hand column, its first in the top slot.  Each slot is below
-    2^64 and congruent mod p to the solution, not reduced: the caller
-    reduces.  Square rows are only reduced below each pivot, which
-    decides invertibility mod p, and solve nothing: the result is [].
-
-    The whole system is reduced mod p in one pass and packed by one
-    ``struct.pack`` (``_to_words``), each row one int of 64-bit slots read
-    by one ``int.from_bytes`` of its slice, its first entry in the top
-    slot: so the pivot column is the top live slot of every row and its
-    residue f is read by one shift whose result is short.  That pass is
-    the only step that touches entries one by one, once for the whole
-    system rather than once per row; every step after it acts on whole
-    rows, and the solved rows are returned masked to their live slots, not
-    unpacked.  The pivot row is masked below its pivot slot, folded
-    (``_folder``: each slot kept congruent mod p and brought to at most
-    B(p)), multiplied by the pivot's inverse as one big int and folded
-    again.  Every other row with pivot-column residue f becomes
-    row + (p - f) * pivot: one big-int multiply-add in C per row update.
-    The pivot row is zero from its pivot slot up, so the slots of columns
-    already pivoted are dead: no update reaches them, a fold keeps them
-    within 64 bits, and they are never read again.  A live slot starts at
-    most B and an update adds at most p * B, so the plan's budget of
-    (2^64 - 1 - B) // (p * B) updates fits in a slot (16 at the solver's
-    primes); after that many columns the rows still to be updated are
-    folded.  A prime of 2^32 or more leaves no room for one update and
-    raises ValueError.  The slots are packed by ``struct`` in an explicit
-    byte order, so the layout does not depend on the machine's.
+    first, and never written.  Row i of the result is the right-hand side
+    solved for unknown i, as the raw word int the elimination holds, one
+    64-bit slot per column past ncols, its first in the top slot: 0 for
+    rows with no right-hand columns.  Each slot is below 2^64 and
+    congruent mod p to the solution, not reduced: the caller reduces.  A
+    prime of 2^32 or more leaves a slot no room for one update and raises
+    ValueError.
     """
     budget = _fold_plan(p)[2]
     m = len(rows)
     live = len(rows[0])
-    above = live > ncols
     fold = _folder(p, live)
     w = _to_words(list(map(p.__rmod__, chain.from_iterable(rows))), live)
     for col in range(ncols):
-        # rows from `first` on are updated: every row, or those not yet pivots
-        first = 0 if above else col
         if col and not col % budget:
-            w[first:] = map(fold, w[first:])
+            w = list(map(fold, w))
         live -= 1
         shift = 64 * live
-        fs = list(map(p.__rmod__, map(_WORD.__and__, map(rshift, w[first:], repeat(shift)))))
-        k = col - first
-        while k < m - first and not fs[k]:
+        fs = list(map(p.__rmod__, map(_WORD.__and__, map(rshift, w, repeat(shift)))))
+        # rows before `col` hold the earlier pivots
+        k = col
+        while k < m and not fs[k]:
             k += 1
-        if k == m - first:
+        if k == m:
             return None
-        w[col], w[first + k] = w[first + k], w[col]
-        f, fs[k] = fs[k], fs[col - first]
+        w[col], w[k] = w[k], w[col]
+        f, fs[k] = fs[k], fs[col]
         pivot = fold(pow(f, -1, p) * fold(w[col] & (1 << shift) - 1))
-        fs[col - first] = p  # p - p = 0: the pivot row, replaced below, takes no update
-        w[first:] = map(add, w[first:], map(mul, map(p.__sub__, fs), repeat(pivot)))
+        fs[col] = p  # p - p = 0: the pivot row, replaced below, takes no update
+        w = list(map(add, w, map(mul, map(p.__sub__, fs), repeat(pivot))))
         w[col] = pivot
-    if not above:
-        return []
     return list(map(((1 << 64 * live) - 1).__and__, w))
 
 
@@ -643,12 +620,6 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     length of Z on success and of the limit on failure.  Raises ValueError
     for a dimension mismatch or a negative limit, and SingularMatrix when a
     is singular.
-
-    Each prime's solved rows, raw 64-bit words from ``_eliminate_mod``,
-    are joined into one int of r^2 slots and become that prime's balanced
-    mixed-radix digit (``_garner``); no entry is touched one by one until
-    a lift, and a lift (``_lift``) is made only once the modulus has more
-    bits than the floor below which no modulus can hold Z.
     """
     if a.dim != rhs.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
@@ -660,14 +631,11 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     # |rhs| <= r * |Z| * |a|, so Z has at least `floor` bits and no modulus
     # of `floor` bits or fewer exceeds 2 * max|Z|
     floor = _width(rhs) - _width(a) - r.bit_length()
-    det = None
     digits, modulus = [], 1
     for p in map(_prime, count()):
         w = _eliminate_mod(equations, r, p)
         if w is None:
-            if det is None:
-                det = determinant(a)
-            if det == 0:
+            if not is_invertible(a):
                 raise SingularMatrix(f"{r}x{r} matrix is singular")
             continue
         # row l of w is column l of Z mod p: joined, the slots run column after column

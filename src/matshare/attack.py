@@ -4,20 +4,27 @@ The exhaustive search solves the bounded matrix-representability search
 problem at desk scale: find n matrices in the public set whose ordered
 product equals a target.  It tests every sequence exactly, sharing the
 work sequences have in common.  A sequence splits into a prefix and a
-suffix, and the (0, 0) entry of its product is row 0 of the suffix's
-product times column 0 of the prefix's.  The suffix rows and the prefix
-columns are tables built a level at a time in packed big ints (one int
-per coordinate, one byte slot per sequence): a level is extended by each
-matrix with r sums of r big-int multiples, whatever its length, and in
-ordered-distinct mode it keeps only sequences of distinct indices.  One
-packed product per prefix then yields the (0, 0) entries of all its
-sequences at once, and ``bytes.find`` picks out those equal to the
-target's.  A sequence whose entry differs is provably not a solution;
-the full product is formed (n-1 ``mat_mul``), and compared exactly, only
-on a match.  The ratio analysis shows what a passive observer of the
-public reconstruction reveals can extract: each consecutive pair of
-reveals quotients to a raw shadow, found by the same certified integer
-solver that strips the blinding in recovery.
+suffix of h = n // 2 indices (fewer if the suffixes would outnumber
+``_SUFFIX_ROWS``, but at least one), and the (0, 0) entry of its product
+is row 0 of the suffix's product times column 0 of the prefix's.  The
+suffix rows and the prefix columns are tables built a level at a time
+in packed big ints (one int per coordinate, one byte slot per sequence):
+a level is extended by each matrix with r sums of r big-int multiples,
+whatever its length, and in ordered-distinct mode it keeps only
+sequences of distinct indices.  Where the prefixes too would outnumber
+``_SUFFIX_ROWS``, their first indices (the head) are walked one mat-vec
+at a time, and each head gets a column table of its own.  One packed
+product per prefix then yields the (0, 0) entries of all its sequences
+at once, and ``bytes.find`` picks out those equal to the target's; in
+ordered-distinct mode the slots of suffixes that share an index with the
+prefix are formed too, and skipped.  A sequence whose entry differs is
+provably not a solution; the full product (n-1 ``mat_mul``) is formed,
+and compared exactly, only on a match, so at worst, as over a set of
+identities, each sequence costs n-1 ``mat_mul``.  The ratio analysis
+shows what a passive observer of the public reconstruction reveals can
+extract: each consecutive pair of reveals quotients to a raw shadow,
+found by the same certified integer solver that strips the blinding in
+recovery.
 """
 
 from __future__ import annotations
@@ -167,15 +174,11 @@ def _column_table(
 ) -> dict:
     """Column 0 of the product of every prefix head + tail, keyed by the tail reversed.
 
-    The tail is `depth` indices, given as positions in `allowed`.  Column
-    0 of (*rest, i) is M_i times rest's column 0, so the head's column is
-    one length-r mat-vec per index.  ``entries[c][l]`` packs entry (c, l)
-    of every matrix, a `size`-byte slot each, so the head's column times
-    them is the column of head + (i,) for every i at once: r sums of r
-    big-int multiples.  Less the slots of the head's own indices in
-    ordered-distinct mode, that is the first level of the tails'
-    ``_levels`` table.  Its slots are whole 64-bit words, so one
-    ``struct`` pass unpacks the table.
+    The tail is `depth` indices, given as positions in `allowed`; in
+    ordered-distinct mode no tail repeats an index, nor holds one of the
+    head's.  ``entries[c][l]`` packs entry (c, l) of every matrix, one
+    `size`-byte slot each; `size` is a whole number of 64-bit words and
+    holds any column of the prefix.
     """
     # e_0 as [1]: ``map`` stops at the shorter iterable
     col = (1,)
@@ -208,17 +211,8 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
     """Yield (sequence, tested) for every solution, in enumeration order.
 
     ``tested`` counts the sequences tested up to and including the
-    solution.  A sequence is a prefix of d indices and a suffix of the
-    last h, its leftmost factors.  Row 0 of (i, *rest) is rest's row 0
-    times M_i, so the suffix rows come from one ``_levels`` table keyed
-    by the suffix, whose r ints hold coordinate l of every suffix row.  A
-    prefix is a head of e indices and a tail of d - e, e the fewest that
-    keep the tails within ``_SUFFIX_ROWS``, and each head's tails take
-    their columns from one ``_column_table``.  Each prefix column times
-    the packed rows is a single sum of r big-int multiples holding the
-    corner of every suffix, in ``_slot_size`` slots, and ``bytes.find``
-    looks for the target's corner in it; only a slot-aligned find names
-    a suffix, and only an exact product comparison makes it a solution.
+    solution.  A sequence is yielded only once its full product has
+    compared equal to the target.
     """
     matrices, target = problem.matrices, problem.target
     k, n, r = len(matrices), problem.n, target.dim
@@ -281,35 +275,15 @@ def exhaustive_search(
     limit: Optional[int] = None,
     allow_large: bool = False,
 ) -> SearchResult:
-    """Enumerate every ordered sequence in the mode; no pruning, no heuristics.
+    """Every sequence in the mode whose ordered product equals the target; no pruning, no heuristics.
 
-    Returns each sequence whose ordered product equals the target, up to
-    `limit` (at least 1), in the lexicographic order of ``permutations``
-    (ordered-distinct) or ``product`` (ordered-rep).  Every sequence is
-    tested exactly and counted in ``nodes_explored``.  Each sequence is a
-    prefix of n - h indices and a suffix of h = n // 2 (fewer if the
-    suffixes would outnumber ``_SUFFIX_ROWS``, but at least one).  The
-    suffix rows (row 0 of each suffix's product) and the prefix columns
-    (column 0 of each prefix's) are built a level at a time, one level
-    per index of length: extending a level costs k * r sums of r big-int
-    multiples, however many sequences it holds, and in ordered-distinct
-    mode each level holds only sequences of distinct indices.  Where the
-    prefixes too would outnumber ``_SUFFIX_ROWS``, their first indices
-    are walked one length-r mat-vec at a time and each walked head gets
-    a table of its own, so no table outgrows that cap; its first level
-    is the head's column times every matrix's entries, packed once per
-    search, r sums of r big-int multiples.  Then, per
-    prefix, one packed product: r multiples of big ints of one slot per
-    suffix, which hold the (0, 0) entries of all the prefix's sequences,
-    searched for the target's entry by ``bytes.find``.  In
-    ordered-distinct mode the slots of suffixes that share an index with
-    the prefix are formed too, and skipped; when k is close to n they are
-    most of each product.  The full product, n-1 ``mat_mul``, is formed
-    only for a sequence whose entry matches the target's, and a solution
-    is reported only after that product compares equal to the target.
-    At worst every entry matches, as over a set of identities, and each
-    sequence costs n-1 ``mat_mul``.  Spaces beyond the desk-scale
-    guardrail are refused unless explicitly overridden.
+    Returns the solutions up to `limit` (at least 1), in the
+    lexicographic order of ``permutations`` (ordered-distinct) or
+    ``product`` (ordered-rep), and in ``nodes_explored`` the sequences
+    tested: the whole space, or those up to the limit-th solution.  Every
+    sequence is tested exactly.  Raises ValueError for another mode or a
+    limit below 1, and GuardrailExceeded for a space beyond
+    ``GUARDRAIL_LIMIT`` unless `allow_large`.
     """
     if mode not in (ORDERED_DISTINCT, ORDERED_WITH_REPETITION):
         raise ValueError(f"mode must be enumerable, got {mode!r}")

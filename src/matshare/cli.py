@@ -330,7 +330,7 @@ def _load(path: Path, decode, *args):
 
 
 def load_workspace(workspace: Path) -> Tuple[Bulletin, List[Share]]:
-    """Everything a protocol run needs: bulletin and shares, never the instance.
+    """Everything ``matshare run`` needs: bulletin and shares, never the instance.
 
     Every share is decoded against the bulletin's r, k and n, so a
     malformed workspace is a usage error, not a failure mid-run.
@@ -424,7 +424,8 @@ def cmd_run(workspace: Path, start: int, cheat: Optional[str], t: int, seed: int
 def cmd_attack(workspace: Path, mode: str, limit: Optional[int], count_only: bool, force: bool) -> int:
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    bulletin, _ = load_workspace(workspace)
+    # the attack reads no share: an eavesdropper's copy has no shares/
+    bulletin = _load(workspace / "bulletin.json", bulletin_from_json)
 
     k, n = bulletin.k, bulletin.n
     space = {

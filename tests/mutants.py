@@ -112,8 +112,8 @@ MUTANTS = (
     Mutant(
         "pivot-residue-read-one-slot-low",
         ALGEBRA,
-        "map(rshift, w[first:], repeat(shift))",
-        "map(rshift, w[first:], repeat(shift - 64))",
+        "map(rshift, w, repeat(shift))",
+        "map(rshift, w, repeat(shift - 64))",
         (_algebra("test_elimination_renormalises_at_the_word_budget[True]"),),
     ),
     Mutant(
@@ -131,18 +131,11 @@ MUTANTS = (
         (_algebra("test_is_invertible_trivials"),),
     ),
     Mutant(
-        "square-elimination-mod-p-clears-above-the-pivot-too",
+        "elimination-pivots-on-a-row-already-used",
         ALGEBRA,
-        "    above = live > ncols\n",
-        "    above = True\n",
-        (_algebra("test_square_systems_update_only_the_rows_below_each_pivot[is_invertible]"),),
-    ),
-    Mutant(
-        "square-bareiss-clears-above-the-pivot-too",
-        ALGEBRA,
-        "    above = len(w[0]) > ncols\n",
-        "    above = True\n",
-        (_algebra("test_square_systems_update_only_the_rows_below_each_pivot[determinant]"),),
+        "        k = col\n",
+        "        k = 0\n",
+        (_algebra("test_packed_elimination_matches_schoolbook"),),
     ),
     Mutant(
         "batched-pack-takes-the-rows-in-reverse-order",
@@ -219,6 +212,13 @@ MUTANTS = (
         "            if mat_mul(quotient, a) == rhs:\n",
         "            if True:\n",
         (_algebra("test_solve_integer_refuses_a_wrong_lift_within_the_limit"),),
+    ),
+    Mutant(
+        "solver-takes-an-unlucky-prime-for-singular",
+        ALGEBRA,
+        "            if not is_invertible(a):\n",
+        "            if True:\n",
+        (_algebra("test_solve_integer_skips_primes_dividing_the_determinant"),),
     ),
     Mutant(
         "solve-stops-once-the-modulus-passes-the-limit",

@@ -132,18 +132,16 @@ def mat_rows(m):
 
 
 def eliminate_mod(rows, ncols, p):
-    """Per-entry elimination mod p with the contract of algebra._eliminate_mod.
+    """Per-entry Gauss-Jordan elimination mod p with the contract of algebra._eliminate_mod.
 
     The int rows hold ncols coefficient columns first; they are reduced
-    mod p into a copy.  None if singular mod p.  Rows longer than ncols
-    are cleared above each pivot as well (Gauss-Jordan), and row i of the
-    result is the right-hand side solved for unknown i, as one int of
-    64-bit slots, its first residue in the top slot; square rows are
-    cleared below each pivot only and give [].
+    mod p into a copy.  None if singular mod p.  Each pivot column is
+    cleared above and below the pivot, and row i of the result is the
+    right-hand side solved for unknown i, as one int of 64-bit slots, its
+    first residue in the top slot: 0 for rows with no right-hand columns.
     """
     w = [[x % p for x in row] for row in rows]
     m = len(w)
-    above = len(w[0]) > ncols
     for col in range(ncols):
         pivot_row = next((i for i in range(col, m) if w[i][col]), None)
         if pivot_row is None:
@@ -151,12 +149,10 @@ def eliminate_mod(rows, ncols, p):
         w[col], w[pivot_row] = w[pivot_row], w[col]
         inv = pow(w[col][col], -1, p)
         w[col] = [y * inv % p for y in w[col]]
-        for i in range(0 if above else col + 1, m):
+        for i in range(m):
             if i != col:
                 f = w[i][col]
                 w[i] = [(x - f * y) % p for x, y in zip(w[i], w[col])]
-    if not above:
-        return []
     return [sum(x << 64 * j for j, x in enumerate(reversed(row[ncols:]))) for row in w]
 
 

@@ -345,6 +345,27 @@ def test_count_only_attack_needs_no_instance_file(tmp_path):
     assert len(report["ratio_hits"]) == 2
 
 
+@pytest.mark.parametrize("extra", [["--count-only"], []], ids=["count-only", "search"])
+def test_attack_reads_no_share(tmp_path, extra):
+    # an eavesdropper's copy of a workspace has no shares/: the attack
+    # reads only the bulletin, the transcript and, to search, the
+    # instance, so it writes the same report bytes as on the full workspace
+    ws = deal(tmp_path, r=6, k=6, n=3)
+    assert main(["run", "--workspace", str(ws), "--seed", "1"]) == EXIT_OK
+    copy = tmp_path / "copy"
+    shutil.copytree(ws, copy)
+    shutil.rmtree(copy / "shares")
+    if extra:
+        (copy / "instance.json").unlink()
+    reports = []
+    for workspace in (ws, copy):
+        assert main(["attack", "--workspace", str(workspace), *extra]) == EXIT_OK
+        reports.append((workspace / "attack_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert len(report["ratio_hits"]) == 2 and (extra or report["solutions"])
+
+
 def test_attack_limit(tmp_path):
     ws = deal(tmp_path)
     assert main(["attack", "--workspace", str(ws), "--mode", "ordered-rep", "--limit", "1"]) == EXIT_OK
