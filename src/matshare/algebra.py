@@ -614,12 +614,11 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
     """The integer matrix Z with Z*a == rhs and every |Z_ij| <= limit, or None.
 
     a and rhs are r x r.  Z is returned only once ``mat_mul(Z, a) == rhs``
-    holds exactly, with its width cached in ``_bits``; None means that
-    rhs * a^-1 is not integral or has an entry beyond the limit.  The solve
-    stops once the modulus exceeds 2 * limit, so its cost follows the bit
-    length of Z on success and of the limit on failure.  Raises ValueError
-    for a dimension mismatch or a negative limit, and SingularMatrix when a
-    is singular.
+    holds exactly; None means that rhs * a^-1 is not integral or has an
+    entry beyond the limit.  The solve stops once the modulus exceeds
+    2 * limit, so its cost follows the bit length of Z on success and of
+    the limit on failure.  Raises ValueError for a dimension mismatch or a
+    negative limit, and SingularMatrix when a is singular.
     """
     if a.dim != rhs.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rhs.dim}")
@@ -651,7 +650,6 @@ def solve_integer(a: Matrix, rhs: Matrix, limit: int) -> Optional[Matrix]:
             # r references to one iterator: zip cuts it into Z's columns, r
             # entries each, and the outer zip turns those into Z's rows
             quotient = Matrix._of(zip(*zip(*repeat(iter(z), r))))
-            object.__setattr__(quotient, "_bits", top.bit_length())
             if mat_mul(quotient, a) == rhs:
                 return quotient
         if modulus > 2 * limit:

@@ -43,7 +43,7 @@ from .errors import (
     SingularMatrix,
 )
 from .protocol import CheaterSpec, freivalds_audit, simulate_run
-from .transport import IndexPointer, Transcript, fresh_network
+from .transport import IndexPointer, Transcript, fresh_network, participant_name
 
 EXIT_OK = 0
 EXIT_GENERATION = 1
@@ -72,8 +72,7 @@ def _fields(doc, *keys) -> list:
 def _entries(doc, length: Optional[int], kind: type, what: str) -> list:
     """doc, if it is a list of `length` values (any number when None) whose type is exactly kind.
 
-    Types are looked up in ``{kind}`` in C, as ``algebra`` does for its
-    entries, so a bool is never taken for an int.
+    A bool is not an int here.  Anything else raises ValueError naming `what`.
     """
     if type(doc) is not list or length not in (None, len(doc)) or not {kind}.issuperset(map(type, doc)):
         count = "" if length is None else f"{length} "
@@ -82,13 +81,10 @@ def _entries(doc, length: Optional[int], kind: type, what: str) -> list:
 
 
 def matrix_from_json(rows, r: int) -> Matrix:
-    """An r x r matrix from r rows of r decimal strings.
+    """An r x r matrix from a list of r lists of r decimal strings.
 
-    Every row is checked at once, one C-level pass per condition: r >= 1,
-    r rows that are lists, each of exactly r entries, and every entry
-    exactly a str.  The entries are then read by one ``map(int, ...)``
-    into the trusted ``Matrix._of``, since they are ints in a nonempty
-    square by construction.
+    Raises ValueError for r < 1, any other shape, an entry that is not
+    exactly a str, or a str that ``int`` cannot read.
     """
     if (
         type(rows) is not list
@@ -118,18 +114,14 @@ def bits_from_json(bits, r: int) -> BinaryVector:
 
 
 def canonical_json(obj) -> str:
-    """obj as the text ``json.dumps`` writes with ``indent=2``, plus a newline.
+    """obj as the text ``json.dumps(obj, indent=2)`` writes, plus a newline.
 
-    The standard library encodes with an indent in pure Python, one call
-    per value; this emitter builds each list and object with one
-    ``str.join``.  It encodes str, int, bool, list and dict, which is what
-    the file encoders produce, and writes a ``Matrix`` as its list of rows
-    and a ``Vector`` as its list of entries, each entry as its decimal
-    string: the text ``json.dumps`` writes for ``[[str(x) for x in row]
-    for row in m.rows]``.  A decimal needs no escaping, so a row is one
-    ``str.join`` over ``map(str, row)``.  Types are matched exactly, so a
-    ``BinaryVector`` is refused here; its file encoder writes it as bits.
-    Anything else raises TypeError.
+    obj holds str, int, bool, list and dict values, dict keys being str,
+    and ``Matrix`` and ``Vector`` values, each written as its rows or
+    entries of decimal strings: the text ``json.dumps`` writes for
+    ``[[str(x) for x in row] for row in m.rows]``.  Types are matched
+    exactly, so anything else, a ``BinaryVector`` included (its file
+    encoder writes bits), raises TypeError.
     """
     return _json_text(obj, "\n") + "\n"
 
@@ -210,15 +202,20 @@ def share_to_json(s: Share) -> dict:
     }
 
 
+def _check_pointer(index, ring, bulletin: Bulletin) -> None:
+    """ValueError unless index is an int in [0, k) and ring is the list [1, ..., n] of the bulletin."""
+    if type(index) is not int or not 0 <= index < bulletin.k:
+        raise ValueError(f"matrix_index must be in [0, {bulletin.k})")
+    if ring != list(range(1, bulletin.n + 1)) or not {int}.issuperset(map(type, ring)):
+        raise ValueError(f"ring must be [1, ..., {bulletin.n}]")
+
+
 def share_from_json(doc, j: int, bulletin: Bulletin) -> Share:
     """Participant j's share, its index and ring checked against the bulletin."""
     participant, index, ring, u = _fields(doc, "participant", "matrix_index", "ring", "u")
     if participant != j or type(participant) is not int:
         raise ValueError(f"participant must be {j}")
-    if type(index) is not int or not 0 <= index < bulletin.k:
-        raise ValueError(f"matrix_index must be in [0, {bulletin.k})")
-    if ring != list(range(1, bulletin.n + 1)) or not {int}.issuperset(map(type, ring)):
-        raise ValueError(f"ring must be [1, ..., {bulletin.n}]")
+    _check_pointer(index, ring, bulletin)
     return Share(participant=j, matrix_index=index, ring=tuple(ring), u=bits_from_json(u, bulletin.r))
 
 
@@ -238,14 +235,14 @@ def _pointer_to_json(p: IndexPointer) -> dict:
     return {"matrix_index": p.matrix_index, "ring": list(p.ring)}
 
 
-def _pointer_from_json(doc, r: int) -> IndexPointer:
+def _pointer_from_json(doc, bulletin: Bulletin) -> IndexPointer:
+    """A dealer's pointer, checked against the bulletin as a share's index and ring are."""
     index, ring = _fields(doc, "matrix_index", "ring")
-    if type(index) is not int:
-        raise ValueError("matrix_index must be an integer")
-    return IndexPointer(index, _entries(ring, None, int, "ring"))
+    _check_pointer(index, ring, bulletin)
+    return IndexPointer(index, ring)
 
 
-def _verdict_from_json(doc, r: int) -> bool:
+def _verdict_from_json(doc, bulletin: Bulletin) -> bool:
     if type(doc) is not bool:
         raise ValueError("a verdict must be true or false")
     return doc
@@ -257,12 +254,12 @@ def _as_is(value):
 
 
 # the one payload table: exact payload type -> (transcript kind, encoder,
-# decoder given the bulletin's r).  Looked up by type(payload), never by
+# decoder given the bulletin).  Looked up by type(payload), never by
 # isinstance, since a BinaryVector is also a Vector.
 _PAYLOADS = {
-    Matrix: ("matrix", _as_is, matrix_from_json),
-    Vector: ("vector", _as_is, vector_from_json),
-    BinaryVector: ("binary_vector", bits_to_json, bits_from_json),
+    Matrix: ("matrix", _as_is, lambda doc, b: matrix_from_json(doc, b.r)),
+    Vector: ("vector", _as_is, lambda doc, b: vector_from_json(doc, b.r)),
+    BinaryVector: ("binary_vector", bits_to_json, lambda doc, b: bits_from_json(doc, b.r)),
     bool: ("verdict", bool, _verdict_from_json),
     IndexPointer: ("index_pointer", _pointer_to_json, _pointer_from_json),
 }
@@ -285,17 +282,19 @@ def transcript_to_json(t: Transcript) -> dict:
     }
 
 
-def transcript_from_json(doc, r: int, n: int) -> Transcript:
-    """A run's transcript, every payload shaped for the bulletin's r and n.
+def transcript_from_json(doc, bulletin: Bulletin) -> Transcript:
+    """A run's transcript, every payload checked against the bulletin.
 
-    Each event is recorded through a network of the bulletin's n
+    Matrices and vectors must have the bulletin's r entries a side, and a
+    pointer must name one of its k matrices and the ring of its n
+    participants.  Each event is recorded through a network of the n
     participants, so a file holds only what a run can send (see
     ``Network.record``): the attack reads a participant's position from
     its name, and the eavesdropper's view keeps only public events.  An
     event's step must be its place in the file, so that encoding the
     transcript again writes the same steps.
     """
-    net = fresh_network(n)
+    net = fresh_network(bulletin.n)
     for i, event in enumerate(_entries(_fields(doc, "events")[0], None, dict, "events")):
         try:
             step, sender, recipient, visibility, kind, payload = _fields(
@@ -307,7 +306,7 @@ def transcript_from_json(doc, r: int, n: int) -> Transcript:
                 raise ValueError(f"step must be {i}, its place, not {step!r}")
             if kind not in _DECODERS:
                 raise ValueError(f"unknown payload kind {kind!r}")
-            net.record(sender, recipient, visibility, _DECODERS[kind](payload, r))
+            net.record(sender, recipient, visibility, _DECODERS[kind](payload, bulletin))
         except ValueError as err:
             raise ValueError(f"event {i}: {err}") from None
     return net.transcript
@@ -337,7 +336,7 @@ def load_workspace(workspace: Path) -> Tuple[Bulletin, List[Share]]:
     """
     bulletin = _load(workspace / "bulletin.json", bulletin_from_json)
     shares = [
-        _load(workspace / "shares" / f"P{j}.json", share_from_json, j, bulletin)
+        _load(workspace / "shares" / f"{participant_name(j)}.json", share_from_json, j, bulletin)
         for j in range(1, bulletin.n + 1)
     ]
     return bulletin, shares
@@ -354,7 +353,7 @@ def cmd_deal(params: DealerParams, out: Path) -> int:
     _write(out / "bulletin.json", bulletin_to_json(bulletin))
     _write(out / "instance.json", instance_to_json(instance))
     for share in shares:
-        _write(out / "shares" / f"P{share.participant}.json", share_to_json(share))
+        _write(out / "shares" / f"{participant_name(share.participant)}.json", share_to_json(share))
     print(
         f"dealt {params.k} matrices ({params.r}x{params.r}), "
         f"{params.n} shares -> {out}"
@@ -458,7 +457,7 @@ def cmd_attack(workspace: Path, mode: str, limit: Optional[int], count_only: boo
     ratio_hits = []
     transcript_path = workspace / "transcript.json"
     if transcript_path.exists():
-        transcript = _load(transcript_path, transcript_from_json, bulletin.r, bulletin.n)
+        transcript = _load(transcript_path, transcript_from_json, bulletin)
         hits = attack_mod.ratio_analysis(transcript.eavesdropper_view, bulletin)
         ratio_hits = [
             {"position": h.position, "matrix_index": h.matrix_index} for h in hits

@@ -113,11 +113,10 @@ def rotated_product(instance: Instance, start: int) -> Matrix:
 
 
 def compute_check_pairs(instance: Instance, rng) -> Tuple[List[BinaryVector], List[Vector]]:
-    """Private check vectors U_i and their published images.
+    """(U, U'): for each start position i in 1..n, a check vector U_i drawn from rng and its image.
 
-    The image published for start position i is the chained product the
-    verification walk starting at i actually computes, i.e. the rotated
-    product applied to U_i; for i = 1 that product is the secret itself.
+    U'_i is what the verification walk from i computes, the rotated
+    product from i applied to U_i; for i = 1 that product is the secret.
     """
     r = instance.secret.dim
     us: List[BinaryVector] = []
@@ -133,11 +132,11 @@ def compute_check_pairs(instance: Instance, rng) -> Tuple[List[BinaryVector], Li
 
 
 def generate_instance(params: DealerParams) -> Tuple[Instance, Bulletin, List[Share]]:
-    """Generate an instance, its public bulletin and the private shares.
+    """(instance, bulletin, shares), a function of params alone.
 
-    Fully deterministic given params.seed.  Every shadow selected by sigma
-    must be invertible (the recovery formula inverts partial products), so
-    a selection that hits a singular matrix retries the whole instance.
+    Every shadow that sigma selects is invertible, since recovery inverts
+    partial products.  Raises GenerationFailure when MAX_INSTANCE_RETRIES
+    instances give no such selection.
     """
     rng = random.Random(params.seed)
     for _ in range(MAX_INSTANCE_RETRIES):
@@ -182,9 +181,9 @@ def deliver_shares(net: Network, shares: List[Share]) -> None:
 def secrecy_rank_check(u: BinaryVector, u_prime: Vector, r: int) -> int:
     """Rank of the constraint system {X u = u'} over the r^2 unknown entries of X.
 
-    Row a of the system constrains only the a-th row of X, so the
-    coefficient matrix is r x r^2 and its rank never exceeds r: one pair
-    of check vectors leaves the secret hopelessly underdetermined.
+    The rank is at most r, since row a of the system constrains only row a
+    of X: one pair of check vectors leaves the secret underdetermined.
+    Raises ValueError unless u and u_prime are r-vectors.
     """
     if u.dim != r or u_prime.dim != r:
         raise ValueError("dimension mismatch")

@@ -107,13 +107,14 @@ def run_reconstruction(
     rng,
     net: Optional[Network] = None,
 ) -> Tuple[Matrix, Transcript]:
-    """Walk the ring once from `start` with a blinded chain and recover the secret.
+    """The secret recovered by one blinded walk of the ring from `start`, and the transcript.
 
-    The starter broadcasts shadow*X for a fresh random invertible X, every
-    successor broadcasts shadow*received, the last participant hands the
-    full chain value back to the starter, and the starter combines it with
-    the reveal made at ring position n to strip both X and the wrapped
-    partial product.
+    Each participant broadcasts one reveal, the starter's blinded by a
+    fresh invertible X drawn from `rng`; the last hands its reveal back to
+    the starter, who recovers the secret by ``recover_secret`` with the
+    honest entry bound of each factor.  Raises ValueError for a start
+    outside [1, n], and ``recover_secret``'s errors for inconsistent
+    reveals.
     """
     walk = ring_walk(start, bulletin.n)
     held = {share.participant: share for share in shares}
@@ -142,23 +143,16 @@ def run_reconstruction(
 
 
 def recover_secret(b: Matrix, c: Matrix, x: Matrix, limits: Tuple[int, int]) -> Matrix:
-    """Strip the blinding: S = P*Q with P*x == c and Q*c == b.
+    """The secret P*Q of integer matrices P and Q with P*x == c and Q*c == b.
 
-    With b the full blinded chain and c the partial chain through ring
-    position n, honest reveals make P = c x^-1 the partial product through
-    position n and Q = b c^-1 the rest of the ring, both integer matrices.
-    Each factor comes from ``solve_integer``: a multimodular (CRT) solve
-    that returns only after the exact integer check P*x == c (resp.
-    Q*c == b), so a modular shortcut can never yield a wrong secret.
-    `limits` bounds the entries of P and of Q: a factor beyond its limit
-    is refused like a non-integral one.
-
-    Raises SingularMatrix when x or c is singular, and IntegrityFailure
-    when P or Q is not integral or passes its limit; this is stricter than
-    asking only that P*Q be integral, which no honest round needs.  Honest
-    recovery costs a few primes per factor (the bits of the secret);
-    rejecting an inconsistent reveal runs primes up to twice the factor's
-    limit.
+    b is the full blinded chain, c the partial chain through ring position
+    n and x the blinding matrix, all r x r; `limits` bounds the absolute
+    entries of P and of Q.  Both equations hold exactly for the returned
+    factors (``solve_integer``).  Raises ValueError for a dimension
+    mismatch, SingularMatrix when x or c is singular, and IntegrityFailure
+    when P or Q is not integral or has an entry beyond its limit, which is
+    stricter than asking only that P*Q be integral; no honest round needs
+    more.
     """
     if not (b.dim == c.dim == x.dim):
         raise ValueError(f"dimension mismatch: {b.dim}, {c.dim}, {x.dim}")
@@ -182,20 +176,18 @@ def _integer_factor(a: Matrix, rhs: Matrix, limit: int, singular: str) -> Matrix
 
 
 def freivalds_audit(transcript: Transcript, bulletin: Bulletin, t: int, seed) -> bool:
-    """Audit a reconstruction transcript with probabilistic product checks.
+    """Whether a reconstruction transcript's reveals are consistent with the bulletin.
 
-    Every consecutive pair of public reveals must be explainable as one
-    public-set matrix applied to the previous reveal.  ``freivalds_screen``
-    takes the reveals as one chain and checks each of the k candidates on
-    one random vector of t-bit entries instead of a full product: the
-    vector is shared by every pair and candidate, and each reveal is
-    imaged once.  A forged pair slips through with probability at most
-    k * 2^-t (union bound over the candidates), not 2^-t.  The hand-back
-    must equal the final reveal exactly.  Returns the conjunction of all
-    checks; a false return signals inconsistent reveals.  The seed (an int
-    or a ``random.Random``) must draw independently of the round's: the
-    first reveal gives X to an observer who knows the starter's shadow, so
-    a vector replaying X's draws voids the bound.
+    True when each broadcast reveal after the first is one of the k
+    bulletin matrices times the reveal before it, checked by
+    ``freivalds_screen`` on one vector of t-bit entries drawn from `seed`
+    (an int or a ``random.Random``), and the last public hand-back, if
+    any, equals the last reveal.  Consistent reveals always pass; a pair
+    that no bulletin matrix explains passes with probability at most
+    k * 2^-t.  The seed must draw independently of the round's: the first
+    reveal gives X to an observer who knows the starter's shadow, so a
+    vector replaying X's draws voids the bound.  Raises ValueError for
+    t < 1.
     """
     reveals = [e.payload for e in broadcast_matrices(transcript.envelopes)]
     if not freivalds_screen(reveals, bulletin.matrices, t, seed):

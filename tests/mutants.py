@@ -239,14 +239,7 @@ MUTANTS = (
         ALGEBRA,
         "    floor = _width(rhs) - _width(a) - r.bit_length()\n",
         "    floor = _width(rhs) - _width(a) - r.bit_length() + 1\n",
-        (_algebra("test_solve_runs_the_fewest_primes_and_caches_the_quotient_width"),),
-    ),
-    Mutant(
-        "quotient-width-one-bit-low",
-        ALGEBRA,
-        'object.__setattr__(quotient, "_bits", top.bit_length())',
-        'object.__setattr__(quotient, "_bits", top.bit_length() - 1)',
-        (_algebra("test_solve_runs_the_fewest_primes_and_caches_the_quotient_width"),),
+        (_algebra("test_solve_runs_the_fewest_primes"),),
     ),
     # -- the Freivalds screen and the audit ---------------------------------
     Mutant(
@@ -462,6 +455,13 @@ MUTANTS = (
         "            if step != i or type(step) is not int:\n",
         "            if type(step) is not int:\n",
         (_cli("test_transcript_step_other_than_its_place_is_usage_error[two steps swapped]"),),
+    ),
+    Mutant(
+        "transcript-pointer-left-unchecked",
+        CLI,
+        "    _check_pointer(index, ring, bulletin)\n    return IndexPointer(index, ring)\n",
+        "    return IndexPointer(index, ring)\n",
+        (_cli("test_transcript_pointer_outside_the_bulletin_is_usage_error[index k]"),),
     ),
     Mutant(
         "participant-position-reads-any-decimal",

@@ -19,6 +19,7 @@ from matshare.cli import (
     EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_USAGE,
+    bulletin_from_json,
     main,
     matrix_digest,
     matrix_from_json,
@@ -26,6 +27,7 @@ from matshare.cli import (
     transcript_to_json,
     canonical_json,
 )
+from matshare.dealer import Bulletin
 from matshare.transport import DEALER, PUBLIC, SECURE, IndexPointer, fresh_network, participant_name
 
 
@@ -214,7 +216,8 @@ def test_transcript_round_trip_is_byte_identical(tmp_path):
     ws = deal(tmp_path)
     assert main(["run", "--workspace", str(ws), "--start", "3", "--seed", "2"]) == EXIT_OK
     raw = (ws / "transcript.json").read_text()
-    reparsed = canonical_json(transcript_to_json(transcript_from_json(json.loads(raw), 4, 3)))
+    bulletin = bulletin_from_json(read_json(ws / "bulletin.json"))
+    reparsed = canonical_json(transcript_to_json(transcript_from_json(json.loads(raw), bulletin)))
     assert reparsed == raw
 
 
@@ -716,6 +719,33 @@ def test_transcript_step_other_than_its_place_is_usage_error(tmp_path, capsys, n
     assert not (ws / "attack_report.json").exists()
 
 
+# edits of a dealer pointer that the bulletin of k = 6 matrices and n = 3
+# participants refuses, as it refuses them in a share file
+POINTER_EDITS = {
+    "index -1": {"matrix_index": -1},
+    "index k": {"matrix_index": 6},
+    "ring out of order": {"ring": [2, 1, 3]},
+    "ring of n + 1": {"ring": [1, 2, 3, 4]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTER_EDITS))
+def test_transcript_pointer_outside_the_bulletin_is_usage_error(tmp_path, capsys, name):
+    ws = deal(tmp_path, r=6, k=6, n=3)
+    assert main(["run", "--workspace", str(ws), "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    path = ws / "transcript.json"
+    doc = read_json(path)
+    first = next(i for i, event in enumerate(doc["events"]) if event["kind"] == "index_pointer")
+    doc["events"][first]["payload"].update(POINTER_EDITS[name])
+    path.write_text(json.dumps(doc))
+    assert main(["attack", "--workspace", str(ws), "--count-only"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert str(path) in err and f"event {first}: " in err
+    assert not (ws / "attack_report.json").exists()
+
+
 def _envelopes(n):
     """Strategy: the envelopes of one network of P1..Pn, sent or broadcast in any order, r = 2."""
     members = [DEALER] + [participant_name(j) for j in range(1, n + 1)]
@@ -725,7 +755,7 @@ def _envelopes(n):
         st.lists(entry, min_size=2, max_size=2).map(Vector),
         st.lists(st.integers(0, 1), min_size=2, max_size=2).map(BinaryVector),
         st.booleans(),
-        st.builds(IndexPointer, st.integers(0, 40), st.lists(st.integers(1, n), max_size=n)),
+        st.builds(IndexPointer, st.integers(0, 40), st.just(range(1, n + 1))),
     )
     send = st.tuples(st.sampled_from(members), st.sampled_from(members), st.sampled_from([PUBLIC, SECURE]), payload)
     broadcast = st.tuples(st.sampled_from(members), payload)
@@ -747,7 +777,7 @@ def test_every_recorded_transcript_decodes_to_itself(case):
         else:
             net.broadcast(*message)
     text = canonical_json(transcript_to_json(net.transcript))
-    decoded = transcript_from_json(json.loads(text), 2, n)
+    decoded = transcript_from_json(json.loads(text), Bulletin(r=2, k=41, n=n, matrices=(), u_prime=()))
     assert decoded.envelopes == net.transcript.envelopes
     assert canonical_json(transcript_to_json(decoded)) == text
 
