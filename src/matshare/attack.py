@@ -126,34 +126,29 @@ def _slot_size(r: int, top: int, n: int, corner: int) -> int:
     return max(_product_bound(r, top, n).bit_length(), abs(corner).bit_length()) // 8 + 1
 
 
-def _packed(values: Sequence[int], size: int) -> int:
-    """The ints as one signed big int, a `size`-byte slot each, the first value highest."""
-    return int.from_bytes(_to_slots(values, size), "big") - _offset(size, size, len(values))
-
-
 def _drop_slots(level: List[bytes], held: List[int], size: int) -> List[bytes]:
     """Each string of the level without the slots at the ascending positions `held`."""
     cuts = list(map(slice, [(x + 1) * size for x in [-1] + held], [x * size for x in held] + [None]))
     return [b"".join(map(data.__getitem__, cuts)) for data in level]
 
 
-def _levels(level: List[bytes], factors, depth: int, distinct: bool, size: int) -> Iterator[List[bytes]]:
-    """Yield `level` and each level built on it, up to keys of `depth` indices.
+def _levels(vectors, factors, depth: int, distinct: bool, size: int) -> List[bytes]:
+    """The level of the keys of `depth` indices, built from `vectors[i]`, the vector of key (i,).
 
     A level is r byte strings, one per coordinate; string l holds
     coordinate l of every key's vector in one slot of `size` bytes,
-    offset by half a slot, the keys in the order of ``_sequences``.  The
-    given level holds the keys of one index, one per factor.  The vector
-    of (i, *rest) is factors[i] times rest's: coordinate c is
-    sum_l factors[i][c][l] times coordinate l of rest's.  So the next
-    level is k blocks, the one for i holding the keys that start with i,
-    and each block is one ``_dots``: r sums of r big-int multiples of the
-    level's ints.  In ordered-distinct mode block i drops the keys whose
-    rest holds i: the next level's bytes are cut there and joined a whole
-    run at a time, with the same cuts in every coordinate.
+    offset by half a slot, the keys in the order of ``_sequences``.
+    There is one vector per factor.  The vector of (i, *rest) is
+    factors[i] times rest's: coordinate c is sum_l factors[i][c][l]
+    times coordinate l of rest's.  So the next level is k blocks, the
+    one for i holding the keys that start with i, and each block is one
+    ``_dots``: r sums of r big-int multiples of the level's ints.  In
+    ordered-distinct mode block i drops the keys whose rest holds i: the
+    next level's bytes are cut there and joined a whole run at a time,
+    with the same cuts in every coordinate.
     """
     k = len(factors)
-    yield level
+    level = [_to_slots(coord, size) for coord in zip(*vectors)]
     for length in range(1, depth):
         keys = list(_sequences(k, length, distinct))
         span = len(keys) * size
@@ -166,18 +161,15 @@ def _levels(level: List[bytes], factors, depth: int, distinct: bool, size: int) 
         if distinct:
             firsts = chain.from_iterable(map(repeat, range(k), repeat(len(keys))))
             level = _drop_slots(level, list(compress(count(), map(contains, keys * k, firsts))), size)
-        yield level
+    return level
 
 
-def _column_table(
-    matrices: Sequence[Matrix], entries, head, allowed, depth: int, distinct: bool, size: int
-) -> dict:
+def _column_table(matrices: Sequence[Matrix], head, allowed, depth: int, distinct: bool, size: int) -> dict:
     """Column 0 of the product of every prefix head + tail, keyed by the tail reversed.
 
     The tail is `depth` indices, given as positions in `allowed`; in
-    ordered-distinct mode no tail repeats an index, nor holds one of the
-    head's.  ``entries[c][l]`` packs entry (c, l) of every matrix, one
-    `size`-byte slot each; `size` is a whole number of 64-bit words and
+    ordered-distinct mode no tail repeats an index, and `allowed` holds
+    none of the head's.  `size` is a whole number of 64-bit words and
     holds any column of the prefix.
     """
     # e_0 as [1]: ``map`` stops at the shorter iterable
@@ -186,12 +178,8 @@ def _column_table(
         col = list(_dots(matrices[i].rows, col))
     if not depth:
         return {(): col}
-    k = len(matrices)
-    offset = _offset(size, size, k)
-    level = [(v + offset).to_bytes(k * size, "big") for v in _dots(entries, col)]
-    if distinct:
-        level = _drop_slots(level, sorted(head), size)
-    *_, level = _levels(level, [matrices[i].rows for i in allowed], depth, distinct, size)
+    factors = [matrices[i].rows for i in allowed]
+    level = _levels([_dots(rows, col) for rows in factors], factors, depth, distinct, size)
     flat = b"".join(level)
     words, slots = size // 8, len(flat) // size
     # flipping each slot's top bit turns its offset value into two's
@@ -228,21 +216,14 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
     top = _entry_bound(matrices)
     size = _slot_size(r, top, n, corner)
     # at d = 0 (so h = 1) the one column is e_0, so only coordinate 0 is packed
-    coords = list(zip(*(m.rows[0] for m in matrices)))[: r if d else 1]
     transposes = [tuple(zip(*m.rows)) for m in matrices] if h > 1 else ()
-    *_, rows = _levels([_to_slots(coord, size) for coord in coords], transposes, h, distinct, size)
+    rows = _levels([m.rows[0][: r if d else 1] for m in matrices], transposes, h, distinct, size)
     suffixes = list(_sequences(k, h, distinct))
     offset = _offset(size, size, len(suffixes))
     packed = [int.from_bytes(data, "big") - offset for data in rows]
     key, span = _to_slots((corner,), size), len(suffixes) * size
-    # the column tables' slots are whole 64-bit words, room for any column
-    # of d factors; entry (c, l) of every matrix is packed once, for l < 1
-    # at e = 0, where the one head column is e_0, and for no c at d = 0
+    # the column tables' slots are whole 64-bit words, room for any column of d factors
     width = 8 * (_product_bound(r, top, d).bit_length() // 64 + 1)
-    entries = [
-        [_packed([m.rows[c][l] for m in matrices], width) for l in range(r if e else 1)]
-        for c in range(r if d else 0)
-    ]
     per_prefix = math.perm(k - d, h) if distinct else len(suffixes)
     tested = 0
     for head in _sequences(k, e, distinct):
@@ -250,7 +231,7 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
             allowed = ()  # the head is the whole prefix: one empty tail
         else:
             allowed = [i for i in range(k) if i not in head] if distinct and head else range(k)
-        columns = _column_table(matrices, entries, head, allowed, d - e, distinct, width)
+        columns = _column_table(matrices, head, allowed, d - e, distinct, width)
         for tail in _sequences(len(allowed), d - e, distinct):
             found = sum(map(mul, columns[tail[::-1]], packed), offset).to_bytes(span, "big")
             pos = found.find(key)

@@ -116,8 +116,8 @@ def bits_from_json(bits, r: int) -> BinaryVector:
 def canonical_json(obj) -> str:
     """obj as the text ``json.dumps(obj, indent=2)`` writes, plus a newline.
 
-    obj holds str, int, bool, list and dict values, dict keys being str,
-    and ``Matrix`` and ``Vector`` values, each written as its rows or
+    obj holds str, int, bool, None, list and dict values, dict keys being
+    str, and ``Matrix`` and ``Vector`` values, each written as its rows or
     entries of decimal strings: the text ``json.dumps`` writes for
     ``[[str(x) for x in row] for row in m.rows]``.  Types are matched
     exactly, so anything else, a ``BinaryVector`` included (its file
@@ -141,6 +141,8 @@ def _json_text(obj, newline: str) -> str:
         return "true" if obj else "false"
     if kind is int:
         return int.__repr__(obj)
+    if obj is None:
+        return "null"
     inner = newline + "  "
     if kind is Matrix:
         return f"[{inner}{(',' + inner).join(map(_decimals_text, obj.rows, repeat(inner)))}{newline}]"
@@ -462,7 +464,8 @@ def cmd_attack(workspace: Path, mode: str, limit: Optional[int], count_only: boo
         ratio_hits = [
             {"position": h.position, "matrix_index": h.matrix_index} for h in hits
         ]
-        print(f"ratio analysis recovered {len(ratio_hits)} shadow(s) from the transcript")
+        named = sum(h.matrix_index is not None for h in hits)
+        print(f"ratio analysis recovered {named} shadow(s) from the transcript")
 
     report = {
         "mode": mode,

@@ -336,11 +336,11 @@ MUTANTS = (
         (_attack("test_search_matches_reference_enumeration[ordered-rep-2-1]"),),
     ),
     Mutant(
-        "column-table-keeps-the-head-slots",
+        "column-table-first-level-ignores-the-head-column",
         ATTACK,
-        "        level = _drop_slots(level, sorted(head), size)\n",
-        "        pass\n",
-        (_attack("test_search_walks_prefix_heads_past_the_table_cap[5]"),),
+        "level = _levels([_dots(rows, col) for rows in factors]",
+        "level = _levels([_dots(rows, (1,)) for rows in factors]",
+        (_attack("test_column_tables_match_per_prefix_mat_vecs[signed-5]"),),
     ),
     Mutant(
         "distinct-level-keeps-repeated-indices",

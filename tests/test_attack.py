@@ -370,10 +370,10 @@ def test_search_keeps_every_table_level_within_the_cap(monkeypatch, mode, n):
     widths = []
     original = attack._levels
 
-    def recording(level, factors, depth, distinct, size):
-        for built in original(level, factors, depth, distinct, size):
-            widths.append(len(built[0]) // size)
-            yield built
+    def recording(vectors, factors, depth, distinct, size):
+        table = original(vectors, factors, depth, distinct, size)
+        widths.append(len(table[0]) // size)
+        return table
 
     monkeypatch.setattr(attack, "_levels", recording)
     rng = Random(300 + n)
@@ -460,10 +460,9 @@ def test_levels_match_per_sequence_mat_vecs(case, distinct):
     e0 = [1] + [0] * (r - 1)
     size = attack._slot_size(r, algebra._entry_bound(matrices), depth, 0)
     for factors in (raw, [transpose(m) for m in raw]):
-        coords = transpose([[row[0] for row in f] for f in factors])
-        levels = list(attack._levels([attack._to_slots(c, size) for c in coords], factors, depth, distinct, size))
-        assert len(levels) == depth
-        for length, level in enumerate(levels, 1):
+        vectors = [[row[0] for row in f] for f in factors]
+        for length in range(1, depth + 1):
+            level = attack._levels(vectors, factors, length, distinct, size)
             keys = permutations(range(k), length) if distinct else product(range(k), repeat=length)
             want = [chain_vector([factors[i] for i in reversed(key)], e0) for key in keys]
             assert unpacked_level(level, size) == transpose(want)
@@ -474,7 +473,7 @@ def test_levels_match_per_sequence_mat_vecs(case, distinct):
 def test_column_tables_match_per_prefix_mat_vecs(monkeypatch, case, cap):
     # every column a search builds is e_0 chained through its prefix's
     # matrices, the first index applied first; at cap 5 the prefixes walk
-    # heads, whose own indices the packed first level drops in distinct mode
+    # heads, whose own indices no tail holds in distinct mode
     monkeypatch.setattr(attack, "_SUFFIX_ROWS", cap)
     raw, _ = level_cases()[case]
     k, r = len(raw), len(raw[0])
@@ -482,8 +481,8 @@ def test_column_tables_match_per_prefix_mat_vecs(monkeypatch, case, cap):
     heads = []
     original = attack._column_table
 
-    def checking(matrices, entries, head, allowed, depth, distinct, size):
-        table = original(matrices, entries, head, allowed, depth, distinct, size)
+    def checking(matrices, head, allowed, depth, distinct, size):
+        table = original(matrices, head, allowed, depth, distinct, size)
         positions = range(len(allowed))
         tails = list(permutations(positions, depth) if distinct else product(positions, repeat=depth))
         assert len(table) == len(tails)
@@ -507,7 +506,7 @@ def test_column_tables_match_per_prefix_mat_vecs(monkeypatch, case, cap):
 def test_search_extends_each_table_level_once_per_matrix(monkeypatch, mode, r, k, n):
     # a table of depth t costs k * (t - 1) extensions, one ``_dots`` each,
     # however many sequences its levels hold; the prefix table's first
-    # level is one more, e_0 times the packed entries of every matrix
+    # level is k more, one mat-vec of the head's column per matrix
     calls = []
     original = attack._dots
 
@@ -524,7 +523,7 @@ def test_search_extends_each_table_level_once_per_matrix(monkeypatch, mode, r, k
     assert count_search_space(k, h, mode) <= attack._SUFFIX_ROWS
     assert count_search_space(k, max(n - h, 1), mode) <= attack._SUFFIX_ROWS
     d = n - h
-    assert len(calls) == k * (h - 1) + (1 + k * (d - 1) if d else 0)
+    assert len(calls) == k * (h - 1) + k * d
     assert set(calls) <= {1, r}
     assert tuple(range(n)) in result.solutions
 

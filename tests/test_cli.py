@@ -222,7 +222,8 @@ def test_transcript_round_trip_is_byte_identical(tmp_path):
 
 
 WRITER_LEAVES = (
-    st.booleans()
+    st.none()
+    | st.booleans()
     | st.integers(-(1 << 300), 1 << 300)
     | st.text()
     | st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "é ☃ \U0001d11e"])
@@ -287,7 +288,7 @@ def test_matrix_file_round_trip(m):
     assert matrix_from_json(json.loads(canonical_json(m)), m.dim) == m
 
 
-@pytest.mark.parametrize("doc", [1.5, [["1"], [0.0]], {"a": None}, BinaryVector([1, 0]), (1, 2)])
+@pytest.mark.parametrize("doc", [1.5, [["1"], [0.0]], {"a": b"1"}, BinaryVector([1, 0]), (1, 2)])
 def test_canonical_json_refuses_other_types(doc):
     with pytest.raises(TypeError):
         canonical_json(doc)
@@ -310,6 +311,27 @@ def test_attack_report_contains_dealer_sigma(tmp_path):
     assert [h["position"] for h in report["ratio_hits"]] == walk_rest
     for hit in report["ratio_hits"]:
         assert hit["matrix_index"] == sigma[hit["position"] - 1]
+
+
+def test_attack_reports_a_gap_as_a_null_matrix_index(tmp_path, capsys):
+    # the reveals no longer fit the bulletin once P2's matrix changes, so
+    # the quotient at position 2 names no public matrix: a gap, written
+    # as null and left out of the printed count
+    ws = deal(tmp_path, r=4, k=5, n=3, seed=3)
+    assert main(["run", "--workspace", str(ws), "--seed", "1"]) == EXIT_OK
+    sigma = read_json(ws / "instance.json")["sigma"]
+    doc = read_json(ws / "bulletin.json")
+    doc["matrices"][sigma[1]][0][0] = str(int(doc["matrices"][sigma[1]][0][0]) + 1)
+    (ws / "bulletin.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["attack", "--workspace", str(ws), "--count-only"]) == EXIT_OK
+    assert "ratio analysis recovered 1 shadow(s)" in capsys.readouterr().out
+    report = read_json(ws / "attack_report.json")
+    assert report["ratio_hits"] == [
+        {"position": 2, "matrix_index": None},
+        {"position": 3, "matrix_index": sigma[2]},
+    ]
+    assert '"matrix_index": null' in (ws / "attack_report.json").read_text()
 
 
 def test_attack_guardrail_reports_multiset_count(tmp_path, capsys):
