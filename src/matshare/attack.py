@@ -215,8 +215,8 @@ def _solutions(problem: SearchProblem, mode: str) -> Iterator[Tuple[Tuple[int, .
     corner = target.rows[0][0]
     top = _entry_bound(matrices)
     size = _slot_size(r, top, n, corner)
-    # at d = 0 (so h = 1) the one column is e_0, so only coordinate 0 is packed
     transposes = [tuple(zip(*m.rows)) for m in matrices] if h > 1 else ()
+    # at d = 0 (so h = 1) the one column is e_0, so only coordinate 0 is packed
     rows = _levels([m.rows[0][: r if d else 1] for m in matrices], transposes, h, distinct, size)
     suffixes = list(_sequences(k, h, distinct))
     offset = _offset(size, size, len(suffixes))
