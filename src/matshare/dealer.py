@@ -135,8 +135,11 @@ def generate_instance(params: DealerParams) -> Tuple[Instance, Bulletin, List[Sh
     """(instance, bulletin, shares), a function of params alone.
 
     Every shadow that sigma selects is invertible, since recovery inverts
-    partial products.  Raises GenerationFailure when MAX_INSTANCE_RETRIES
-    instances give no such selection.
+    partial products.  The determinant is multiplicative, so that holds
+    exactly when the secret is invertible: each draw makes one test, on
+    the secret, and a rejected draw has paid for its n - 1 products.
+    Raises GenerationFailure when MAX_INSTANCE_RETRIES instances give no
+    such selection.
     """
     rng = random.Random(params.seed)
     for _ in range(MAX_INSTANCE_RETRIES):
@@ -144,14 +147,14 @@ def generate_instance(params: DealerParams) -> Tuple[Instance, Bulletin, List[Sh
             sample_matrix(params.r, params.entry_bound, rng) for _ in range(params.k)
         )
         sigma = tuple(rng.sample(range(params.k), params.n))
-        if all(is_invertible(matrices[idx]) for idx in sigma):
+        secret = chain_product(matrices[idx] for idx in sigma)
+        if is_invertible(secret):
             break
     else:
         raise GenerationFailure(
             f"no all-invertible selection found in {MAX_INSTANCE_RETRIES} instance retries"
         )
 
-    secret = chain_product(matrices[idx] for idx in sigma)
     instance = Instance(matrices=matrices, sigma=sigma, secret=secret)
     us, u_primes = compute_check_pairs(instance, rng)
 

@@ -44,6 +44,7 @@ TESTS_FAILED = 1
 
 ALGEBRA = "matshare/algebra.py"
 ATTACK = "matshare/attack.py"
+DEALER = "matshare/dealer.py"
 PROTOCOL = "matshare/protocol.py"
 CLI = "matshare/cli.py"
 TRANSPORT = "matshare/transport.py"
@@ -81,6 +82,10 @@ def _cli(name):
 
 def _transport(name):
     return f"tests/test_transport.py::{name}"
+
+
+def _dealer(name):
+    return f"tests/test_dealer.py::{name}"
 
 
 MUTANTS = (
@@ -433,6 +438,31 @@ MUTANTS = (
         "map(_decimals_text, obj.rows, repeat(inner))",
         "map(_decimals_text, obj.rows, repeat(newline))",
         (_cli("test_canonical_json_writes_matrices_as_json_dumps_writes_their_decimals"),),
+    ),
+    Mutant(
+        "canonical-json-without-its-null-branch",
+        CLI,
+        '    if obj is None:\n        return "null"\n',
+        "",
+        (
+            _cli("test_fuzzed_workspace_never_raises_out_of_main"),
+            _cli("test_attack_reports_a_gap_as_a_null_matrix_index"),
+        ),
+    ),
+    # -- the dealer's draw -------------------------------------------------
+    Mutant(
+        "dealer-keeps-its-first-draw",
+        DEALER,
+        "        if is_invertible(secret):\n",
+        "        if True:\n",
+        (_dealer("test_generate_instance_matches_the_oracle_dealer"),),
+    ),
+    Mutant(
+        "dealer-tests-only-the-first-shadow",
+        DEALER,
+        "        if is_invertible(secret):\n",
+        "        if is_invertible(matrices[sigma[0]]):\n",
+        (_dealer("test_generate_instance_matches_the_oracle_dealer"),),
     ),
     # -- the envelope rule and the transcript decoder -----------------------
     Mutant(

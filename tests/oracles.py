@@ -7,6 +7,7 @@ into the package, so a bug cannot hide on both sides of a comparison.
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
+from random import Random
 
 
 def naive_mul(a, b):
@@ -102,6 +103,34 @@ def ordered_seq_product(matrices, seq):
     for idx in seq:
         acc = matrices[idx] if acc is None else naive_mul(matrices[idx], acc)
     return acc
+
+
+def dealer_draws(r, k, n, bound, seed):
+    """Every draw of a dealer seeded with seed that tests each selected shadow, and its check images.
+
+    Each draw is k r x r matrices of rng.randrange(bound) entries, row by
+    row, and sigma = rng.sample(range(k), n).  A draw is kept only when
+    every selected shadow has a nonzero naive_det, and the dealer draws
+    again otherwise.  Then, for each start i in 1..n, a check vector of
+    rng.randrange(2) bits is drawn until its weight is at least 2, and
+    its image is the ring walk from i applied to it.  Returns every
+    (matrices, sigma) drawn, the kept one last, and the n images.
+    """
+    rng = Random(seed)
+    draws = []
+    while True:
+        matrices = [[[rng.randrange(bound) for _ in range(r)] for _ in range(r)] for _ in range(k)]
+        sigma = rng.sample(range(k), n)
+        draws.append((matrices, sigma))
+        if all(naive_det(matrices[idx]) != 0 for idx in sigma):
+            break
+    u_primes = []
+    for i in range(n):
+        u = [0]
+        while sum(u) < 2:
+            u = [rng.randrange(2) for _ in range(r)]
+        u_primes.append(chain_vector([matrices[sigma[(i + j) % n]] for j in range(n)], u))
+    return draws, u_primes
 
 
 def weight_ge2_vectors(r):

@@ -1,8 +1,10 @@
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
+import operator
 import re
 import shutil
 from pathlib import Path
@@ -857,27 +859,98 @@ def test_mutated_workspace_exits_with_a_documented_code(tmp_path):
     check()
 
 
+# replacement values of the fuzz below: each JSON type, decimal strings
+# and ints around the workspace's sizes, and text that is no number
+FUZZ_VALUES = (None, True, False, 0, 1, -1, 5, 1.5, "", "x", "7", "-3", "1e3", str(10**30), [], [0], {}, {"r": 4})
+
+
+def _fuzzed(text, rng):
+    """text with one seeded edit: a JSON value replaced, bumped by one or dropped,
+    a list duplicated into or shuffled, or one character of the text replaced."""
+    edit = rng.choice(("replace", "bump", "drop", "duplicate", "shuffle", "character"))
+    if edit == "character":
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice('09-x"[]{},: ') + text[i + 1 :]
+    doc = json.loads(text)
+    places = {path: functools.reduce(operator.getitem, path, doc) for path in _json_paths(doc)}
+    if edit == "bump":
+        places = {path: v for path, v in places.items() if type(v) is int or type(v) is str and v.lstrip("-").isdigit()}
+    elif edit == "drop":
+        places = {path: v for path, v in places.items() if path}
+    elif edit in ("duplicate", "shuffle"):
+        places = {path: v for path, v in places.items() if type(v) is list and v}
+    path = rng.choice(list(places))
+    value = places[path]
+    if edit == "replace":
+        return json.dumps(_replace(doc, path, rng.choice(FUZZ_VALUES)))
+    if edit == "bump":
+        step = rng.choice((-1, 1))
+        return json.dumps(_replace(doc, path, value + step if type(value) is int else str(int(value) + step)))
+    if edit == "drop":
+        del functools.reduce(operator.getitem, path[:-1], doc)[path[-1]]
+    elif edit == "duplicate":
+        value.insert(rng.randrange(len(value) + 1), rng.choice(value))
+    else:
+        rng.shuffle(value)
+    return json.dumps(doc)
+
+
+def test_fuzzed_workspace_never_raises_out_of_main(tmp_path):
+    # every malformed workspace gives a documented exit code, never a
+    # traceback: 300 seeded single edits of one file each, each followed by
+    # both attacks and a run on a fresh copy, attacks first since run
+    # rewrites the transcript
+    pristine = deal(tmp_path, r=4, k=5, n=3, seed=3, sub="pristine")
+    assert main(["run", "--workspace", str(pristine), "--seed", "1"]) == EXIT_OK
+    files = ["bulletin.json", "instance.json", "shares/P1.json", "shares/P2.json", "shares/P3.json", "transcript.json"]
+    texts = {name: (pristine / name).read_text() for name in files}
+    ws = tmp_path / "ws"
+    (ws / "shares").mkdir(parents=True)
+    rng = Random(17)
+    for i in range(300):
+        name = rng.choice(files)
+        edited = _fuzzed(texts[name], rng)
+        for other in files:
+            (ws / other).write_text(edited if other == name else texts[other])
+        (ws / "attack_report.json").unlink(missing_ok=True)
+        for argv in (["attack", "--count-only"], ["attack"], ["run", "--seed", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main([argv[0], "--workspace", str(ws)] + argv[1:])
+                except Exception as err:
+                    raise AssertionError(f"edit {i} of {name}: {argv} raised") from err
+            assert code in DOCUMENTED_EXITS, (i, name, argv)
+
+
 # ---------------------------------------------------------------------------
 # golden bytes: artifacts and stdout pinned across commits
 # ---------------------------------------------------------------------------
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
-GOLDEN_INSTANCES = [(4, 6, 3, 7), (8, 10, 4, 11), (20, 16, 8, 5)]
+# (r, k, n, seed) and, where it is not the default, the entry bound: the
+# last deal, of 0/1 entries, rejects 19 draws before it keeps the 20th
+GOLDEN_INSTANCES = [(4, 6, 3, 7), (8, 10, 4, 11), (20, 16, 8, 5), (5, 6, 3, 3, 2)]
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def replay_golden(root, r, k, n, seed):
+def _golden_key(r, k, n, seed, bound=None):
+    return f"r{r}-k{k}-n{n}-s{seed}" + (f"-b{bound}" if bound else "")
+
+
+def replay_golden(root, r, k, n, seed, bound=None):
     """Run the CLI end to end on one instance; digest every step's output.
 
     Each step records its exit code, the sha256 of its stdout (workspace
     path and search timing masked) and of every file it wrote or changed.
+    The deal passes ``--bound`` only when `bound` is given.
     """
-    ws = root / f"r{r}-k{k}-n{n}-s{seed}"
+    ws = root / _golden_key(r, k, n, seed, bound)
     w = str(ws)
-    steps = [("deal", ["deal", "--r", str(r), "--k", str(k), "--n", str(n), "--seed", str(seed), "--out", w])]
+    bounded = ["--bound", str(bound)] if bound else []
+    steps = [("deal", ["deal", "--r", str(r), "--k", str(k), "--n", str(n), "--seed", str(seed), "--out", w, *bounded])]
     steps.append(("run --cheat", ["run", "--workspace", w, "--cheat", f"{n}:{seed + 1}", "--seed", "3"]))
     steps += [(f"run --start {s}", ["run", "--workspace", w, "--start", str(s), "--seed", str(s)]) for s in range(1, n + 1)]
     steps.append(("attack --count-only", ["attack", "--workspace", w, "--count-only"]))
@@ -901,7 +974,7 @@ def replay_golden(root, r, k, n, seed):
     return digests
 
 
-@pytest.mark.parametrize("r,k,n,seed", GOLDEN_INSTANCES)
-def test_cli_golden_bytes(tmp_path, r, k, n, seed):
-    golden = json.loads(GOLDEN_PATH.read_text())[f"r{r}-k{k}-n{n}-s{seed}"]
-    assert replay_golden(tmp_path, r, k, n, seed) == golden
+@pytest.mark.parametrize("instance", GOLDEN_INSTANCES, ids=["-".join(map(str, i)) for i in GOLDEN_INSTANCES])
+def test_cli_golden_bytes(tmp_path, instance):
+    golden = json.loads(GOLDEN_PATH.read_text())[_golden_key(*instance)]
+    assert replay_golden(tmp_path, *instance) == golden

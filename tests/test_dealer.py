@@ -18,11 +18,22 @@ from matshare.dealer import (
 )
 from matshare.transport import Network, SECURE
 
-from oracles import chain_vector, mat_rows, minor_rank, ordered_seq_product
+from oracles import chain_vector, dealer_draws, mat_rows, minor_rank, naive_det, ordered_seq_product
 
 
 def small_instance(seed=42):
     return generate_instance(DealerParams(r=4, k=6, n=3, entry_bound=256, seed=seed))
+
+
+# (r, n, entry bound), each dealt with k = n + 2 and its place in the list
+# as the seed: a 0/1 matrix is singular about two times in three, so the
+# small bounds reject draws
+DEAL_GRID = [(r, n, bound) for r in (3, 4, 5) for n in range(2, min(r, 5)) for bound in (2, 3, 256)]
+
+
+def grid_deal(seed):
+    r, n, bound = DEAL_GRID[seed]
+    return generate_instance(DealerParams(r=r, k=n + 2, n=n, entry_bound=bound, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +81,39 @@ def test_sigma_distinct_and_in_range():
 
 
 def test_selected_shadows_are_invertible():
-    from matshare.algebra import is_invertible
+    for seed in range(len(DEAL_GRID)):
+        instance, _, _ = grid_deal(seed)
+        assert all(naive_det(mat_rows(instance.shadow(pos))) != 0 for pos in range(1, instance.n + 1)), seed
 
-    instance, _, _ = small_instance(3)
-    assert all(is_invertible(instance.shadow(pos)) for pos in (1, 2, 3))
+
+def test_generate_instance_matches_the_oracle_dealer():
+    # the oracle keeps a draw only when each selected shadow is invertible;
+    # the dealer tests only the secret, which is the same rule, since the
+    # determinant is multiplicative
+    draws_needed = []
+    for seed, (r, n, bound) in enumerate(DEAL_GRID):
+        instance, bulletin, _ = grid_deal(seed)
+        draws, u_primes = dealer_draws(r, n + 2, n, bound, seed)
+        matrices, sigma = draws[-1]
+        assert list(instance.sigma) == sigma, seed
+        assert [mat_rows(m) for m in instance.matrices] == matrices, seed
+        assert mat_rows(instance.secret) == ordered_seq_product(matrices, sigma), seed
+        assert [list(v.entries) for v in bulletin.u_prime] == u_primes, seed
+        draws_needed.append(len(draws))
+    assert max(draws_needed) >= 3, draws_needed
+
+
+def test_each_draw_tests_only_its_secret(monkeypatch):
+    import matshare.dealer as dealer_mod
+
+    tested = []
+    real = dealer_mod.is_invertible
+    monkeypatch.setattr(dealer_mod, "is_invertible", lambda m: tested.append(mat_rows(m)) or real(m))
+    seed = DEAL_GRID.index((5, 4, 2))
+    grid_deal(seed)
+    draws, _ = dealer_draws(5, 6, 4, 2, seed)
+    assert len(draws) > 1
+    assert tested == [ordered_seq_product(matrices, sigma) for matrices, sigma in draws]
 
 
 def test_shares_carry_ring_and_index():
