@@ -18,12 +18,13 @@ How the work is done, stated once here:
 - Packed rows (Kronecker substitution; von zur Gathen & Gerhard,
   *Modern Computer Algebra*, sec. 8.4).  A row of entries is one Python
   int of fixed-width slots, so a row update is one big-int multiply-add
-  in C.  ``mat_mul`` packs its right factor into byte slots wider than
-  any product entry, each offset by half a slot so that it reads
-  nonnegative, and reads the product back with one ``struct`` pass.  A
-  matrix caches its entry width (``_bits``) and the slots it was last
-  packed into or produced in (``_slots``), so a product that becomes the
-  next right factor is re-padded, not packed entry by entry.
+  in C.  ``mat_mul`` packs a chain once: its last factor, into byte
+  slots wider than any entry of the whole product, each offset by half a
+  slot so that it reads nonnegative.  Each earlier factor, right to left,
+  multiplies the packed rows; the product is read back once, by one
+  ``struct`` pass.  A matrix caches its entry width (``_bits``) and the
+  slots it was last packed into or produced in (``_slots``), so a product
+  that becomes the next right factor is re-padded, not packed anew.
   ``_eliminate_mod`` reduces and packs the whole system once, by one
   ``struct.pack``, into rows of 64-bit word slots, the pivot column in
   each row's top live slot; every later step acts on whole rows.  A
@@ -283,21 +284,26 @@ def _packed_rows(m: Matrix, size: int) -> list:
     return [int.from_bytes(flat[i:i + step], "big") - offset for i in range(0, r * step, step)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product a*b of two r x r matrices; ValueError if their dimensions differ.
+def mat_mul(*factors: Matrix) -> Matrix:
+    """Exact product of one or more r x r matrices, taken left to right.
 
-    The product caches the byte slots it was read from (``_slots``), so
-    that it can serve as the next right factor without being packed again.
-    Row i is sum_l a[i][l] * packed(b[l]) in slots wider than r * max|a| *
-    max|b|; the product rows are read back by one ``struct`` pass, one
-    format of r fields per row, which keeps ``struct``'s cache of compiled
-    formats small.
+    Raises ValueError for no factors, or for dimensions that differ,
+    naming each factor's.  The last factor is packed once and the product
+    read back once (see the module docstring), by one ``struct`` pass of
+    one r-field format per row, which keeps ``struct``'s cache of compiled
+    formats small.  The product caches those slots (``_slots``), so that
+    it can serve as the next right factor without being packed again.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    r = a.dim
-    size = (_width(a) + _width(b) + r.bit_length()) // 8 + 1
-    rows = map(add, _dots(a.rows, _packed_rows(b, size)), repeat(_offset(size, size, r)))
+    if not factors:
+        raise ValueError("a product needs at least one factor")
+    r = factors[0].dim
+    if any(m.dim != r for m in factors):
+        raise ValueError(f"dimension mismatch: {' vs '.join(str(m.dim) for m in factors)}")
+    size = (sum(map(_width, factors)) + (len(factors) - 1) * r.bit_length()) // 8 + 1
+    rows = _packed_rows(factors[-1], size)
+    for m in reversed(factors[:-1]):
+        rows = list(_dots(m.rows, rows))
+    rows = map(add, rows, repeat(_offset(size, size, r)))
     data = b"".join(map(int.to_bytes, rows, repeat(r * size), repeat("big")))
     fields = chain.from_iterable(struct.iter_unpack(f"{size}s" * r, data))
     entries = map(sub, map(int.from_bytes, fields, repeat("big")), repeat(1 << (8 * size - 1)))
@@ -671,11 +677,8 @@ def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def chain_product(factors: Iterable[Matrix]) -> Matrix:
-    """Product of the factors taken in order, later factors on the left."""
-    acc = None
-    for m in factors:
-        acc = m if acc is None else mat_mul(m, acc)
-    return acc
+    """Product of the factors in order, later factors on the left, by one ``mat_mul``; ValueError for none."""
+    return mat_mul(*reversed(list(factors)))
 
 
 def freivalds_verify(a: Matrix, b: Matrix, c: Matrix, t: int, seed) -> bool:

@@ -18,13 +18,13 @@ product per prefix then yields the (0, 0) entries of all its sequences
 at once, and ``bytes.find`` picks out those equal to the target's; in
 ordered-distinct mode the slots of suffixes that share an index with the
 prefix are formed too, and skipped.  A sequence whose entry differs is
-provably not a solution; the full product (n-1 ``mat_mul``) is formed,
-and compared exactly, only on a match, so at worst, as over a set of
-identities, each sequence costs n-1 ``mat_mul``.  The ratio analysis
-shows what a passive observer of the public reconstruction reveals can
-extract: each consecutive pair of reveals quotients to a raw shadow,
-found by the same certified integer solver that strips the blinding in
-recovery.
+provably not a solution; the full product (one ``mat_mul`` of n
+factors) is formed, and compared exactly, only on a match, so at worst,
+as over a set of identities, each sequence costs one such ``mat_mul``.
+The ratio analysis shows what a passive observer of the public
+reconstruction reveals can extract: each consecutive pair of reveals
+quotients to a raw shadow, found by the same certified integer solver
+that strips the blinding in recovery.
 """
 
 from __future__ import annotations

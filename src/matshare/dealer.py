@@ -18,9 +18,11 @@ from .algebra import (
     BinaryVector,
     Matrix,
     Vector,
+    _dots,
+    _entry_bound,
+    _product_bound,
     chain_product,
     is_invertible,
-    mat_vec_mul,
     matrix_rank,
     sample_check_vector,
     sample_matrix,
@@ -117,17 +119,28 @@ def compute_check_pairs(instance: Instance, rng) -> Tuple[List[BinaryVector], Li
 
     U'_i is what the verification walk from i computes, the rotated
     product from i applied to U_i; for i = 1 that product is the secret.
+    All n check vectors are drawn first.  The walks then move together, in
+    W-bit slots of r packed rows, by 2n - 1 ``_dots``: for p = 1..n, walk
+    p joins the lowest slot and every walk present takes shadow p; then
+    for p = 1..n-1, walk p, finished, is read out of the top slot and the
+    rest take shadow p.  A walk below the top has taken at most n - 1
+    shadows: W holds r * _product_bound(r, E, n - 1) and a sign bit.
     """
+    shadows = [instance.shadow(pos) for pos in range(1, instance.n + 1)]
     r = instance.secret.dim
-    us: List[BinaryVector] = []
+    us = [sample_check_vector(r, rng) for _ in shadows]
+    width = (r * _product_bound(r, _entry_bound(shadows), instance.n - 1)).bit_length() + 1
+    rows = [0] * r
+    for u, shadow in zip(us, shadows):
+        rows = list(_dots(shadow.rows, [(x << width) + b for x, b in zip(rows, u.entries)]))
     u_primes: List[Vector] = []
-    for i in range(1, instance.n + 1):
-        u = sample_check_vector(r, rng)
-        v = None
-        for pos in ring_walk(i, instance.n):
-            v = mat_vec_mul(instance.shadow(pos), u if v is None else v)
-        us.append(u)
-        u_primes.append(v)
+    for live, shadow in zip(range(instance.n - 1, 0, -1), shadows):
+        shift = width * live
+        # half of the lower slots, so that their signed sum reads nonnegative
+        image = [(x + (1 << shift - 1)) >> shift for x in rows]
+        u_primes.append(Vector(image))
+        rows = list(_dots(shadow.rows, [x - (y << shift) for x, y in zip(rows, image)]))
+    u_primes.append(Vector(rows))
     return us, u_primes
 
 
@@ -137,7 +150,7 @@ def generate_instance(params: DealerParams) -> Tuple[Instance, Bulletin, List[Sh
     Every shadow that sigma selects is invertible, since recovery inverts
     partial products.  The determinant is multiplicative, so that holds
     exactly when the secret is invertible: each draw makes one test, on
-    the secret, and a rejected draw has paid for its n - 1 products.
+    the secret, and a rejected draw has paid for its one product.
     Raises GenerationFailure when MAX_INSTANCE_RETRIES instances give no
     such selection.
     """

@@ -210,6 +210,13 @@ MUTANTS = (
         "    offset = _offset(size, size, r)\n",
         (_algebra("test_chained_products_reuse_their_slots_exactly"),),
     ),
+    Mutant(
+        "chain-slots-one-byte-short",
+        ALGEBRA,
+        "(len(factors) - 1) * r.bit_length()) // 8 + 1\n",
+        "(len(factors) - 1) * r.bit_length()) // 8\n",
+        (_algebra("test_chain_of_all_top_factors_reaches_its_slot_bound[4-7-alternating]"),),
+    ),
     # -- the bounded solver -------------------------------------------------
     Mutant(
         "solver-without-its-exact-certificate",
@@ -449,7 +456,7 @@ MUTANTS = (
             _cli("test_attack_reports_a_gap_as_a_null_matrix_index"),
         ),
     ),
-    # -- the dealer's draw -------------------------------------------------
+    # -- the dealer's draw and its check images -----------------------------
     Mutant(
         "dealer-keeps-its-first-draw",
         DEALER,
@@ -463,6 +470,20 @@ MUTANTS = (
         "        if is_invertible(secret):\n",
         "        if is_invertible(matrices[sigma[0]]):\n",
         (_dealer("test_generate_instance_matches_the_oracle_dealer"),),
+    ),
+    Mutant(
+        "check-image-width-without-its-factor-r",
+        DEALER,
+        "    width = (r * _product_bound(",
+        "    width = (_product_bound(",
+        (_dealer("test_check_pairs_of_all_top_shadows_fill_their_slots[4-3-256-1]"),),
+    ),
+    Mutant(
+        "check-image-reads-the-low-slot",
+        DEALER,
+        "        image = [(x + (1 << shift - 1)) >> shift for x in rows]\n",
+        "        image = [((x + (1 << width - 1)) & (1 << width) - 1) - (1 << width - 1) for x in rows]\n",
+        (_dealer("test_check_pairs_match_the_per_walk_oracle[signed]"),),
     ),
     # -- the envelope rule and the transcript decoder -----------------------
     Mutant(

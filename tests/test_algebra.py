@@ -2,9 +2,11 @@ import copy
 import math
 import os
 import pickle
+import struct
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from pathlib import Path
 from random import Random
@@ -26,6 +28,7 @@ from matshare.algebra import (
     _prime,
     _to_words,
     _uniform,
+    chain_product,
     determinant,
     freivalds_screen,
     freivalds_verify,
@@ -697,6 +700,71 @@ def test_product_slots_are_re_padded_wider_and_repacked_narrower(monkeypatch):
             assert mat_rows(got) == naive_mul(mat_rows(left), mat_rows(right))
             assert got._slots[0] == seen[-1][1]
     assert seen == [(9, 1), (1, 12), (9, 10), (9, 21)]
+
+
+def naive_chain(factors):
+    """The per-entry product of the factors, left to right."""
+    return reduce(naive_mul, map(mat_rows, factors))
+
+
+@st.composite
+def chain_factor(draw, r):
+    """An r x r matrix of entries of 1 to 130 bits, signed or not."""
+    bits = draw(st.integers(1, 130))
+    lo = -(1 << bits) + 1 if draw(st.booleans()) else 0
+    rng = Random(draw(st.integers(0, 2**32)))
+    return Matrix([[rng.randint(lo, (1 << bits) - 1) for _ in range(r)] for _ in range(r)])
+
+
+@PACKED
+@given(st.data())
+def test_mat_mul_of_a_chain_matches_schoolbook(data):
+    r = data.draw(st.integers(1, 12))
+    factors = data.draw(st.lists(chain_factor(r), min_size=1, max_size=6))
+    assert mat_rows(mat_mul(*factors)) == naive_chain(factors)
+    assert mat_rows(chain_product(factors)) == naive_chain(factors[::-1])
+
+
+@pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1)], ids=["plus", "minus", "alternating"])
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 8])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_chain_of_all_top_factors_reaches_its_slot_bound(m, r, signs):
+    # factors whose entries all equal +-(2^w - 1) make the widest product
+    # entries, r^(m-1) * (2^w - 1)^m; at some widths that entry needs the
+    # whole slot, so that a slot one byte short could not hold it
+    reached = []
+    for w in range(1, 25):
+        factors = [Matrix([[signs[i % len(signs)] * ((1 << w) - 1)] * r] * r) for i in range(m)]
+        size = (m * w + (m - 1) * r.bit_length()) // 8 + 1
+        product = mat_mul(*factors)
+        assert mat_rows(product) == naive_chain(factors)
+        assert product._slots[0] == size
+        reached += [w] * (size > 1 and abs(product.rows[0][0]) >= 1 << 8 * (size - 1) - 1)
+    assert reached
+
+
+def test_mat_mul_needs_a_factor_and_names_every_dimension():
+    with pytest.raises(ValueError, match="at least one factor"):
+        mat_mul()
+    with pytest.raises(ValueError, match="at least one factor"):
+        chain_product([])
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 2 vs 3$"):
+        mat_mul(A, B, Matrix.identity(3))
+
+
+def test_a_chain_is_packed_once_and_read_back_once(monkeypatch):
+    # only the last factor is packed and only the whole product is read
+    # back: no product in between is unpacked or packed again
+    rng = Random(11)
+    factors = [rand_matrix(5, rng) for _ in range(6)]
+    packed, read = [], []
+    pack, unpack = algebra._packed_rows, struct.iter_unpack
+    monkeypatch.setattr(algebra, "_packed_rows", lambda m, size: packed.append(m) or pack(m, size))
+    monkeypatch.setattr(struct, "iter_unpack", lambda fmt, data: read.append(fmt) or unpack(fmt, data))
+    product = chain_product(factors)
+    assert mat_rows(product) == naive_chain(factors[::-1])
+    assert len(packed) == 1 and packed[0] is factors[0]
+    assert len(read) == 1
 
 
 MOD_P_PRIMES = (2, 3, 257, _prime(0), _prime(4), 2**32 - 5)

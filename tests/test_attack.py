@@ -200,8 +200,8 @@ def test_search_tells_apart_matrices_sharing_row_and_column_zero(n):
 
 def test_search_forms_full_products_only_on_corner_matches(monkeypatch):
     # the search reads column 0 of each prefix product, so the only
-    # mat_mul it makes are the n-1 of each full product, formed for a
-    # sequence whose (0, 0) entry matches the target's
+    # mat_mul it makes is one per full product of n factors, formed for
+    # a sequence whose (0, 0) entry matches the target's
     instance, bulletin, _ = dealt(8, r=8, k=12, n=4)
     raw = [mat_rows(m) for m in bulletin.matrices]
     corner = instance.secret.rows[0][0]
@@ -215,9 +215,9 @@ def test_search_forms_full_products_only_on_corner_matches(monkeypatch):
     calls = []
     original = algebra.mat_mul
 
-    def counting_mat_mul(x, y):
-        calls.append(1)
-        return original(x, y)
+    def counting_mat_mul(*factors):
+        calls.append(len(factors))
+        return original(*factors)
 
     for module in (algebra, attack):
         if hasattr(module, "mat_mul"):
@@ -225,7 +225,7 @@ def test_search_forms_full_products_only_on_corner_matches(monkeypatch):
     problem = SearchProblem(matrices=bulletin.matrices, n=4, target=instance.secret)
     result = exhaustive_search(problem, ORDERED_DISTINCT)
     assert instance.sigma in result.solutions and result.nodes_explored == 11880
-    assert len(calls) <= 3 * matches, f"{len(calls)} mat_mul calls, {matches} corner-matching sequences"
+    assert calls == [4] * matches, f"{calls} mat_mul calls, {matches} corner-matching sequences"
 
 
 def random_search_problem(rng):

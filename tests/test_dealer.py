@@ -1,4 +1,5 @@
 import json
+import sys
 from random import Random
 
 import pytest
@@ -198,6 +199,83 @@ def test_check_pairs_weight_postcondition():
     instance, _, _ = small_instance(21)
     us, _ = compute_check_pairs(instance, Random(2))
     assert all(u.weight >= 2 for u in us)
+
+
+def oracle_check_pairs(instance, seed):
+    """The check vectors a Random(seed) draws, U_1 first, and each start's image, walk by walk."""
+    n, r = instance.n, instance.secret.dim
+    rng = Random(seed)
+    shadows = [mat_rows(instance.shadow(pos)) for pos in range(1, n + 1)]
+    us, images = [], []
+    for i in range(n):
+        u = [0]
+        while sum(u) < 2:
+            u = [rng.randrange(2) for _ in range(r)]
+        us.append(u)
+        images.append(chain_vector([shadows[(i + j) % n] for j in range(n)], u))
+    return us, images
+
+
+def signed_instance(r, k, sigma, seed):
+    rng = Random(seed)
+    matrices = [Matrix([[rng.randint(-50, 50) for _ in range(r)] for _ in range(r)]) for _ in range(k)]
+    return manual_instance(matrices, sigma)
+
+
+CHECK_PAIR_CASES = {
+    "signed": lambda: signed_instance(4, 5, [3, 0, 4], 1),
+    "signed-n1": lambda: signed_instance(3, 2, [1], 2),
+    "bound-2": lambda: generate_instance(DealerParams(r=5, k=6, n=4, entry_bound=2, seed=3))[0],
+    "r32-n8": lambda: generate_instance(DealerParams(r=32, k=32, n=8, seed=4))[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_PAIR_CASES))
+def test_check_pairs_match_the_per_walk_oracle(case):
+    instance = CHECK_PAIR_CASES[case]()
+    us, u_primes = compute_check_pairs(instance, Random(9))
+    assert ([list(u.bits) for u in us], [list(v.entries) for v in u_primes]) == oracle_check_pairs(instance, 9)
+
+
+class AllOnes(Random):
+    """Draws 1 for every getrandbits: each check vector it gives is all ones."""
+
+    def getrandbits(self, k):
+        return 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("r, n, bound", [(2, 2, 2), (3, 2, 2), (4, 3, 256), (5, 4, 16)])
+def test_check_pairs_of_all_top_shadows_fill_their_slots(r, n, bound, sign):
+    # shadows whose entries all equal +-(bound - 1) and all-ones check
+    # vectors make the widest walks: one that has taken n - 1 shadows, as
+    # the widest walk below the top slot has, reaches r^(n-1) * (bound -
+    # 1)^(n-1), r times _product_bound(r, bound - 1, n - 1)
+    top = Matrix([[sign * (bound - 1)] * r] * r)
+    instance = manual_instance([top] * n, range(n))
+    us, u_primes = compute_check_pairs(instance, AllOnes())
+    ones = [1] * r
+    assert all(list(u.bits) == ones for u in us)
+    shadows = [mat_rows(top)] * n
+    assert [list(v.entries) for v in u_primes] == [chain_vector(shadows, ones)] * n
+    assert max(map(abs, chain_vector(shadows[1:], ones))) == (r * (bound - 1)) ** (n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_check_pairs_take_2n_minus_1_dots_and_no_mat_vec_mul(monkeypatch, n):
+    import matshare.algebra as algebra_mod
+    import matshare.dealer as dealer_mod
+
+    dots, mat_vecs = [], []
+    real_dots, real_mat_vec = dealer_mod._dots, algebra_mod.mat_vec_mul
+    monkeypatch.setattr(dealer_mod, "_dots", lambda rows, column: dots.append(1) or real_dots(rows, column))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("matshare") and getattr(module, "mat_vec_mul", None) is real_mat_vec:
+            monkeypatch.setattr(module, "mat_vec_mul", lambda a, v: mat_vecs.append(1) or real_mat_vec(a, v))
+    instance = signed_instance(n + 1, n, list(range(n)), n)
+    us, u_primes = compute_check_pairs(instance, Random(5))
+    assert (len(dots), mat_vecs) == (2 * n - 1, [])
+    assert ([list(u.bits) for u in us], [list(v.entries) for v in u_primes]) == oracle_check_pairs(instance, 5)
 
 
 # ---------------------------------------------------------------------------
