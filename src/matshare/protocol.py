@@ -6,7 +6,8 @@ and compares the result against the published image, detecting forged
 shadows.  Reconstruction blinds the same chain with a random invertible
 matrix so each intermediate reveal is publishable, then the starter
 strips the blinding by two certified integer solves and recovers the
-secret.
+secret.  The first solve also proves the blinding matrix invertible, so
+a round is computed whole before any of its messages is recorded.
 
 Each round is a function of the bulletin, the shares and the start
 position alone: it keeps no participant state and writes nothing to the
@@ -19,17 +20,20 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .algebra import (
+    MAX_SAMPLE_ATTEMPTS,
     Matrix,
+    _as_rng,
     _entry_bound,
     _product_bound,
     freivalds_screen,
+    is_invertible,
     mat_mul,
     mat_vec_mul,
-    sample_invertible_matrix,
+    sample_matrix,
     solve_integer,
 )
 from .dealer import Bulletin, Share, deliver_shares, ring_walk
-from .errors import IntegrityFailure, SingularMatrix
+from .errors import GenerationFailure, IntegrityFailure, SingularMatrix
 from .transport import (
     BROADCAST,
     PUBLIC,
@@ -110,36 +114,47 @@ def run_reconstruction(
     """The secret recovered by one blinded walk of the ring from `start`, and the transcript.
 
     Each participant broadcasts one reveal, the starter's blinded by a
-    fresh invertible X drawn from `rng`; the last hands its reveal back to
-    the starter, who recovers the secret by ``recover_secret`` with the
-    honest entry bound of each factor.  Raises ValueError for a start
-    outside [1, n], and ``recover_secret``'s errors for inconsistent
-    reveals.
+    fresh X drawn from `rng`; the last hands its reveal back to the
+    starter, who recovers the secret by ``recover_secret`` with the honest
+    entry bound of each factor.  The messages are recorded after that.
+    The first solve proves X invertible; a singular X records nothing and
+    is drawn again, as ``sample_invertible_matrix`` would, up to its
+    GenerationFailure.  Raises ValueError for a start outside [1, n] and
+    ``recover_secret``'s errors, after recording what was sent before.
     """
     walk = ring_walk(start, bulletin.n)
     held = {share.participant: share for share in shares}
     if net is None:
         net = fresh_network(bulletin.n)
-    x = sample_invertible_matrix(bulletin.r, X_ENTRY_BOUND, rng)
-
-    v = c = None
-    for pos in walk:
-        v = mat_mul(bulletin.shadow_of(held[pos]), x if v is None else v)
-        net.broadcast(participant_name(pos), v)
-        if pos == bulletin.n:
-            c = v
-
-    # the last walker gives what they computed back to the starter
-    net.send(participant_name(walk[-1]), participant_name(start), PUBLIC, v)
-
-    # P is the n - start + 1 shadows from the starter through position n,
-    # Q the start - 1 after it, so no honest factor passes these limits
-    top = _entry_bound(bulletin.matrices)
-    limits = tuple(_product_bound(bulletin.r, top, m) for m in (bulletin.n - start + 1, start - 1))
-    recovered = recover_secret(v, c, x, limits)
-    # the starter's private record of the outcome; never visible publicly
-    net.send(participant_name(start), participant_name(start), SECURE, recovered)
-    return recovered, net.transcript
+    rng = _as_rng(rng)
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
+        x = sample_matrix(bulletin.r, X_ENTRY_BOUND, rng)
+        reveals, error = [], None
+        try:
+            for pos in walk:
+                reveals.append(mat_mul(bulletin.shadow_of(held[pos]), reveals[-1] if reveals else x))
+            # P is the n - start + 1 shadows from the starter through position n,
+            # Q the start - 1 after it, so no honest factor passes these limits
+            top = _entry_bound(bulletin.matrices)
+            limits = tuple(_product_bound(bulletin.r, top, m) for m in (bulletin.n - start + 1, start - 1))
+            recovered = recover_secret(reveals[-1], reveals[walk.index(bulletin.n)], x, limits)
+        except Exception as exc:
+            if not is_invertible(x):
+                continue
+            error = exc
+        for pos, v in zip(walk, reveals):
+            net.broadcast(participant_name(pos), v)
+        if len(reveals) == len(walk):
+            # the last walker gives what they computed back to the starter
+            net.send(participant_name(walk[-1]), participant_name(start), PUBLIC, reveals[-1])
+        if error is not None:
+            raise error
+        # the starter's private record of the outcome; never visible publicly
+        net.send(participant_name(start), participant_name(start), SECURE, recovered)
+        return recovered, net.transcript
+    raise GenerationFailure(
+        f"no invertible {bulletin.r}x{bulletin.r} matrix found in {MAX_SAMPLE_ATTEMPTS} attempts"
+    )
 
 
 def recover_secret(b: Matrix, c: Matrix, x: Matrix, limits: Tuple[int, int]) -> Matrix:

@@ -305,6 +305,21 @@ MUTANTS = (
         (_acceptance("test_criterion_1_round_trip_correctness"),),
     ),
     Mutant(
+        "singular-blinding-draw-kept",
+        PROTOCOL,
+        "            if not is_invertible(x):\n                continue\n",
+        "",
+        (_protocol("test_reconstruction_matches_the_sampler_first_round"),),
+    ),
+    Mutant(
+        "blinding-draw-tested-twice",
+        PROTOCOL,
+        "        x = sample_matrix(bulletin.r, X_ENTRY_BOUND, rng)\n",
+        "        from .algebra import sample_invertible_matrix\n"
+        "        x = sample_invertible_matrix(bulletin.r, X_ENTRY_BOUND, rng)\n",
+        (_protocol("test_reconstruction_tests_its_blinding_only_by_the_first_solve"),),
+    ),
+    Mutant(
         "ratio-solve-bounded-far-beyond-the-public-entries",
         ATTACK,
         "solve_integer(prev.payload, nxt.payload, bound)",

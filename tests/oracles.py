@@ -2,6 +2,8 @@
 
 Everything here works on plain lists of ints/Fractions and never calls
 into the package, so a bug cannot hide on both sides of a comparison.
+The one exception is ``reconstruction_by_sampler``, which pins the order
+of a round's draws and messages, not its arithmetic.
 """
 
 from fractions import Fraction
@@ -218,3 +220,38 @@ def freivalds_chain_trials(chain, candidates, t, rng):
         any(naive_matvec(c, naive_matvec(prev, u)) == naive_matvec(nxt, u) for c in candidates)
         for prev, nxt in zip(chain, chain[1:])
     )
+
+
+def reconstruction_by_sampler(bulletin, shares, start, rng, net=None):
+    """A reconstruction round whose X is proven invertible before the walk, as (secret, transcript).
+
+    ``sample_invertible_matrix`` draws X with the protocol's current
+    ``X_ENTRY_BOUND``; then each walker broadcasts its reveal as soon as it
+    is computed, the last hands it back to the starter, ``recover_secret``
+    runs and the starter records the secret to itself over SECURE.  An
+    error leaves every message sent before it on the network.  The package
+    is called for every step, so only the order of draws and messages is
+    independent of it.
+    """
+    from matshare import protocol
+    from matshare.algebra import _entry_bound, _product_bound, mat_mul, sample_invertible_matrix
+    from matshare.dealer import ring_walk
+    from matshare.transport import PUBLIC, SECURE, fresh_network, participant_name
+
+    walk = ring_walk(start, bulletin.n)
+    held = {share.participant: share for share in shares}
+    if net is None:
+        net = fresh_network(bulletin.n)
+    x = sample_invertible_matrix(bulletin.r, protocol.X_ENTRY_BOUND, rng)
+    v = c = None
+    for pos in walk:
+        v = mat_mul(bulletin.shadow_of(held[pos]), x if v is None else v)
+        net.broadcast(participant_name(pos), v)
+        if pos == bulletin.n:
+            c = v
+    net.send(participant_name(walk[-1]), participant_name(start), PUBLIC, v)
+    top = _entry_bound(bulletin.matrices)
+    limits = tuple(_product_bound(bulletin.r, top, m) for m in (bulletin.n - start + 1, start - 1))
+    recovered = protocol.recover_secret(v, c, x, limits)
+    net.send(participant_name(start), participant_name(start), SECURE, recovered)
+    return recovered, net.transcript

@@ -120,7 +120,7 @@ def test_run_audit_vector_does_not_replay_the_blinding_draws(tmp_path, capsys, m
     # the run's generator after the round instead.
     ws = deal(tmp_path, r=8, k=10, n=4)
     blinds, vectors = [], []
-    sample, audit = protocol.sample_invertible_matrix, cli.freivalds_audit
+    sample, audit = protocol.sample_matrix, cli.freivalds_audit
 
     def recording_sample(r, bound, rng):
         blinds.append(sample(r, bound, rng))
@@ -133,7 +133,9 @@ def test_run_audit_vector_does_not_replay_the_blinding_draws(tmp_path, capsys, m
         vectors.append([twin.getrandbits(t) for _ in range(bulletin.r)])
         return audit(transcript, bulletin, t, rng)
 
-    monkeypatch.setattr(protocol, "sample_invertible_matrix", recording_sample)
+    # the round draws X by the protocol's sample_matrix, once per round
+    # here since no draw at r=8 is singular
+    monkeypatch.setattr(protocol, "sample_matrix", recording_sample)
     monkeypatch.setattr(cli, "freivalds_audit", recording_audit)
     replays = 0
     for seed in range(20):

@@ -16,7 +16,7 @@ from matshare.algebra import (
     sample_matrix,
 )
 from matshare.dealer import Bulletin, DealerParams, Share, generate_instance, ring_walk
-from matshare.errors import IntegrityFailure, SingularMatrix
+from matshare.errors import GenerationFailure, IntegrityFailure, SingularMatrix
 from matshare.protocol import (
     X_ENTRY_BOUND,
     CheaterSpec,
@@ -28,7 +28,7 @@ from matshare.protocol import (
 )
 from matshare.transport import BROADCAST, SECURE, Network, broadcast_matrices, participant_name
 
-from oracles import adaptive_forgery, chain_matrix, chain_vector, mat_rows
+from oracles import adaptive_forgery, chain_matrix, chain_vector, mat_rows, reconstruction_by_sampler
 
 A1 = Matrix([[1, 1], [0, 1]])
 A2 = Matrix([[1, 0], [1, 1]])
@@ -245,6 +245,119 @@ def test_reconstruction_rejects_wrong_plan_kind():
     for start in (0, 4):
         with pytest.raises(ValueError, match="start"):
             run_reconstruction(bulletin, shares, start, Random(0))
+
+
+def _round_outcome(round_fn, bulletin, shares, start, seed):
+    """(secret or (error type, message), envelopes, rng state after the round) of one round."""
+    rng, net = Random(seed), Network([participant_name(j) for j in range(1, bulletin.n + 1)])
+    try:
+        outcome, _ = round_fn(bulletin, shares, start, rng, net)
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, net.transcript.envelopes, rng.getstate()
+
+
+def _blinding_draws(monkeypatch):
+    """X's entries are 0 or 1, so most draws are singular; returns the list of the sampler's draws."""
+    monkeypatch.setattr(protocol, "X_ENTRY_BOUND", 2)
+    draws, sample = [], algebra.sample_matrix
+    monkeypatch.setattr(algebra, "sample_matrix", lambda *args: draws.append(args[0]) or sample(*args))
+    return draws
+
+
+# every (r, n) with r in 3..6, n in 2..4 that the dealer allows (n < r)
+PARITY_GRID = [(r, n) for r in range(3, 7) for n in range(2, 5) if n < r]
+
+
+def test_reconstruction_matches_the_sampler_first_round(monkeypatch):
+    # the first solve refuses a singular X, which is then drawn again: the
+    # draws, the recorded messages, the secret and the rng afterwards are
+    # those of a round that proves X invertible before it walks
+    draws = _blinding_draws(monkeypatch)
+    rounds = redrawn = 0
+    for place, (r, n) in enumerate(PARITY_GRID):
+        instance, bulletin, shares = dealt(seed=900 + place, r=r, k=n + 2, n=n)
+        for start in range(1, n + 1):
+            for seed in range(10):
+                draws.clear()
+                got = _round_outcome(run_reconstruction, bulletin, shares, start, seed)
+                assert got == _round_outcome(reconstruction_by_sampler, bulletin, shares, start, seed)
+                assert got[0] == instance.secret
+                rounds += 1
+                # the sampler draws for the reference round alone
+                redrawn += len(draws) > 1
+    assert rounds == 250
+    assert redrawn > rounds // 2
+
+
+def test_reconstruction_records_what_the_sampler_first_round_did_before_an_error(monkeypatch):
+    _blinding_draws(monkeypatch)
+    us = [BinaryVector([1, 1, 0])] * 3
+    eye, singular = Matrix.identity(3), Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    cases = []
+    # a singular selected shadow: the second solve refuses C after the hand-back
+    bulletin, shares, _ = manual_setup([eye, singular, eye], [0, 1, 2], us)
+    cases.append((bulletin, shares, SingularMatrix, 4))
+    # the third walker's matrix is 4 x 4: the walk stops after two reveals
+    wide = Bulletin(r=3, k=3, n=3, matrices=(eye, eye, Matrix.identity(4)), u_prime=bulletin.u_prime)
+    cases.append((wide, shares, ValueError, 2))
+    for bulletin, shares, error, sent in cases:
+        for seed in range(10):
+            got = _round_outcome(run_reconstruction, bulletin, shares, 1, seed)
+            assert got == _round_outcome(reconstruction_by_sampler, bulletin, shares, 1, seed)
+            assert got[0][0] is error
+            assert len(got[1]) == sent
+            assert SECURE not in {e.visibility for e in got[1]}
+
+
+def test_reconstruction_gives_up_after_the_samplers_attempts(monkeypatch):
+    # a draw function whose every matrix has equal rows, so none is invertible
+    def equal_rows(r, bound, rng):
+        row = [rng.randrange(bound) for _ in range(r)]
+        return Matrix([row] * r)
+
+    # the round draws through protocol's name, the reference sampler through algebra's
+    monkeypatch.setattr(protocol, "sample_matrix", equal_rows, raising=False)
+    monkeypatch.setattr(algebra, "sample_matrix", equal_rows)
+    _, bulletin, shares = dealt(37)
+    got = _round_outcome(run_reconstruction, bulletin, shares, 2, 5)
+    assert got == _round_outcome(reconstruction_by_sampler, bulletin, shares, 2, 5)
+    assert got[0] == (GenerationFailure, f"no invertible 4x4 matrix found in {algebra.MAX_SAMPLE_ATTEMPTS} attempts")
+    assert got[1] == []
+
+
+def test_reconstruction_tests_its_blinding_only_by_the_first_solve(monkeypatch):
+    # the first solve proves X invertible: no separate test, and every
+    # mod-p elimination belongs to one of the starter's two solves
+    instance, bulletin, shares = dealt(seed=3, r=12, k=12, n=6)
+    tested, eliminations, solves, solving_now = [], [], [], []
+    invertible, eliminate, solve = algebra.is_invertible, algebra._eliminate_mod, protocol.solve_integer
+
+    def testing(a):
+        tested.append(a)
+        return invertible(a)
+
+    def eliminating(rows, ncols, p):
+        eliminations.append(bool(solving_now))
+        return eliminate(rows, ncols, p)
+
+    def solving(a, rhs, limit):
+        solves.append(a)
+        solving_now.append(a)
+        try:
+            return solve(a, rhs, limit)
+        finally:
+            solving_now.pop()
+
+    monkeypatch.setattr(algebra, "is_invertible", testing)
+    monkeypatch.setattr(protocol, "is_invertible", testing, raising=False)
+    monkeypatch.setattr(algebra, "_eliminate_mod", eliminating)
+    monkeypatch.setattr(protocol, "solve_integer", solving)
+    recovered, _ = run_reconstruction(bulletin, shares, 4, Random(8))
+    assert recovered == instance.secret
+    assert tested == []
+    assert len(solves) == 2
+    assert eliminations and all(eliminations)
 
 
 # ---------------------------------------------------------------------------
