@@ -21,10 +21,12 @@ How the work is done, stated once here:
   in C.  ``mat_mul`` packs a chain once: its last factor, into byte
   slots wider than any entry of the whole product, each offset by half a
   slot so that it reads nonnegative.  Each earlier factor, right to left,
-  multiplies the packed rows; the product is read back once, by one
-  ``struct`` pass.  A matrix caches its entry width (``_bits``) and the
-  slots it was last packed into or produced in (``_slots``), so a product
-  that becomes the next right factor is re-padded, not packed anew.
+  multiplies the packed rows; the product is read back once: slots of up
+  to 8 bytes as 64-bit words, by one ``struct`` pass.  A matrix caches
+  its entry width (``_bits``) and the slots it was last packed into or
+  produced in (``_slots``), so a product that becomes the next right
+  factor is re-padded, not packed anew.  Both steps move byte planes,
+  byte b of every slot, one strided slice copy each (``_widen``).
   ``_eliminate_mod`` reduces and packs the whole system once, by one
   ``struct.pack``, into rows of 64-bit word slots, the pivot column in
   each row's top live slot; every later step acts on whole rows.  A
@@ -99,6 +101,43 @@ def _to_slots(values, size: int) -> bytes:
 def _offset(have: int, size: int, r: int) -> int:
     """r slots of `size` bytes, each holding half a slot of `have` bytes, 2^(8*have - 1)."""
     return int.from_bytes((bytes(size - have) + b"\x80" + bytes(have - 1)) * r, "big")
+
+
+#: a slot's top byte with its top bit flipped, which makes an offset slot two's complement
+_FLIP = bytes(b ^ 0x80 for b in range(256))
+#: the byte that sign-extends an offset slot of that top byte: 0xFF below the offset, 0 from it
+_SIGN = bytes(0 if b & 0x80 else 0xFF for b in range(256))
+
+
+def _widen(flat, have: int, size: int) -> bytearray:
+    """The `have`-byte slots of flat, each in the low bytes of a zeroed `size`-byte slot.
+
+    Byte b of every slot moves at once, by one strided copy per byte plane.
+    """
+    d, out = size - have, bytearray(len(flat) // have * size)
+    for b in range(have):
+        out[d + b::size] = flat[b::have]
+    return out
+
+
+def _read_rows(data, size: int, r: int):
+    """The values of the offset `size`-byte slots of data (``_to_slots``), r to a tuple, a tuple per row.
+
+    A slot of at most 8 bytes is widened to a signed 64-bit word: its top
+    byte flipped, sign bytes above it; one ``struct`` pass reads them all.
+    A wider slot is read by ``int.from_bytes``, the offset taken off.
+    """
+    if size > 8:
+        fields = chain.from_iterable(struct.iter_unpack(f"{size}s" * r, data))
+        entries = map(sub, map(int.from_bytes, fields, repeat("big")), repeat(1 << (8 * size - 1)))
+        # r references to one iterator: zip takes its entries r at a time, one row each
+        return zip(*repeat(entries, r))
+    words, top = _widen(data, size, 8), data[::size]
+    words[8 - size::8] = top.translate(_FLIP)
+    sign = top.translate(_SIGN)
+    for b in range(8 - size):
+        words[b::8] = sign
+    return struct.iter_unpack(f">{r}q", words)
 
 
 def _max_bits(rows) -> int:
@@ -266,8 +305,8 @@ def _packed_rows(m: Matrix, size: int) -> list:
 
     Every entry must lie below half a slot, 2^(8 * size - 1), in absolute
     value.  The rows come from m's ``_slots`` cache when its slots are at
-    most `size` bytes; otherwise m is packed entry by entry and the cache
-    is set to that packing.
+    most `size` bytes, re-padded by ``_widen`` when narrower; otherwise m
+    is packed entry by entry and the cache is set to that packing.
     """
     r = m.dim
     step = r * size
@@ -278,8 +317,7 @@ def _packed_rows(m: Matrix, size: int) -> list:
     else:
         have, flat = cached
         if have < size:
-            pad = bytes(size - have)
-            flat = pad + pad.join(chain.from_iterable(struct.iter_unpack(f"{have}s" * r, flat)))
+            flat = _widen(flat, have, size)
     offset = _offset(have, size, r)
     return [int.from_bytes(flat[i:i + step], "big") - offset for i in range(0, r * step, step)]
 
@@ -289,10 +327,10 @@ def mat_mul(*factors: Matrix) -> Matrix:
 
     Raises ValueError for no factors, or for dimensions that differ,
     naming each factor's.  The last factor is packed once and the product
-    read back once (see the module docstring), by one ``struct`` pass of
-    one r-field format per row, which keeps ``struct``'s cache of compiled
-    formats small.  The product caches those slots (``_slots``), so that
-    it can serve as the next right factor without being packed again.
+    read back once by ``_read_rows`` (see the module docstring), in
+    r-field ``struct`` formats, which keep ``struct``'s cache small.  The
+    product caches those slots (``_slots``), so that it can serve as the
+    next right factor without being packed again.
     """
     if not factors:
         raise ValueError("a product needs at least one factor")
@@ -305,10 +343,7 @@ def mat_mul(*factors: Matrix) -> Matrix:
         rows = list(_dots(m.rows, rows))
     rows = map(add, rows, repeat(_offset(size, size, r)))
     data = b"".join(map(int.to_bytes, rows, repeat(r * size), repeat("big")))
-    fields = chain.from_iterable(struct.iter_unpack(f"{size}s" * r, data))
-    entries = map(sub, map(int.from_bytes, fields, repeat("big")), repeat(1 << (8 * size - 1)))
-    # r references to one iterator: zip takes its entries r at a time, one row each
-    product = Matrix._of(zip(*repeat(entries, r)))
+    product = Matrix._of(_read_rows(data, size, r))
     object.__setattr__(product, "_slots", (size, data))
     return product
 

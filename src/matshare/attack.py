@@ -30,20 +30,19 @@ that strips the blinding in recovery.
 from __future__ import annotations
 
 import math
-import struct
 import time
 from dataclasses import dataclass
 from itertools import chain, compress, count, permutations, product, repeat
-from operator import add, and_, contains, lshift, mul
+from operator import add, contains, mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
-    _WORD,
     Matrix,
     _dots,
     _entry_bound,
     _offset,
     _product_bound,
+    _read_rows,
     _to_slots,
     chain_product,
     solve_integer,
@@ -169,8 +168,8 @@ def _column_table(matrices: Sequence[Matrix], head, allowed, depth: int, distinc
 
     The tail is `depth` indices, given as positions in `allowed`; in
     ordered-distinct mode no tail repeats an index, and `allowed` holds
-    none of the head's.  `size` is a whole number of 64-bit words and
-    holds any column of the prefix.
+    none of the head's.  Slots of `size` bytes hold any column of the
+    prefix.
     """
     # e_0 as [1]: ``map`` stops at the shorter iterable
     col = (1,)
@@ -180,18 +179,8 @@ def _column_table(matrices: Sequence[Matrix], head, allowed, depth: int, distinc
         return {(): col}
     factors = [matrices[i].rows for i in allowed]
     level = _levels([_dots(rows, col) for rows in factors], factors, depth, distinct, size)
-    flat = b"".join(level)
-    words, slots = size // 8, len(flat) // size
-    # flipping each slot's top bit turns its offset value into two's
-    # complement: a slot's leading word reads signed, the others unsigned
-    signed = (int.from_bytes(flat, "big") ^ _offset(size, size, slots)).to_bytes(len(flat), "big")
-    data = struct.unpack(f">{slots * words}q", signed)
-    values = data[::words]
-    for w in range(1, words):
-        low = map(and_, data[w::words], repeat(_WORD))
-        values = tuple(map(add, map(lshift, values, repeat(64)), low))
-    per = slots // len(level)
-    coords = [values[c * per:(c + 1) * per] for c in range(len(level))]
+    # one row per coordinate, one entry per tail
+    coords = _read_rows(b"".join(level), size, len(level[0]) // size)
     return dict(zip(_sequences(len(allowed), depth, distinct), zip(*coords)))
 
 

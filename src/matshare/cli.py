@@ -182,8 +182,10 @@ def bulletin_to_json(b: Bulletin) -> dict:
 
 
 def bulletin_from_json(doc) -> Bulletin:
-    """k r x r matrices and n r-vectors, all of decimal strings."""
-    r, k, n, matrices, u_prime = _fields(doc, "r", "k", "n", "matrices", "u_prime")
+    """k r x r matrices and n r-vectors, all of decimal strings, in a file of version 1."""
+    version, r, k, n, matrices, u_prime = _fields(doc, "version", "r", "k", "n", "matrices", "u_prime")
+    if version != 1 or type(version) is not int:
+        raise ValueError("version must be the int 1")
     if not {int}.issuperset(map(type, (r, k, n))):
         raise ValueError("r, k and n must be integers")
     return Bulletin(

@@ -217,6 +217,27 @@ MUTANTS = (
         "(len(factors) - 1) * r.bit_length()) // 8\n",
         (_algebra("test_chain_of_all_top_factors_reaches_its_slot_bound[4-7-alternating]"),),
     ),
+    Mutant(
+        "word-read-back-without-sign-extension",
+        ALGEBRA,
+        "    for b in range(8 - size):\n        words[b::8] = sign\n",
+        "",
+        (_algebra("test_mat_mul_reads_back_every_slot_size_exactly[1-1]"),),
+    ),
+    Mutant(
+        "word-read-back-without-top-flip",
+        ALGEBRA,
+        "words[8 - size::8] = top.translate(_FLIP)",
+        "words[8 - size::8] = top",
+        (_algebra("test_mat_mul_reads_back_every_slot_size_exactly[8-5]"),),
+    ),
+    Mutant(
+        "re-pad-plane-shifted-by-one",
+        ALGEBRA,
+        "out[d + b::size] = flat[b::have]",
+        "out[d + b - 1::size] = flat[b::have]",
+        (_algebra("test_a_word_read_product_is_re_padded_into_slots_wider_than_a_word"),),
+    ),
     # -- the bounded solver -------------------------------------------------
     Mutant(
         "solver-without-its-exact-certificate",

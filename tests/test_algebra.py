@@ -2,7 +2,6 @@ import copy
 import math
 import os
 import pickle
-import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -754,17 +753,96 @@ def test_mat_mul_needs_a_factor_and_names_every_dimension():
 
 def test_a_chain_is_packed_once_and_read_back_once(monkeypatch):
     # only the last factor is packed and only the whole product is read
-    # back: no product in between is unpacked or packed again
-    rng = Random(11)
-    factors = [rand_matrix(5, rng) for _ in range(6)]
-    packed, read = [], []
-    pack, unpack = algebra._packed_rows, struct.iter_unpack
+    # back: no product in between is unpacked or packed again, whether
+    # the product's slots are read as 64-bit words (at most 8 bytes) or not
+    pack, read_rows = algebra._packed_rows, algebra._read_rows
     monkeypatch.setattr(algebra, "_packed_rows", lambda m, size: packed.append(m) or pack(m, size))
-    monkeypatch.setattr(struct, "iter_unpack", lambda fmt, data: read.append(fmt) or unpack(fmt, data))
-    product = chain_product(factors)
-    assert mat_rows(product) == naive_chain(factors[::-1])
-    assert len(packed) == 1 and packed[0] is factors[0]
-    assert len(read) == 1
+    monkeypatch.setattr(algebra, "_read_rows", lambda data, size, r: read.append(size) or read_rows(data, size, r))
+    rng = Random(11)
+    for top, words in ((9, True), (1 << 20, False)):
+        factors = [rand_matrix(5, rng, -top, top) for _ in range(6)]
+        packed, read = [], []
+        product = chain_product(factors)
+        assert mat_rows(product) == naive_chain(factors[::-1])
+        assert len(packed) == 1 and packed[0] is factors[0]
+        assert read == [product._slots[0]] and (read[0] <= 8) == words
+
+
+@pytest.mark.parametrize("r", [1, 5])
+@pytest.mark.parametrize("size", range(1, 11))
+def test_mat_mul_reads_back_every_slot_size_exactly(size, r):
+    # entry widths that make mat_mul choose each slot size from 1 to 10
+    # bytes, at the bottom and the top of its range: slots of up to 8
+    # bytes are read through 64-bit words, wider ones are not.  All-top
+    # factors of alternating sign make all-negative products near the
+    # slot's half; mixed factors give both signs and zeros.
+    rng = Random(10 * size + r)
+    rb = r.bit_length()
+    for total in sorted({max(8 * size - 8, rb), 8 * size - 1}):
+        wa = (total - rb) // 2
+        for signs in ((1, -1), (-1, 1), (0, 0)):
+            a = _extreme_matrix(r, wa, signs[0], rng)
+            b = _extreme_matrix(r, total - rb - wa, signs[1], rng)
+            product = mat_mul(a, b)
+            assert product._slots[0] == size
+            assert mat_rows(product) == naive_mul(mat_rows(a), mat_rows(b))
+    # three all-top factors of alternating sign: a negative product, or 0 at w = 0
+    w = max(8 * size - 1 - 2 * rb, 0) // 3
+    factors = [_extreme_matrix(r, w, (-1) ** i, rng) for i in range(3)]
+    product = mat_mul(*factors)
+    assert product._slots[0] == size
+    assert mat_rows(product) == naive_chain(factors)
+
+
+@pytest.mark.parametrize("size", range(1, 11))
+def test_read_rows_inverts_the_slot_codec(size):
+    # the extremes of a slot, -1, 0 and 1, then random values, r to a row
+    half = 1 << 8 * size - 1
+    rng = Random(size)
+    for r in (1, 5):
+        values = [-half, half - 1, -1, 0, 1] + [rng.randrange(-half, half) for _ in range(5 * r - 5)]
+        rows = list(algebra._read_rows(algebra._to_slots(values, size), size, r))
+        assert rows == [tuple(values[i:i + r]) for i in range(0, 5 * r, r)]
+
+
+@PACKED
+@given(st.data())
+def test_widened_slots_read_back_the_values_they_held(data):
+    # offset `have`-byte slots moved into the low bytes of wider zeroed
+    # slots hold the same values, less the narrow offset: read as one int,
+    # as ``_packed_rows`` reads a re-pad, or slot by slot by _read_rows
+    have = data.draw(st.integers(1, 10))
+    size = data.draw(st.integers(have + 1, 12))
+    half = 1 << 8 * have - 1
+    value = st.sampled_from((-half, half - 1, -1, 0)) | st.integers(-half, half - 1)
+    values = data.draw(st.lists(value, min_size=1, max_size=40))
+    n = len(values)
+    wide = algebra._widen(algebra._to_slots(values, have), have, size)
+    assert len(wide) == n * size
+    packed = sum(v << 8 * size * (n - 1 - i) for i, v in enumerate(values))
+    assert int.from_bytes(wide, "big") - algebra._offset(have, size, n) == packed
+    (row,) = algebra._read_rows(wide, size, n)
+    assert [x + (1 << 8 * size - 1) - half for x in row] == values
+
+
+def test_a_word_read_product_is_re_padded_into_slots_wider_than_a_word(monkeypatch):
+    # a product of 3-byte slots with entries of both signs becomes the
+    # right factor of products of 13-byte slots: its cached slots are
+    # re-padded, not packed again, and read back exactly
+    r, rng = 5, Random(5)
+    a, b = _extreme_matrix(r, 8, 0, rng), _extreme_matrix(r, 8, 0, rng)
+    narrow = mat_mul(a, b)
+    expected = naive_mul(mat_rows(a), mat_rows(b))
+    assert narrow._slots[0] == 3 and min(map(min, expected)) < 0 < max(map(max, expected))
+    seen = []
+    original = algebra._packed_rows
+    monkeypatch.setattr(algebra, "_packed_rows", lambda m, size: seen.append((m._slots[0], size)) or original(m, size))
+    for sign in (1, -1, 0):
+        wide = _extreme_matrix(r, 80, sign, rng)
+        got = mat_mul(wide, narrow)
+        assert mat_rows(got) == naive_mul(mat_rows(wide), expected)
+        assert got._slots[0] == 13
+    assert seen == [(3, 13)] * 3 and narrow._slots[0] == 3
 
 
 MOD_P_PRIMES = (2, 3, 257, _prime(0), _prime(4), 2**32 - 5)

@@ -582,6 +582,26 @@ def test_malformed_workspace_is_usage_error(tmp_path, capsys, name):
     assert target in err
 
 
+BULLETIN_VERSIONS = {
+    "version 99": lambda d: d.update(version=99),
+    "version as a string": lambda d: d.update(version="1"),
+    "version true": lambda d: d.update(version=True),
+    "no version": lambda d: d.pop("version"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "attack"])
+@pytest.mark.parametrize("name", sorted(BULLETIN_VERSIONS))
+def test_bulletin_version_other_than_the_int_1_is_usage_error(tmp_path, capsys, name, command):
+    ws = deal(tmp_path)
+    capsys.readouterr()
+    _edit_json(ws / "bulletin.json", BULLETIN_VERSIONS[name])
+    assert main(_command(command, ws)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "bulletin.json" in err and "version" in err
+
+
 def _rows_shifted(rows):
     # row 0 takes row 1's first entry: lengths r + 1 and r - 1, r^2 in all,
     # and the same entries in the same order
